@@ -1,14 +1,17 @@
 """Staged command-line pipeline with file-based handoff.
 
 Stages: ingest -> features -> embed -> null -> test -> report, plus `synth`
-to fabricate labeled input graphs and `all` to run the whole chain.  Every
-stage writes TSV artifacts into the output directory and appends one line to
+to fabricate labeled input graphs and `all` to run the whole chain.  Stages
+hand off the forms they compute: ``graph.bin`` (the binary adjacency cache)
+with the names in ``nodes.tsv``, and the float64 feature matrix in
+``features.npy``; ``edges.tsv`` and ``features.tsv`` are written for people
+and later stages never read them.  Every stage appends one line to
 ``run_manifest.tsv`` recording stage, version, seed, config and input/output
 digests; the wall-clock timestamp is isolated in the final column so two
 runs with identical config are byte-identical everywhere else.
 
-Exit codes: 0 ok, 2 missing input/artifact or bad config, 3 parse error in
-strict mode, 4 numerical degeneracy.
+Exit codes: 0 ok, 2 missing input/artifact, bad config or too-small input,
+3 parse error in strict mode, 4 numerical degeneracy.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .embedding import (
     save_model,
     transform_all,
 )
-from .features import compute_all_features, read_features_tsv, write_features_tsv
+from .features import compute_all_features, write_features_tsv
 from .graph import ParseError
 from .nullmodel import (
     NullFitError,
@@ -57,8 +60,10 @@ ALL_CHAIN = ("ingest", "features", "embed", "null", "test", "report")
 
 EDGES_TSV = "edges.tsv"
 NODES_TSV = "nodes.tsv"
+GRAPH_BIN = "graph.bin"
 LABELS_TSV = "labels.tsv"
 FEATURES_TSV = "features.tsv"
+FEATURES_NPY = "features.npy"
 MODEL_FILE = "embedding_model.txt"
 NULL_SAMPLES_TSV = "null_samples.tsv"
 NULL_MODEL_TSV = "null_model.tsv"
@@ -103,7 +108,11 @@ class PipelineConfig:
 # ---------------------------------------------------------------------------
 
 def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()[:12]
+    sha = hashlib.sha256()
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(1 << 20), b""):
+            sha.update(block)
+    return sha.hexdigest()[:12]
 
 
 def _append_manifest(
@@ -136,14 +145,22 @@ def _require(path: Path, producer: str) -> Path:
 # shared loading
 # ---------------------------------------------------------------------------
 
-def _load_graph(cfg: PipelineConfig) -> gstore.Graph:
-    edges_path = _require(cfg.out / EDGES_TSV, "ingest")
-    nodes_path = _require(cfg.out / NODES_TSV, "ingest")
-    with open(edges_path, encoding="utf-8") as f:
-        edge_list = gstore.parse_edges_tsv(f, strict=cfg.strict)
-    with open(nodes_path, encoding="utf-8") as f:
-        gstore.parse_nodes_tsv(f, edge_list)
-    return gstore.build_graph(edge_list)
+def _load_names(cfg: PipelineConfig) -> list[str]:
+    """Node names in id order, exactly as ``write_nodes_tsv`` wrote them."""
+    path = _require(cfg.out / NODES_TSV, "ingest")
+    # split on "\n" alone: names may hold "#", edge whitespace, "\x85" or "\u2028"
+    with open(path, encoding="utf-8", newline="") as f:
+        names = f.read().split("\n")
+    if names.pop() != "":
+        raise ValueError(f"{path}: last line is not newline-terminated")
+    return names
+
+
+def _load_graph(cfg: PipelineConfig, names: list[str] | None = None) -> gstore.Graph:
+    graph_path = _require(cfg.out / GRAPH_BIN, "ingest")
+    if names is None:
+        names = _load_names(cfg)
+    return gstore.read_adjacency_cache(str(graph_path), names)
 
 
 def _load_labels(cfg: PipelineConfig) -> gstore.GeoLabels:
@@ -152,11 +169,22 @@ def _load_labels(cfg: PipelineConfig) -> gstore.GeoLabels:
         return gstore.parse_geo(f, strict=cfg.strict)
 
 
+def _load_features(cfg: PipelineConfig) -> tuple[list[str], np.ndarray]:
+    """Node names and their float64 feature rows, checked against each other."""
+    features_path = _require(cfg.out / FEATURES_NPY, "features")
+    values = np.load(features_path, allow_pickle=False)
+    names = _load_names(cfg)
+    if values.dtype != np.float64 or values.shape != (len(names), 4):
+        raise ValueError(
+            f"{features_path}: {values.dtype} array of shape {values.shape}, expected float64"
+            f" of shape ({len(names)}, 4) for the {len(names)} names in {NODES_TSV}"
+        )
+    return names, values
+
+
 def _load_points(cfg: PipelineConfig) -> tuple[list[str], np.ndarray]:
-    features_path = _require(cfg.out / FEATURES_TSV, "features")
+    names, values = _load_features(cfg)
     model_path = _require(cfg.out / MODEL_FILE, "embed")
-    with open(features_path, encoding="utf-8") as f:
-        names, values = read_features_tsv(f)
     with open(model_path, encoding="utf-8") as f:
         model = load_model(f)
     return names, transform_all(model, values)
@@ -165,11 +193,13 @@ def _load_points(cfg: PipelineConfig) -> tuple[list[str], np.ndarray]:
 def _write_graph_artifacts(cfg: PipelineConfig, graph: gstore.Graph) -> list[Path]:
     edges_path = cfg.out / EDGES_TSV
     nodes_path = cfg.out / NODES_TSV
+    graph_path = cfg.out / GRAPH_BIN
     with open(edges_path, "w", encoding="utf-8") as f:
         gstore.write_edges_tsv(graph, f)
     with open(nodes_path, "w", encoding="utf-8") as f:
         gstore.write_nodes_tsv(graph, f)
-    return [edges_path, nodes_path]
+    gstore.write_adjacency_cache(graph, str(graph_path))
+    return [edges_path, nodes_path, graph_path]
 
 
 # ---------------------------------------------------------------------------
@@ -218,20 +248,22 @@ def _stage_ingest(cfg: PipelineConfig) -> None:
 def _stage_features(cfg: PipelineConfig) -> None:
     graph = _load_graph(cfg)
     table = compute_all_features(graph)
-    out_path = cfg.out / FEATURES_TSV
-    with open(out_path, "w", encoding="utf-8") as f:
+    tsv_path = cfg.out / FEATURES_TSV
+    npy_path = cfg.out / FEATURES_NPY
+    with open(tsv_path, "w", encoding="utf-8") as f:
         write_features_tsv(graph, table, f)
+    with open(npy_path, "wb") as f:
+        np.save(f, table.values)
     info = f"mean_degree={table.stats.mean_degree:.9g} degree_std={table.stats.degree_std:.9g}"
     _append_manifest(
-        cfg, "features", "-", [cfg.out / EDGES_TSV, cfg.out / NODES_TSV], [out_path], info
+        cfg, "features", "-", [cfg.out / GRAPH_BIN, cfg.out / NODES_TSV], [tsv_path, npy_path],
+        info,
     )
 
 
 def _stage_embed(cfg: PipelineConfig) -> None:
-    features_path = _require(cfg.out / FEATURES_TSV, "features")
-    with open(features_path, encoding="utf-8") as f:
-        names, values = read_features_tsv(f)
-    inputs = [features_path]
+    names, values = _load_features(cfg)
+    inputs = [cfg.out / FEATURES_NPY, cfg.out / NODES_TSV]
     if cfg.labeled_only:
         labels = _load_labels(cfg)
         inputs.append(cfg.out / LABELS_TSV)
@@ -254,7 +286,7 @@ def _stage_embed(cfg: PipelineConfig) -> None:
 
 def _stage_null(cfg: PipelineConfig) -> None:
     names, points = _load_points(cfg)
-    inputs = [cfg.out / FEATURES_TSV, cfg.out / MODEL_FILE]
+    inputs = [cfg.out / FEATURES_NPY, cfg.out / NODES_TSV, cfg.out / MODEL_FILE]
     if cfg.labeled_only:
         labels = _load_labels(cfg)
         inputs.append(cfg.out / LABELS_TSV)
@@ -291,30 +323,21 @@ def _stage_test(cfg: PipelineConfig) -> None:
     with open(null_path, encoding="utf-8") as f:
         null_model = read_null_model_tsv(f)
     labels = _load_labels(cfg)
-    name_to_row = {name: i for i, name in enumerate(names)}
-
+    graph = _load_graph(cfg, names)
+    builders = {"country": gstore.country_groups, "region": gstore.region_groups}
     levels = ("country", "region") if cfg.level == "both" else (cfg.level,)
+    memberships = {level: builders[level](graph, labels) for level in levels}
+    unmatched = len(gstore.unmatched_names(graph, labels))
+    del graph, names  # not needed while group pairs are sampled
+    empty = [level for level in levels if not memberships[level]]
+    if len(empty) == len(levels):
+        raise ValueError(f"no {'- or '.join(empty)}-level groups found in labels")
+
     results = []
     skipped_total: list[str] = []
-    unmatched = 0
-    for level in levels:
-        raw: dict[str, list[int]] = {}
-        if level == "country":
-            for name, country in labels.country.items():
-                row = name_to_row.get(name)
-                if row is None:
-                    unmatched += 1
-                    continue
-                raw.setdefault(country, []).append(row)
-        else:
-            for name, region in labels.region.items():
-                row = name_to_row.get(name)
-                if row is None:
-                    continue
-                raw.setdefault(f"{labels.country[name]}/{region}", []).append(row)
-        membership = {k: np.array(sorted(v)) for k, v in raw.items()}
+    for level, membership in memberships.items():
         if not membership:
-            raise ValueError(f"no {level}-level groups found in labels")
+            continue
         means, skipped = group_mean_distance(
             points,
             membership,
@@ -338,11 +361,14 @@ def _stage_test(cfg: PipelineConfig) -> None:
     info = (
         f"groups={len(results)} skipped={len(skipped_total)} unmatched_names={unmatched}"
     )
+    if empty:
+        info += f" empty_levels={','.join(empty)}"
     _append_manifest(
         cfg,
         "test",
         desc,
-        [cfg.out / FEATURES_TSV, cfg.out / MODEL_FILE, null_path, cfg.out / LABELS_TSV],
+        [cfg.out / FEATURES_NPY, cfg.out / NODES_TSV, cfg.out / GRAPH_BIN, cfg.out / MODEL_FILE,
+         null_path, cfg.out / LABELS_TSV],
         [out_path],
         info,
     )

@@ -1,15 +1,14 @@
 """Whitened principal-component space over feature rows.
 
-Fitting centers the data, eigendecomposes the sample covariance (cyclic
-Jacobi rotations; the problem is a fixed 4x4) and keeps components whose
-eigenvalue exceeds ``eig_tol`` times the largest.  Scores are divided by
+Fitting centers the data, eigendecomposes the sample covariance with the
+library symmetric solver and keeps components whose eigenvalue exceeds
+``eig_tol`` times the largest.  Scores are divided by
 sqrt(eigenvalue), so the plain Euclidean norm between transformed points
 realizes the Mahalanobis distance of the training covariance.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
@@ -24,7 +23,6 @@ __all__ = [
     "MeanDistanceResult",
     "DEFAULT_EIG_TOL",
     "DEFAULT_PAIR_BUDGET",
-    "jacobi_eigh",
     "fit_embedding",
     "transform",
     "transform_all",
@@ -41,56 +39,6 @@ DEFAULT_PAIR_BUDGET = 2_000_000
 
 class DegenerateFeaturesError(ValueError):
     """All feature columns constant: no covariance structure to whiten."""
-
-
-def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-14, max_sweeps: int = 64):
-    """Eigendecompose a small symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps until the off-diagonal Frobenius norm drops below ``tol`` times
-    the matrix Frobenius norm.  Returns (eigenvalues descending, eigenvector
-    columns aligned with them); eigenvector signs are canonicalized so the
-    largest-magnitude component of each is positive.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    d = a.shape[0]
-    if a.shape != (d, d):
-        raise ValueError("matrix must be square")
-    v = np.eye(d)
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return np.zeros(d), v
-
-    def offdiag(mat: np.ndarray) -> float:
-        return float(np.sqrt(max(np.sum(mat**2) - np.sum(np.diag(mat) ** 2), 0.0)))
-
-    for _ in range(max_sweeps):
-        if offdiag(a) <= tol * scale:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(d)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                v = v @ rot
-
-    eigenvalues = np.diag(a).copy()
-    order = np.argsort(-eigenvalues, kind="stable")
-    eigenvalues = np.maximum(eigenvalues[order], 0.0)
-    vectors = v[:, order]
-    for col in range(d):
-        pivot = np.argmax(np.abs(vectors[:, col]))
-        if vectors[pivot, col] < 0:
-            vectors[:, col] = -vectors[:, col]
-    return eigenvalues, vectors
 
 
 @dataclass(frozen=True)
@@ -128,7 +76,12 @@ def fit_embedding(table: FeatureTable | np.ndarray, eig_tol: float = DEFAULT_EIG
     if not np.any(centered.std(axis=0) > 0.0):
         raise DegenerateFeaturesError("degenerate feature table: every column is constant")
     covariance = centered.T @ centered / (n - 1)
-    eigenvalues, eigenvectors = jacobi_eigh(covariance)
+    ascending, vectors = np.linalg.eigh(covariance)
+    eigenvalues = np.maximum(ascending[::-1], 0.0)
+    vectors = vectors[:, ::-1]
+    # canonical signs: the largest-magnitude component of each eigenvector is positive
+    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(d)]
+    eigenvectors = vectors * np.where(pivots < 0, -1.0, 1.0)
     retained = int(np.sum(eigenvalues > eig_tol * eigenvalues[0]))
     return EmbeddingModel(
         mean=mean,

@@ -17,7 +17,7 @@ zero global degree spread forces local_corr = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "node_feature_vector",
     "compute_all_features",
     "write_features_tsv",
-    "read_features_tsv",
 ]
 
 FEATURE_COLUMNS = ("k", "avg_nbr_deg", "local_var", "local_corr")
@@ -156,18 +155,3 @@ def write_features_tsv(graph: Graph, table: FeatureTable, out: TextIO) -> None:
             for i in range(start, stop)
         )
 
-
-def read_features_tsv(lines: Iterable[str]) -> tuple[list[str], np.ndarray]:
-    """Read back (names, (n,4) value matrix); header comments are skipped."""
-    names: list[str] = []
-    rows: list[tuple[float, float, float, float]] = []
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise ValueError(f"bad feature row {line!r}")
-        names.append(parts[0])
-        rows.append((float(parts[1]), float(parts[2]), float(parts[3]), float(parts[4])))
-    return names, np.array(rows, dtype=np.float64).reshape(len(rows), 4)

@@ -25,7 +25,7 @@ import re
 import struct
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -188,6 +188,24 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _make_graph(names: Sequence[str], m: int, degrees: np.ndarray, indices: np.ndarray) -> Graph:
+    """Final construction shared by every path that yields a :class:`Graph`."""
+    indptr = np.zeros(len(names) + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    name_to_id = {name: i for i, name in enumerate(names)}
+    if len(name_to_id) != len(names):
+        raise ValueError("node names are not distinct")
+    return Graph(
+        n=len(names),
+        m=m,
+        indptr=_freeze(indptr),
+        indices=_freeze(indices),
+        degrees=_freeze(degrees),
+        names=tuple(names),
+        name_to_id=name_to_id,
+    )
+
+
 def build_graph(edge_list: EdgeList) -> Graph:
     """Assemble the adjacency structure from an accumulated edge list.
 
@@ -199,12 +217,12 @@ def build_graph(edge_list: EdgeList) -> Graph:
     edge_list.finalize()
     assert edge_list._codes is not None
 
-    names = sorted(edge_list._ids)
-    n = len(names)
-    name_to_id = {name: i for i, name in enumerate(names)}
-    relabel = np.empty(max(len(edge_list._ids), 1), dtype=np.int64)
-    for name, prov in edge_list._ids.items():
-        relabel[prov] = name_to_id[name]
+    provisional = list(edge_list._ids)  # provisional id order
+    n = len(provisional)
+    by_name = sorted(range(n), key=provisional.__getitem__)
+    names = [provisional[prov] for prov in by_name]
+    relabel = np.empty(n, dtype=np.int64)
+    relabel[by_name] = np.arange(n, dtype=np.int64)
 
     width = edge_list._code_width
     codes = edge_list._codes
@@ -222,19 +240,9 @@ def build_graph(edge_list: EdgeList) -> Graph:
     degrees = np.bincount(row, minlength=n).astype(np.int64)
     csr_order = np.lexsort((col, row))
     indices = np.ascontiguousarray(col[csr_order])
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
 
     assert int(degrees.sum()) == 2 * m
-    return Graph(
-        n=n,
-        m=m,
-        indptr=_freeze(indptr),
-        indices=_freeze(indices),
-        degrees=_freeze(degrees),
-        names=tuple(names),
-        name_to_id=name_to_id,
-    )
+    return _make_graph(names, m, degrees, indices)
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +407,6 @@ def region_groups(graph: Graph, labels: GeoLabels) -> dict[str, np.ndarray]:
     return {k: np.array(sorted(v), dtype=np.int64) for k, v in sorted(groups.items())}
 
 
-def labeled_node_ids(graph: Graph, labels: GeoLabels) -> np.ndarray:
-    """Ids of graph nodes carrying at least a country label, ascending."""
-    ids = [graph.name_to_id[n] for n in labels.country if n in graph.name_to_id]
-    return np.array(sorted(ids), dtype=np.int64)
-
-
 # ---------------------------------------------------------------------------
 # writers
 # ---------------------------------------------------------------------------
@@ -450,15 +452,27 @@ def write_adjacency_cache(graph: Graph, path: str) -> None:
         f.write(graph.indices.astype("<i8").tobytes())
 
 
-def read_adjacency_cache(path: str) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
-    """Read the cache back as (n, m, degrees, indptr, indices)."""
+def read_adjacency_cache(path: str, names: Sequence[str]) -> Graph:
+    """Rebuild the graph from the cache and its node names, in id order.
+
+    Raises ``ValueError`` for a file that is not a cache, whose length does
+    not match its header, whose degrees do not sum to 2m, whose neighbor ids
+    fall outside [0, n), or whose node count differs from ``len(names)``.
+    """
     with open(path, "rb") as f:
-        magic = f.read(len(_CACHE_MAGIC))
-        if magic != _CACHE_MAGIC:
-            raise ValueError(f"not an adjacency cache (bad header {magic!r})")
-        n, m = struct.unpack("<qq", f.read(16))
-        degrees = np.frombuffer(f.read(8 * n), dtype="<i8")
-        indices = np.frombuffer(f.read(8 * 2 * m), dtype="<i8")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    return n, m, degrees, indptr, indices
+        data = f.read()
+    header = len(_CACHE_MAGIC) + 16
+    if data[: len(_CACHE_MAGIC)] != _CACHE_MAGIC or len(data) < header:
+        raise ValueError(f"{path}: not an adjacency cache (bad header)")
+    n, m = struct.unpack_from("<qq", data, len(_CACHE_MAGIC))
+    if n < 0 or m < 0 or len(data) != header + 8 * n + 16 * m:
+        raise ValueError(f"{path}: {len(data)} bytes do not hold n={n} m={m}")
+    degrees = np.frombuffer(data, dtype="<i8", count=n, offset=header)
+    indices = np.frombuffer(data, dtype="<i8", count=2 * m, offset=header + 8 * n)
+    if int(degrees.sum()) != 2 * m:
+        raise ValueError(f"{path}: degrees sum to {int(degrees.sum())}, expected 2m={2 * m}")
+    if m and not 0 <= int(indices.min()) <= int(indices.max()) < n:
+        raise ValueError(f"{path}: neighbor ids outside [0, {n})")
+    if n != len(names):
+        raise ValueError(f"{path}: holds n={n} nodes but {len(names)} names were given")
+    return _make_graph(names, m, degrees, indices)

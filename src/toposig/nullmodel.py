@@ -302,8 +302,11 @@ def read_null_samples_tsv(lines: Iterable[str]) -> NullSamples:
 
 
 def write_null_model_tsv(model: NullModel, out: TextIO) -> None:
+    """17 significant digits, so the reloaded model scores groups losslessly."""
     out.write("# mu_r\ta\talpha\tresidual\n")
-    out.write(f"{model.mu_r:.9g}\t{model.a:.9g}\t{model.alpha:.9g}\t{model.fit_residual:.9g}\n")
+    out.write(
+        f"{model.mu_r:.17g}\t{model.a:.17g}\t{model.alpha:.17g}\t{model.fit_residual:.17g}\n"
+    )
 
 
 def read_null_model_tsv(lines: Iterable[str]) -> NullModel:

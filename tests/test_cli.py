@@ -1,6 +1,16 @@
+import io
+import tempfile
 from pathlib import Path
 
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from toposig import cli
+from toposig import embedding as em
+from toposig import graph as gstore
+from toposig import nullmodel as nm
+from toposig.features import compute_all_features
 from toposig.graph import parse_edges_tsv, parse_geo
 
 FIXTURE_DIR = Path(__file__).parent / "data"
@@ -42,7 +52,7 @@ def fixture_args(out, seed=7):
 def test_test_before_null_exits_2(tmp_path, capsys):
     assert run(["test", "--out", tmp_path]) == 2
     err = capsys.readouterr().err
-    assert "features.tsv" in err
+    assert "features.npy" in err
 
 
 def test_ingest_without_input_exits_2(tmp_path):
@@ -70,6 +80,27 @@ def test_degenerate_features_exit_4(tmp_path):
     assert run(["ingest", "--edges", ring, "--out", tmp_path]) == 0
     assert run(["features", "--out", tmp_path]) == 0
     assert run(["embed", "--out", tmp_path]) == 4
+
+
+def test_corrupt_graph_artifacts_exit_2(tmp_path, capsys):
+    assert run(["ingest", "--links", FIXTURE_LINKS, "--out", tmp_path]) == 0
+    graph_bin, nodes = tmp_path / cli.GRAPH_BIN, tmp_path / cli.NODES_TSV
+    good_bin, good_nodes = graph_bin.read_bytes(), nodes.read_bytes()
+
+    graph_bin.write_bytes(good_bin[:-8])
+    assert run(["features", "--out", tmp_path]) == 2
+    assert "do not hold" in capsys.readouterr().err
+
+    graph_bin.write_bytes(good_bin)
+    nodes.write_bytes(good_nodes + b"N999\n")
+    assert run(["features", "--out", tmp_path]) == 2
+    assert "names" in capsys.readouterr().err
+
+    nodes.write_bytes(good_nodes)
+    assert run(["features", "--out", tmp_path]) == 0
+    nodes.write_bytes(good_nodes[: good_nodes.rindex(b"\n", 0, -1) + 1])
+    assert run(["embed", "--out", tmp_path]) == 2  # features.npy rows != names
+    assert "expected float64" in capsys.readouterr().err
 
 
 def test_missing_labels_for_test_stage_exits_2(tmp_path):
@@ -151,6 +182,96 @@ def test_results_levels_respect_flag(tmp_path):
     assert levels == {"country", "region"}
     zs = [float(row[4]) for row in rows]
     assert zs == sorted(zs)
+
+
+def test_level_both_without_regions_scores_countries(tmp_path):
+    geo = tmp_path / "country_only.geo"
+    geo.write_text(
+        "".join(
+            "\t".join(line.split("\t")[:2]) + "\t\n"
+            for line in FIXTURE_GEO.read_text().splitlines()
+        )
+    )
+    out = tmp_path / "run"
+    args = fixture_args(out)
+    args[args.index(FIXTURE_GEO)] = geo
+    assert run(args) == 0
+    rows = [line for line in (out / cli.RESULTS_TSV).read_text().splitlines()
+            if not line.startswith("#")]
+    assert rows and {row.split("\t")[0] for row in rows} == {"country"}
+    test_line = [line for line in (out / cli.MANIFEST).read_text().splitlines()
+                 if line.startswith("test\t")][0]
+    assert "empty_levels=region" in test_line.split("\t")[6]
+    # a level asked for alone still has to have groups
+    assert run(["test", "--out", out, "--level", "region"]) == 2
+
+
+def library_results_tsv(seed, sizes, sets):
+    """The acceptance module's group_zscores path, both levels, as results.tsv text."""
+    with open(FIXTURE_LINKS, encoding="utf-8") as f:
+        graph = gstore.build_graph(gstore.parse_links(f))
+    with open(FIXTURE_GEO, encoding="utf-8") as f:
+        labels = parse_geo(f)
+    table = compute_all_features(graph)
+    points = em.transform_all(em.fit_embedding(table), table)
+    config = nm.NullSamplingConfig(set_sizes=sizes, sets_per_size=sets, seed=seed)
+    null = nm.fit_null_scaling(nm.sample_null(points, config))
+    results = []
+    for level, build in (("country", gstore.country_groups), ("region", gstore.region_groups)):
+        groups = build(graph, labels)
+        means, _ = nm.group_mean_distance(points, groups, seed=seed)
+        results += [nm.z_score(null, k, level, len(groups[k]), means[k].mean) for k in means]
+    out = io.StringIO()
+    nm.write_results_tsv(results, out)
+    return out.getvalue()
+
+
+def test_cli_results_byte_identical_to_library(tmp_path):
+    assert run(fixture_args(tmp_path)) == 0
+    expected = library_results_tsv(seed=7, sizes=(10, 20, 50), sets=40)
+    assert (tmp_path / cli.RESULTS_TSV).read_text(encoding="utf-8") == expected
+
+
+# ---------------------------------------------------------------------------
+# graph handoff: later stages see exactly the graph ingest built
+# ---------------------------------------------------------------------------
+
+def check_handoff(out, edges_text):
+    """ingest + features on ``edges_text``; compare with the in-memory graph."""
+    edges = out / "input.tsv"
+    edges.write_text(edges_text, encoding="utf-8")
+    reference = gstore.build_graph(parse_edges_tsv(io.StringIO(edges_text)))
+    assert run(["ingest", "--edges", edges, "--out", out]) == 0
+    assert run(["features", "--out", out]) == 0
+    loaded = cli._load_graph(cli.PipelineConfig(out=out))
+    assert loaded.equals(reference)
+    values = np.load(out / cli.FEATURES_NPY)
+    assert np.array_equal(values, compute_all_features(reference).values)
+    return reference
+
+
+def test_features_stage_sees_the_ingested_graph(tmp_path):
+    graph = check_handoff(tmp_path, "b\t#a\nb\tc\nc\td\nd\te\nx \tc\n")
+    assert (graph.n, graph.m) == (6, 5)
+    assert "#a" in graph.names and "x " in graph.names
+    assert np.load(tmp_path / cli.FEATURES_NPY).shape == (6, 4)
+
+
+# names may hold "#", spaces, "\x85" and "\u2028"; ingest strips each line's
+# outer whitespace, so the first column starts and the second ends with no space
+SOLID, ANY = "ab#é", "ab#é \x85\u2028"
+FIRST = st.builds(str.__add__, st.sampled_from(SOLID), st.text(ANY, max_size=3))
+SECOND = st.builds(str.__add__, st.text(ANY, max_size=3), st.sampled_from(SOLID))
+
+
+@given(st.lists(st.tuples(FIRST, SECOND), min_size=1, max_size=12))
+@settings(max_examples=40, deadline=None)
+def test_handoff_property_over_awkward_names(pairs):
+    text = "".join(f"{a}\t{b}\n" for a, b in pairs)
+    assume(any(not a.startswith("#") for a, _ in pairs))  # all-comment input
+    assume(gstore.build_graph(parse_edges_tsv(io.StringIO(text))).n >= 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        check_handoff(Path(tmp), text)
 
 
 # ---------------------------------------------------------------------------

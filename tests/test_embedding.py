@@ -25,28 +25,30 @@ def unit_covariance_cloud(rng, n=400, dim=4):
 # ---------------------------------------------------------------------------
 
 def test_jacobi_matches_library_solver():
+    """The fitted eigenpairs decompose the fitted covariance, signs canonical."""
     rng = np.random.default_rng(0)
     for _ in range(25):
         s = random_spd(rng, jitter=float(rng.uniform(0, 1)))
-        w, v = em.jacobi_eigh(s)
-        w_ref = np.sort(np.linalg.eigvalsh(s))[::-1]
+        model = em.fit_embedding(rng.multivariate_normal(np.zeros(4), s, size=200))
+        w, v, cov = model.eigenvalues, model.eigenvectors, model.covariance
+        w_ref = np.sort(np.linalg.eigvalsh(cov))[::-1]
         assert np.allclose(w, w_ref, rtol=1e-10, atol=1e-10)
         assert np.allclose(v.T @ v, np.eye(4), atol=1e-10)
-        assert np.allclose(v @ np.diag(w) @ v.T, s, atol=1e-9)
+        assert np.allclose(v @ np.diag(w) @ v.T, cov, atol=1e-9)
+        pivots = v[np.argmax(np.abs(v), axis=0), np.arange(4)]
+        assert np.all(pivots > 0)
 
 
 def test_jacobi_descending_and_nonnegative():
     rng = np.random.default_rng(1)
-    s = random_spd(rng)
-    w, _ = em.jacobi_eigh(s)
+    x = rng.multivariate_normal(np.zeros(4), random_spd(rng), size=200)
+    w = em.fit_embedding(x).eigenvalues
     assert np.all(np.diff(w) <= 0)
     assert np.all(w >= 0)
-
-
-def test_jacobi_zero_matrix():
-    w, v = em.jacobi_eigh(np.zeros((3, 3)))
-    assert np.array_equal(w, np.zeros(3))
-    assert np.array_equal(v, np.eye(3))
+    # rank-1 data: the library solver's tiny negative eigenvalues are clamped
+    w = em.fit_embedding(np.outer(np.linspace(0, 1, 50), [1.0, -2.0, 0.5, 3.0])).eigenvalues
+    assert np.all(np.diff(w) <= 0)
+    assert np.all(w >= 0)
 
 
 # ---------------------------------------------------------------------------

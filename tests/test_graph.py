@@ -259,11 +259,11 @@ def test_adjacency_cache_round_trip(tmp_path):
     graph = g.build_graph(el)
     path = tmp_path / "adj.bin"
     g.write_adjacency_cache(graph, str(path))
-    n, m, degrees, indptr, indices = g.read_adjacency_cache(str(path))
-    assert (n, m) == (graph.n, graph.m)
-    assert np.array_equal(degrees, graph.degrees)
-    assert np.array_equal(indptr, graph.indptr)
-    assert np.array_equal(indices, graph.indices)
+    again = g.read_adjacency_cache(str(path), graph.names)
+    assert again.equals(graph)
+    assert np.array_equal(again.degrees, graph.degrees)
+    assert again.name_to_id == graph.name_to_id
+    assert not again.indices.flags.writeable
 
     path2 = tmp_path / "adj2.bin"
     g.write_adjacency_cache(graph, str(path2))
@@ -274,4 +274,26 @@ def test_adjacency_cache_rejects_other_files(tmp_path):
     path = tmp_path / "bogus.bin"
     path.write_bytes(b"not a cache at all")
     with pytest.raises(ValueError):
-        g.read_adjacency_cache(str(path))
+        g.read_adjacency_cache(str(path), [])
+
+
+def test_adjacency_cache_rejects_inconsistent_files(tmp_path):
+    graph = g.build_graph(parse("link L1: N1 N2 N3\nlink L2: N3 N4\n"))
+    path = tmp_path / "adj.bin"
+    g.write_adjacency_cache(graph, str(path))
+    data = path.read_bytes()
+    with pytest.raises(ValueError, match="bytes do not hold"):
+        path.write_bytes(data[:-8])
+        g.read_adjacency_cache(str(path), graph.names)
+    with pytest.raises(ValueError, match="degrees sum"):
+        # first degree 2 -> 3: same length, inconsistent with m
+        path.write_bytes(data[:24] + (3).to_bytes(8, "little") + data[32:])
+        g.read_adjacency_cache(str(path), graph.names)
+    with pytest.raises(ValueError, match="outside"):
+        path.write_bytes(data[:-8] + (4).to_bytes(8, "little"))
+        g.read_adjacency_cache(str(path), graph.names)
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match="names"):
+        g.read_adjacency_cache(str(path), graph.names[:-1])
+    with pytest.raises(ValueError, match="distinct"):
+        g.read_adjacency_cache(str(path), graph.names[:-1] + graph.names[:1])

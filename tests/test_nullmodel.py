@@ -311,9 +311,9 @@ def test_null_model_tsv_round_trip():
     out = io.StringIO()
     nm.write_null_model_tsv(model, out)
     again = nm.read_null_model_tsv(io.StringIO(out.getvalue()))
-    assert again.mu_r == pytest.approx(model.mu_r, rel=1e-8)
-    assert again.a == pytest.approx(model.a, rel=1e-8)
-    assert again.alpha == pytest.approx(model.alpha, rel=1e-8)
+    assert (again.mu_r, again.a, again.alpha, again.fit_residual) == (
+        model.mu_r, model.a, model.alpha, model.fit_residual
+    )
 
 
 def test_results_tsv_sorted_by_z():
