@@ -20,10 +20,8 @@ from .embedding import (
 from .features import (
     FeatureTable,
     GlobalDegreeStats,
-    NodeFeatures,
     compute_all_features,
     global_degree_stats,
-    node_feature_vector,
 )
 from .graph import (
     EdgeList,
@@ -63,9 +61,7 @@ __all__ = [
     "build_graph",
     "FeatureTable",
     "GlobalDegreeStats",
-    "NodeFeatures",
     "global_degree_stats",
-    "node_feature_vector",
     "compute_all_features",
     "EmbeddingModel",
     "MeanDistanceResult",

@@ -116,55 +116,32 @@ class MeanDistanceResult:
     exact: bool
 
 
-def _decode_pair_indices(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Map linear indices of the upper triangle (i < j, row-major) to (i, j)."""
-    idx = idx.astype(np.float64)
-    b = 2 * n - 1
-    i = np.floor((b - np.sqrt(b * b - 8.0 * idx)) / 2.0).astype(np.int64)
-    i = np.clip(i, 0, n - 2)
-    idx_int = idx.astype(np.int64)
-    # float sqrt can land one row off; fix with exact integer offsets
-    for _ in range(2):
-        offset = i * (2 * n - i - 1) // 2
-        i = np.where(offset > idx_int, i - 1, i)
-        next_offset = (i + 1) * (2 * n - i - 2) // 2
-        i = np.where(next_offset <= idx_int, i + 1, i)
-    offset = i * (2 * n - i - 1) // 2
-    j = idx_int - offset + i + 1
-    return i, j
-
-
-def _sample_distinct_indices(total: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform sample of ``count`` distinct ints from [0, total), unordered."""
-    if total <= max(4 * count, 1 << 22):
-        return rng.choice(total, size=count, replace=False)
-    collected = np.empty(0, dtype=np.uint64)
-    while len(collected) < count:
-        need = count - len(collected)
-        draw = rng.integers(0, total, size=int(need * 1.1) + 16, dtype=np.uint64)
-        collected = np.unique(np.concatenate([collected, draw]))
-    return rng.permutation(collected)[:count]
-
-
 def pair_sample_distances(
     points: np.ndarray,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, bool]:
-    """Distances over all pairs, or over a uniform sample when over budget."""
+    """Distances over all pairs, or over a sample when C(N,2) exceeds the budget.
+
+    The sample draws ``pair_budget`` pairs uniformly, with replacement, from
+    the distinct unordered pairs, so its mean is an unbiased estimate of the
+    all-pairs mean.
+    """
+    if pair_budget < 1:
+        raise ValueError(f"pair budget must be at least 1, got {pair_budget}")
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
         points = points[:, None]
     n = len(points)
     if n < 2:
         raise ValueError("need at least 2 points")
-    total = n * (n - 1) // 2
-    if total <= pair_budget:
+    if n * (n - 1) // 2 <= pair_budget:
         return pdist(points), True
     if rng is None:
         raise ValueError("pair sampling requires an explicit rng stream")
-    idx = _sample_distinct_indices(total, pair_budget, rng)
-    i, j = _decode_pair_indices(np.asarray(idx), n)
+    i = rng.integers(0, n, size=pair_budget)
+    j = rng.integers(0, n - 1, size=pair_budget)
+    j += j >= i  # skip the self-pair: j is uniform over the other n - 1 points
     out = np.empty(pair_budget, dtype=np.float64)
     chunk = 1 << 19
     for start in range(0, pair_budget, chunk):

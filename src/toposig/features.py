@@ -26,10 +26,8 @@ from .graph import Graph
 __all__ = [
     "FEATURE_COLUMNS",
     "GlobalDegreeStats",
-    "NodeFeatures",
     "FeatureTable",
     "global_degree_stats",
-    "node_feature_vector",
     "compute_all_features",
     "write_features_tsv",
 ]
@@ -44,17 +42,6 @@ class GlobalDegreeStats:
     mean_degree: float
     degree_std: float
     n: int
-
-
-@dataclass(frozen=True)
-class NodeFeatures:
-    k: int
-    avg_nbr_deg: float
-    local_var: float
-    local_corr: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.k, self.avg_nbr_deg, self.local_var, self.local_corr])
 
 
 @dataclass(frozen=True)
@@ -77,22 +64,6 @@ def global_degree_stats(graph: Graph) -> GlobalDegreeStats:
         degree_std=float(degrees.std(ddof=1)),
         n=graph.n,
     )
-
-
-def node_feature_vector(graph: Graph, stats: GlobalDegreeStats, node: int) -> NodeFeatures:
-    """Single-node reference path; ``compute_all_features`` must agree with it."""
-    k = int(graph.degrees[node])
-    if k == 0:
-        return NodeFeatures(0, 0.0, 0.0, 0.0)
-    nbr_deg = graph.degrees[graph.neighbors(node)].astype(np.float64)
-    deviations = nbr_deg - stats.mean_degree
-    avg = float(nbr_deg.sum() / k)
-    var = float((deviations**2).sum() / (k - 1)) if k > 1 else 0.0
-    if stats.degree_std > 0.0:
-        corr = float((k - stats.mean_degree) * deviations.sum() / (stats.degree_std**2 * k))
-    else:
-        corr = 0.0
-    return NodeFeatures(k, avg, var, corr)
 
 
 def compute_all_features(graph: Graph) -> FeatureTable:

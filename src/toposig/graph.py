@@ -337,21 +337,24 @@ def parse_geo(stream: Iterable[str], strict: bool = False) -> GeoLabels:
 
     Records with a region but no country (or with no label at all) are
     rejected and counted, never fatal.  Structurally broken lines follow
-    the links-file strict/lenient convention.
+    the links-file strict/lenient convention.  The name keeps its own
+    whitespace, as in :func:`parse_edges_tsv`: ``"x \\tUS"`` labels node
+    ``"x "``.
     """
     labels = GeoLabels()
     for line_no, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
+        # keep trailing tabs: "x\t" is a record with no label, not a broken line
+        line = raw.lstrip().rstrip("\r\n")
+        if not line or line.startswith("#"):
             continue
-        parts = [p.strip() for p in line.split("\t")]
+        parts = line.split("\t")
         if len(parts) < 2 or not parts[0]:
             if strict:
                 raise ParseError(f"bad geo record {line!r}", line_no)
             labels.rejected += 1
             continue
-        name, country = parts[0], parts[1]
-        region = parts[2] if len(parts) > 2 else ""
+        name, country = parts[0], parts[1].strip()
+        region = parts[2].strip() if len(parts) > 2 else ""
         if not country:
             labels.rejected += 1
             continue

@@ -22,6 +22,7 @@ import numpy as np
 from .embedding import (
     DEFAULT_PAIR_BUDGET,
     MeanDistanceResult,
+    mean_pairwise_distance,
     pair_sample_distances,
 )
 
@@ -230,9 +231,7 @@ def group_mean_distance(
         if len(ids) < max(min_group_size, 2):
             skipped.append(key)
             continue
-        rng = _key_rng(seed, key)
-        dists, exact = pair_sample_distances(points[ids], pair_budget, rng)
-        results[key] = MeanDistanceResult(float(dists.mean()), len(dists), exact)
+        results[key] = mean_pairwise_distance(points[ids], pair_budget, _key_rng(seed, key))
     return results, skipped
 
 

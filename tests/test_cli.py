@@ -103,6 +103,11 @@ def test_corrupt_graph_artifacts_exit_2(tmp_path, capsys):
     assert "expected float64" in capsys.readouterr().err
 
 
+def test_pair_budget_below_one_exits_2(tmp_path, capsys):
+    assert run(fixture_args(tmp_path) + ["--pair-budget", "0"]) == 2
+    assert "pair budget" in capsys.readouterr().err
+
+
 def test_missing_labels_for_test_stage_exits_2(tmp_path):
     assert run(["ingest", "--links", FIXTURE_LINKS, "--out", tmp_path]) == 0
     assert run(["features", "--out", tmp_path]) == 0
@@ -206,7 +211,7 @@ def test_level_both_without_regions_scores_countries(tmp_path):
     assert run(["test", "--out", out, "--level", "region"]) == 2
 
 
-def library_results_tsv(seed, sizes, sets):
+def library_results_tsv(seed, sizes, sets, pair_budget=em.DEFAULT_PAIR_BUDGET):
     """The acceptance module's group_zscores path, both levels, as results.tsv text."""
     with open(FIXTURE_LINKS, encoding="utf-8") as f:
         graph = gstore.build_graph(gstore.parse_links(f))
@@ -214,22 +219,53 @@ def library_results_tsv(seed, sizes, sets):
         labels = parse_geo(f)
     table = compute_all_features(graph)
     points = em.transform_all(em.fit_embedding(table), table)
-    config = nm.NullSamplingConfig(set_sizes=sizes, sets_per_size=sets, seed=seed)
+    config = nm.NullSamplingConfig(
+        set_sizes=sizes, sets_per_size=sets, pair_budget=pair_budget, seed=seed
+    )
     null = nm.fit_null_scaling(nm.sample_null(points, config))
     results = []
     for level, build in (("country", gstore.country_groups), ("region", gstore.region_groups)):
         groups = build(graph, labels)
-        means, _ = nm.group_mean_distance(points, groups, seed=seed)
+        means, _ = nm.group_mean_distance(points, groups, pair_budget=pair_budget, seed=seed)
         results += [nm.z_score(null, k, level, len(groups[k]), means[k].mean) for k in means]
     out = io.StringIO()
     nm.write_results_tsv(results, out)
     return out.getvalue()
 
 
+def check_cli_equals_library(out, pair_budget):
+    assert run(fixture_args(out) + ["--pair-budget", pair_budget]) == 0
+    expected = library_results_tsv(seed=7, sizes=(10, 20, 50), sets=40, pair_budget=pair_budget)
+    assert (out / cli.RESULTS_TSV).read_text(encoding="utf-8") == expected
+
+
 def test_cli_results_byte_identical_to_library(tmp_path):
-    assert run(fixture_args(tmp_path)) == 0
-    expected = library_results_tsv(seed=7, sizes=(10, 20, 50), sets=40)
-    assert (tmp_path / cli.RESULTS_TSV).read_text(encoding="utf-8") == expected
+    check_cli_equals_library(tmp_path, em.DEFAULT_PAIR_BUDGET)
+
+
+def test_cli_results_byte_identical_to_library_on_sampled_pairs(tmp_path):
+    # at 500 pairs the fixture's country groups (33-34 nodes), its larger region
+    # groups and the 50-node null sets take the sampled pair path
+    check_cli_equals_library(tmp_path, 500)
+
+
+def test_geo_name_with_edge_whitespace_meets_its_node(tmp_path):
+    edges = tmp_path / "input.tsv"
+    edges.write_text("x \tc\nc\td\nd\te\ne\tf\nf\tg\ng\th\nc\tf\nd\tg\n", encoding="utf-8")
+    geo = tmp_path / "input.geo"
+    geo.write_text("x \tUS\nc\tUS\n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert run(["ingest", "--edges", edges, "--geo", geo, "--out", out]) == 0
+    ingest_line = (out / cli.MANIFEST).read_text(encoding="utf-8").splitlines()[0]
+    info = ingest_line.split("\t")[6].split()
+    assert "geo_country=2" in info and "geo_unmatched=0" in info
+    # labels.tsv keeps the name, so the test stage reads back the same label
+    assert cli._load_labels(cli.PipelineConfig(out=out)).country == {"x ": "US", "c": "US"}
+    for stage in (["features"], ["embed"], ["null", "--sizes", "2,3,4", "--sets", "20"], ["test"]):
+        assert run([*stage, "--out", out]) == 0
+    rows = [line.split("\t") for line in (out / cli.RESULTS_TSV).read_text().splitlines()
+            if not line.startswith("#")]
+    assert [row[:3] for row in rows] == [["country", "US", "2"]]
 
 
 # ---------------------------------------------------------------------------

@@ -231,19 +231,26 @@ def test_sampling_requires_rng():
         em.mean_pairwise_distance(pts, pair_budget=10, rng=None)
 
 
-def test_pair_index_decode_covers_all_pairs():
-    for n in (2, 3, 10, 57):
-        total = n * (n - 1) // 2
-        i, j = em._decode_pair_indices(np.arange(total), n)
-        got = set(zip(i.tolist(), j.tolist()))
-        assert got == {(a, b) for a in range(n) for b in range(a + 1, n)}
+def test_pair_budget_below_one_rejected():
+    pts = np.random.default_rng(14).normal(size=(10, 3))
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match="pair budget"):
+            em.pair_sample_distances(pts, budget, np.random.default_rng(0))
 
 
-def test_sampled_pairs_distinct_and_uniformish():
-    rng = np.random.default_rng(14)
-    idx = em._sample_distinct_indices(10**12, 50_000, rng)
-    assert len(np.unique(idx)) == 50_000
-    assert int(idx.max()) < 10**12
+def test_sampled_pairs_uniform_over_distinct_pairs():
+    # points 0, 1, 3, 7 on a line: the 6 pair distances are all different,
+    # so each distance identifies its pair
+    pts = np.array([0.0, 1.0, 3.0, 7.0])
+    draws = np.concatenate(
+        [em.pair_sample_distances(pts, 5, np.random.default_rng(s))[0] for s in range(4000)]
+    )
+    assert not np.any(draws == 0.0)
+    values, counts = np.unique(draws, return_counts=True)
+    assert values.tolist() == [1.0, 2.0, 3.0, 4.0, 6.0, 7.0]
+    p = 1 / 6
+    band = 4 * np.sqrt(p * (1 - p) / len(draws))
+    assert np.all(np.abs(counts / len(draws) - p) <= band)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from toposig import graph as g
 from toposig.features import (
     compute_all_features,
     global_degree_stats,
-    node_feature_vector,
     write_features_tsv,
 )
 from toposig.synth import gen_er
@@ -115,14 +114,14 @@ def test_complete_graph_rows():
 
 def test_star_center_and_leaf():
     graph = star4()
-    stats = global_degree_stats(graph)
-    center = node_feature_vector(graph, stats, graph.name_to_id["c"])
-    assert (center.k, center.avg_nbr_deg) == (4, 1.0)
-    assert center.local_var == pytest.approx(0.48)
-    assert center.local_corr == pytest.approx(-0.8)
-    leaf = node_feature_vector(graph, stats, graph.name_to_id["l1"])
-    assert (leaf.k, leaf.avg_nbr_deg, leaf.local_var) == (1, 4.0, 0.0)
-    assert leaf.local_corr == pytest.approx(-0.8)
+    values = compute_all_features(graph).values
+    center = values[graph.name_to_id["c"]]
+    assert (center[0], center[1]) == (4, 1.0)
+    assert center[2] == pytest.approx(0.48)
+    assert center[3] == pytest.approx(-0.8)
+    leaf = values[graph.name_to_id["l1"]]
+    assert (leaf[0], leaf[1], leaf[2]) == (1, 4.0, 0.0)
+    assert leaf[3] == pytest.approx(-0.8)
 
 
 def test_isolated_node_row_is_zero():
@@ -130,15 +129,6 @@ def test_isolated_node_row_is_zero():
     table = compute_all_features(graph)
     assert np.array_equal(table.values[graph.name_to_id["N9"]], np.zeros(4))
     assert np.all(np.isfinite(table.values))
-
-
-def test_table_rows_match_single_node_path():
-    graph = gen_er(40, 0.15, seed=3)
-    stats = global_degree_stats(graph)
-    table = compute_all_features(graph)
-    for node in range(graph.n):
-        row = node_feature_vector(graph, stats, node).as_array()
-        assert np.allclose(table.values[node], row, rtol=1e-12, atol=1e-12)
 
 
 def test_features_match_naive_oracle():
