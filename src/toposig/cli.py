@@ -335,6 +335,7 @@ def _stage_test(cfg: PipelineConfig) -> None:
 
     results = []
     skipped_total: list[str] = []
+    se_fracs: list[float] = []  # pair-sampling error / sigma(N) of each sampled group
     for level, membership in memberships.items():
         if not membership:
             continue
@@ -347,9 +348,10 @@ def _stage_test(cfg: PipelineConfig) -> None:
         )
         skipped_total.extend(f"{level}:{k}" for k in skipped)
         for key, result in means.items():
-            results.append(
-                z_score(null_model, key, level, len(membership[key]), result.mean)
-            )
+            n_data = len(membership[key])
+            results.append(z_score(null_model, key, level, n_data, result.mean))
+            if not result.exact:
+                se_fracs.append(result.se / null_model.sigma(n_data))
 
     out_path = cfg.out / RESULTS_TSV
     with open(out_path, "w", encoding="utf-8") as f:
@@ -360,6 +362,7 @@ def _stage_test(cfg: PipelineConfig) -> None:
     )
     info = (
         f"groups={len(results)} skipped={len(skipped_total)} unmatched_names={unmatched}"
+        f" sampled={len(se_fracs)} pair_se_frac={max(se_fracs, default=0.0):.3g}"
     )
     if empty:
         info += f" empty_levels={','.join(empty)}"

@@ -114,6 +114,7 @@ class MeanDistanceResult:
     mean: float
     pair_count_used: int
     exact: bool
+    se: float = 0.0  # pair-sampling standard error of ``mean``; 0 when exact
 
 
 def pair_sample_distances(
@@ -162,6 +163,7 @@ def mean_pairwise_distance(
         mean=float(distances.mean()),
         pair_count_used=len(distances),
         exact=exact,
+        se=0.0 if exact else float(distances.std()) / len(distances) ** 0.5,
     )
 
 

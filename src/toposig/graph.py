@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 __all__ = [
     "ParseError",
@@ -39,6 +40,7 @@ __all__ = [
     "parse_nodes_tsv",
     "parse_geo",
     "build_graph",
+    "graph_from_id_edges",
     "level_tallies",
     "country_groups",
     "region_groups",
@@ -206,6 +208,31 @@ def _make_graph(names: Sequence[str], m: int, degrees: np.ndarray, indices: np.n
     )
 
 
+def graph_from_id_edges(names: Sequence[str], src: ArrayLike, dst: ArrayLike) -> Graph:
+    """Assemble the adjacency structure on ``names`` (in id order) from id pairs.
+
+    Each unordered pair must appear once and join two distinct ids in
+    [0, len(names)); raises ``ValueError`` otherwise.
+    """
+    n = len(names)
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    lo = np.minimum(src, dst)
+    hi = np.maximum(src, dst)
+    if len(lo) and not (0 <= int(lo.min()) and int(hi.max()) < n):
+        raise ValueError(f"edge ids outside [0, {n})")
+    if np.any(lo == hi):
+        raise ValueError("edges contain a self-loop")
+    # both directions keyed row * n + col (n**2 < 2**63), sorted: row-major CSR order
+    keys = np.concatenate([lo * n + hi, hi * n + lo])
+    keys.sort()
+    if np.any(keys[1:] == keys[:-1]):
+        raise ValueError("edges contain a duplicate pair")
+    row, indices = np.divmod(keys, n)
+    degrees = np.bincount(row, minlength=n).astype(np.int64)
+    return _make_graph(names, len(src), degrees, indices)
+
+
 def build_graph(edge_list: EdgeList) -> Graph:
     """Assemble the adjacency structure from an accumulated edge list.
 
@@ -220,29 +247,15 @@ def build_graph(edge_list: EdgeList) -> Graph:
     provisional = list(edge_list._ids)  # provisional id order
     n = len(provisional)
     by_name = sorted(range(n), key=provisional.__getitem__)
-    names = [provisional[prov] for prov in by_name]
     relabel = np.empty(n, dtype=np.int64)
     relabel[by_name] = np.arange(n, dtype=np.int64)
-
     width = edge_list._code_width
     codes = edge_list._codes
-    lo = relabel[codes // width]
-    hi = relabel[codes % width]
-    src = np.minimum(lo, hi)
-    dst = np.maximum(lo, hi)
-    # relabeling is a bijection: no new duplicates or self-loops can appear
-    order = np.argsort(src * n + dst)
-    src, dst = src[order], dst[order]
-    m = len(src)
-
-    row = np.concatenate([src, dst])
-    col = np.concatenate([dst, src])
-    degrees = np.bincount(row, minlength=n).astype(np.int64)
-    csr_order = np.lexsort((col, row))
-    indices = np.ascontiguousarray(col[csr_order])
-
-    assert int(degrees.sum()) == 2 * m
-    return _make_graph(names, m, degrees, indices)
+    return graph_from_id_edges(
+        [provisional[prov] for prov in by_name],
+        relabel[codes // width],
+        relabel[codes % width],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import EdgeList, GeoLabels, Graph, build_graph
+from .graph import GeoLabels, Graph, graph_from_id_edges
 
 __all__ = [
     "GravityParams",
@@ -33,26 +33,17 @@ def _node_names(n: int) -> list[str]:
     return [f"N{i:0{width}d}" for i in range(n)]
 
 
-def _graph_from_int_edges(n: int, edges: list[tuple[int, int]]) -> Graph:
-    names = _node_names(n)
-    edge_list = EdgeList()
-    for name in names:
-        edge_list.add_name(name)
-    for a, b in edges:
-        edge_list.add_pair(names[a], names[b])
-    return build_graph(edge_list)
-
-
 def gen_er(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) via geometric edge skipping, O(n + m)."""
     if n < 2:
         raise ValueError("need n >= 2")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
-    edges: list[tuple[int, int]] = []
     if p == 1.0:
-        edges = [(i, j) for j in range(1, n) for i in range(j)]
-    elif p > 0.0:
+        return graph_from_id_edges(_node_names(n), *np.triu_indices(n, k=1))
+    src: list[int] = []
+    dst: list[int] = []
+    if p > 0.0:
         rng = np.random.default_rng(seed)
         log_q = math.log1p(-p)
         v, w = 1, -1
@@ -62,8 +53,9 @@ def gen_er(n: int, p: float, seed: int) -> Graph:
                 w -= v
                 v += 1
             if v < n:
-                edges.append((w, v))
-    return _graph_from_int_edges(n, edges)
+                src.append(w)
+                dst.append(v)
+    return graph_from_id_edges(_node_names(n), src, dst)
 
 
 def gen_pref_attach(n: int, m: int, seed: int) -> Graph:
@@ -82,7 +74,8 @@ def gen_pref_attach(n: int, m: int, seed: int) -> Graph:
             edges.append((t, source))
             repeated.append(t)
         repeated.extend([source] * m)
-    return _graph_from_int_edges(n, edges)
+    src, dst = np.array(edges, dtype=np.int64).T
+    return graph_from_id_edges(_node_names(n), src, dst)
 
 
 @dataclass(frozen=True)
@@ -106,10 +99,23 @@ class GravityParams:
         stubs = tuple(int(s) for s in self.stubs)
         if len(stubs) != self.groups or any(s < 1 for s in stubs):
             raise ValueError("stubs must give one count >= 1 per group")
-        if self.beta < 0.0:
-            raise ValueError("distance exponent must be >= 0")
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError(f"distance exponent must be finite and >= 0, got {self.beta}")
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "stubs", stubs)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            decay = self.decay()  # checked here, so overflow needs no warning
+        if not np.all(np.isfinite(decay) & (decay > 0.0)):
+            raise ValueError(
+                f"distance decay (d + {self.distance_floor:g})^-{self.beta:g} is zero or"
+                " not finite for some group pair; lower beta or raise the distance floor"
+            )
+
+    def decay(self) -> np.ndarray:
+        """(groups, groups) attachment weights (d(g, h) + floor)^(-beta)."""
+        delta = self.positions[:, None, :] - self.positions[None, :, :]
+        group_dist = np.sqrt((delta**2).sum(axis=2))
+        return (group_dist + self.distance_floor) ** (-self.beta)
 
 
 def make_gravity_params(
@@ -122,6 +128,8 @@ def make_gravity_params(
     """Build params with seeded group positions; short stub lists are cycled."""
     if isinstance(stubs, int):
         stubs = (stubs,)
+    if not stubs:
+        raise ValueError("stubs must give one count >= 1 per group")
     cycled = tuple(stubs[g % len(stubs)] for g in range(groups))
     positions = np.random.default_rng(np.random.SeedSequence([seed, 0])).random((groups, 2))
     return GravityParams(n=n, groups=groups, positions=positions, stubs=cycled, beta=beta, seed=seed)
@@ -131,42 +139,68 @@ def _quadrant(position: np.ndarray) -> str:
     return f"Q{2 * int(position[1] >= 0.5) + int(position[0] >= 0.5)}"
 
 
-def gen_spatial_gravity(params: GravityParams) -> tuple[Graph, GeoLabels]:
-    """Grow the gravity graph and emit synthetic country/region labels.
+def _gravity_edges(params: GravityParams) -> tuple[np.ndarray, np.ndarray]:
+    """(target, arrival) ids of every gravity edge, in draw order.
 
-    Node i (group g = i mod G) attaches min(stubs[g], i) edges to distinct
-    earlier nodes j, drawn with probability proportional to
-    (k_j + 1) * (d(g_i, g_j) + floor)^(-beta) where d is the Euclidean
-    distance between the group positions.
+    Each arrival's targets are ``Generator.choice(i, m_i, replace=False,
+    p=probs)`` inlined step for step (numpy 2.x), so they consume the same
+    random stream and come out in the same order; inlining skips choice's
+    per-call validation and copy of ``probs``, and reuses two buffers.
     """
     n, n_groups = params.n, params.groups
     rng = np.random.default_rng(params.seed)
     group_of = np.arange(n, dtype=np.int64) % n_groups
-
-    delta = params.positions[:, None, :] - params.positions[None, :, :]
-    group_dist = np.sqrt((delta**2).sum(axis=2))
-    decay = (group_dist + params.distance_floor) ** (-params.beta)
-
-    degree = np.zeros(n, dtype=np.float64)
-    edges: list[tuple[int, int]] = []
-    stubs = np.array(params.stubs, dtype=np.int64)
+    decay = params.decay()
+    m_of = np.minimum(np.array(params.stubs, dtype=np.int64)[group_of], np.arange(n))
+    targets = np.empty(int(m_of.sum()), dtype=np.int64)
+    kp1 = np.ones(n)  # degree + 1
+    p_buf = np.empty(n)
+    cdf_buf = np.empty(n)
+    pos = 0
     for i in range(1, n):
-        m_i = int(min(stubs[group_of[i]], i))
-        weights = (degree[:i] + 1.0) * decay[group_of[i], group_of[:i]]
-        probs = weights / weights.sum()
-        targets = rng.choice(i, size=m_i, replace=False, p=probs)
-        for t in np.sort(targets):
-            edges.append((int(t), i))
-        degree[targets] += 1.0
-        degree[i] += m_i
+        m_i = int(m_of[i])
+        p = decay[i % n_groups].take(group_of[:i], out=p_buf[:i])
+        p *= kp1[:i]
+        total = p.sum()
+        if not math.isfinite(total):
+            raise ValueError(f"gravity weights sum to {total} at arrival {i}; lower beta")
+        p /= total
+        found: list[int] = []
+        while len(found) < m_i:
+            x = rng.random(m_i - len(found))
+            if found:
+                p[found] = 0.0
+            cdf = np.cumsum(p, out=cdf_buf[:i])
+            if not cdf[-1] > 0.0:
+                raise ValueError(f"fewer than {m_i} targets with nonzero weight at arrival {i}")
+            cdf /= cdf[-1]
+            found.extend(dict.fromkeys(cdf.searchsorted(x, side="right").tolist()))
+        targets[pos : pos + m_i] = found
+        pos += m_i
+        kp1[found] += 1.0
+        kp1[i] += m_i
+    return targets, np.repeat(np.arange(n, dtype=np.int64), m_of)
 
-    graph = _graph_from_int_edges(n, edges)
+
+def gen_spatial_gravity(params: GravityParams) -> tuple[Graph, GeoLabels]:
+    """Grow the gravity graph and emit synthetic country/region labels.
+
+    Node i (group g = i mod G) attaches min(stubs[g], i) edges to distinct
+    earlier nodes j by successive sampling with probability proportional to
+    (k_j + 1) * (d(g_i, g_j) + floor)^(-beta), where d is the Euclidean
+    distance between the group positions.  The draw is numpy's weighted
+    sampling without replacement on the same random stream as
+    ``Generator.choice``, so a seed gives the same graph as a ``choice`` loop.
+    """
+    n, n_groups = params.n, params.groups
+    graph = graph_from_id_edges(_node_names(n), *_gravity_edges(params))
     width = len(str(n_groups - 1)) if n_groups > 1 else 1
+    country = [f"C{g:0{width}d}" for g in range(n_groups)]
+    region = [_quadrant(position) for position in params.positions]
     labels = GeoLabels()
     for i, name in enumerate(graph.names):
-        g = int(group_of[graph.name_to_id[name]])
-        labels.country[name] = f"C{g:0{width}d}"
-        labels.region[name] = _quadrant(params.positions[g])
+        labels.country[name] = country[i % n_groups]
+        labels.region[name] = region[i % n_groups]
     return graph, labels
 
 

@@ -3,6 +3,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -212,7 +213,10 @@ def test_level_both_without_regions_scores_countries(tmp_path):
 
 
 def library_results_tsv(seed, sizes, sets, pair_budget=em.DEFAULT_PAIR_BUDGET):
-    """The acceptance module's group_zscores path, both levels, as results.tsv text."""
+    """The acceptance module's group_zscores path, both levels, as results.tsv text.
+
+    Also returns se / sigma(N) of every group that took the sampled pair path.
+    """
     with open(FIXTURE_LINKS, encoding="utf-8") as f:
         graph = gstore.build_graph(gstore.parse_links(f))
     with open(FIXTURE_GEO, encoding="utf-8") as f:
@@ -224,29 +228,41 @@ def library_results_tsv(seed, sizes, sets, pair_budget=em.DEFAULT_PAIR_BUDGET):
     )
     null = nm.fit_null_scaling(nm.sample_null(points, config))
     results = []
+    se_fracs = []
     for level, build in (("country", gstore.country_groups), ("region", gstore.region_groups)):
         groups = build(graph, labels)
         means, _ = nm.group_mean_distance(points, groups, pair_budget=pair_budget, seed=seed)
         results += [nm.z_score(null, k, level, len(groups[k]), means[k].mean) for k in means]
+        se_fracs += [r.se / null.sigma(len(groups[k])) for k, r in means.items() if not r.exact]
     out = io.StringIO()
     nm.write_results_tsv(results, out)
-    return out.getvalue()
+    return out.getvalue(), se_fracs
 
 
 def check_cli_equals_library(out, pair_budget):
+    """Compare results.tsv with the library; return (sampled groups, their se / sigma)."""
     assert run(fixture_args(out) + ["--pair-budget", pair_budget]) == 0
-    expected = library_results_tsv(seed=7, sizes=(10, 20, 50), sets=40, pair_budget=pair_budget)
+    expected, se_fracs = library_results_tsv(
+        seed=7, sizes=(10, 20, 50), sets=40, pair_budget=pair_budget
+    )
     assert (out / cli.RESULTS_TSV).read_text(encoding="utf-8") == expected
+    test_line = [line for line in (out / cli.MANIFEST).read_text().splitlines()
+                 if line.startswith("test\t")][0]
+    info = dict(tok.split("=", 1) for tok in test_line.split("\t")[6].split())
+    assert int(info["sampled"]) == len(se_fracs)
+    assert info["pair_se_frac"] == f"{max(se_fracs, default=0.0):.3g}"
+    return se_fracs
 
 
 def test_cli_results_byte_identical_to_library(tmp_path):
-    check_cli_equals_library(tmp_path, em.DEFAULT_PAIR_BUDGET)
+    assert check_cli_equals_library(tmp_path, em.DEFAULT_PAIR_BUDGET) == []
 
 
 def test_cli_results_byte_identical_to_library_on_sampled_pairs(tmp_path):
     # at 500 pairs the fixture's country groups (33-34 nodes), its larger region
     # groups and the 50-node null sets take the sampled pair path
-    check_cli_equals_library(tmp_path, 500)
+    se_fracs = check_cli_equals_library(tmp_path, 500)
+    assert se_fracs and all(0.0 < frac < 1.0 for frac in se_fracs)
 
 
 def test_geo_name_with_edge_whitespace_meets_its_node(tmp_path):
@@ -327,6 +343,22 @@ def test_synth_gravity_writes_labeled_graph(tmp_path):
         labels = parse_geo(f)
     assert len(labels.country) == 300
     assert set(labels.region.values()) <= {"Q0", "Q1", "Q2", "Q3"}
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf", "200"])
+def test_synth_unusable_gravity_beta_exits_2(tmp_path, capsys, beta):
+    code = run(["synth", "--model", "gravity", "--n", 50, "--groups", 5, "--beta", beta,
+                "--out", tmp_path])
+    assert code == 2
+    assert "distance" in capsys.readouterr().err
+    assert not (tmp_path / cli.EDGES_TSV).exists()
+
+
+def test_synth_empty_stubs_exits_2(tmp_path, capsys):
+    code = run(["synth", "--model", "gravity", "--n", 50, "--groups", 5, "--stubs", ",",
+                "--out", tmp_path])
+    assert code == 2
+    assert "one count >= 1 per group" in capsys.readouterr().err
 
 
 def test_synth_er_with_random_groups(tmp_path):

@@ -225,6 +225,19 @@ def test_sampled_mean_is_unbiased():
     assert not em.mean_pairwise_distance(pts, pair_budget=800, rng=rng).exact
 
 
+def test_sampled_mean_standard_error_matches_its_spread():
+    rng = np.random.default_rng(15)
+    pts = rng.normal(size=(300, 4))
+    assert em.mean_pairwise_distance(pts).se == 0.0  # exact: no sampling error
+    results = [
+        em.mean_pairwise_distance(pts, pair_budget=800, rng=np.random.default_rng(2000 + i))
+        for i in range(200)
+    ]
+    spread = np.std([r.mean for r in results], ddof=1)
+    # se of 200 runs has ~5% relative error; its mean must match the runs' spread
+    assert np.mean([r.se for r in results]) == pytest.approx(spread, rel=0.2)
+
+
 def test_sampling_requires_rng():
     pts = np.random.default_rng(13).normal(size=(200, 3))
     with pytest.raises(ValueError):

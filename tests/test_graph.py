@@ -158,6 +158,40 @@ def test_adjacency_symmetric_and_degree_sum(int_pairs):
             assert i in graph.neighbors(int(j))
 
 
+def test_id_edge_constructor_matches_build_graph():
+    el = parse("link L1: N1 N2 N3\nlink L2: N3 N4\nlink L3: N5\n")
+    built = g.build_graph(el)
+    names = list(built.names)  # N1 .. N5, N5 isolated
+    ids = {name: i for i, name in enumerate(names)}
+    pairs = [("N3", "N4"), ("N2", "N1"), ("N1", "N3"), ("N3", "N2")]  # any order, either way round
+    src = [ids[a] for a, _ in pairs]
+    dst = [ids[b] for _, b in pairs]
+    graph = g.graph_from_id_edges(names, src, dst)
+    assert graph.equals(built)
+    assert graph.degrees.tolist() == [2, 2, 3, 1, 0]
+    assert not graph.indices.flags.writeable
+
+
+def test_id_edge_constructor_without_edges():
+    graph = g.graph_from_id_edges(["a", "b"], [], [])
+    assert (graph.n, graph.m) == (2, 0)
+    assert graph.indptr.tolist() == [0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "src, dst, message",
+    [
+        ([0, 1], [1, 1], "self-loop"),
+        ([0, 2], [2, 0], "duplicate"),
+        ([0], [3], "outside"),
+        ([-1], [0], "outside"),
+    ],
+)
+def test_id_edge_constructor_rejects_non_simple_edges(src, dst, message):
+    with pytest.raises(ValueError, match=message):
+        g.graph_from_id_edges(["a", "b", "c"], src, dst)
+
+
 @given(st.permutations(range(6)))
 def test_line_order_invariance(order):
     lines = [

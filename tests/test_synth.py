@@ -1,9 +1,10 @@
 import collections
+import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import chisquare, ks_2samp
 
 from toposig import synth
 
@@ -109,6 +110,31 @@ def test_gravity_params_validation():
         synth.GravityParams(
             n=50, groups=5, positions=good.positions * 3, stubs=good.stubs, beta=1.0, seed=0
         )
+    with pytest.raises(ValueError, match="one count >= 1 per group"):
+        synth.make_gravity_params(n=50, groups=5, beta=1.0, stubs=(), seed=0)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, 200.0])
+def test_gravity_params_reject_unusable_decay(beta):
+    # nan/inf exponents, and 0.01**-200 overflowing to inf on the diagonal
+    with pytest.raises(ValueError):
+        synth.make_gravity_params(n=50, groups=5, beta=beta, stubs=(1,), seed=0)
+
+
+def test_gravity_params_reject_zero_distance_floor():
+    good = synth.make_gravity_params(n=50, groups=5, beta=1.0, stubs=(1,), seed=0)
+    with pytest.raises(ValueError, match="distance decay"):
+        synth.GravityParams(
+            n=50, groups=5, positions=good.positions, stubs=good.stubs, beta=1.0, seed=0,
+            distance_floor=0.0,
+        )
+
+
+def test_gravity_weight_overflow_raises():
+    # 0.01**-154 = 1e308 is finite, but two such weights of degree + 1 = 2 sum to inf
+    params = synth.make_gravity_params(n=5, groups=1, beta=154.0, stubs=(1,), seed=0)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="lower beta"):
+        synth.gen_spatial_gravity(params)
 
 
 def test_gravity_round_robin_group_sizes():
@@ -159,6 +185,136 @@ def test_gravity_single_group():
     params = synth.make_gravity_params(n=30, groups=1, beta=2.0, stubs=(2,), seed=5)
     graph, labels = synth.gen_spatial_gravity(params)
     assert set(labels.country.values()) == {"C0"}
+
+
+def _choice_gravity_edges(params):
+    """Reference: the arrival loop on ``rng.choice``, whose stream the generator keeps."""
+    n, n_groups = params.n, params.groups
+    rng = np.random.default_rng(params.seed)
+    group_of = np.arange(n) % n_groups
+    delta = params.positions[:, None, :] - params.positions[None, :, :]
+    decay = (np.sqrt((delta**2).sum(axis=2)) + params.distance_floor) ** (-params.beta)
+    degree = np.zeros(n)
+    targets, arrivals = [], []
+    for i in range(1, n):
+        m_i = min(params.stubs[group_of[i]], i)
+        weights = (degree[:i] + 1.0) * decay[group_of[i], group_of[:i]]
+        drawn = rng.choice(i, size=m_i, replace=False, p=weights / weights.sum())
+        targets.extend(drawn.tolist())
+        arrivals.extend([i] * m_i)
+        degree[drawn] += 1.0
+        degree[i] += m_i
+    return np.array(targets), np.array(arrivals)
+
+
+def test_gravity_too_few_targets_with_weight_raises():
+    # 1.42**-153 / 0.01**-153 underflows: the far group's node gets probability 0,
+    # so arrival 2 has one reachable target for its 2 stubs; choice refuses too
+    params = synth.GravityParams(
+        n=3, groups=2, positions=np.array([[0.0, 0.0], [1.0, 1.0]]), stubs=(2, 1),
+        beta=153.0, seed=0,
+    )
+    with pytest.raises(ValueError, match="nonzero weight at arrival 2"):
+        synth.gen_spatial_gravity(params)
+    with pytest.raises(ValueError):
+        _choice_gravity_edges(params)
+
+
+@pytest.mark.parametrize(
+    "n, groups, beta, stubs, seed",
+    [
+        (200, 1, 2.0, (3,), 0),  # one group
+        (300, 5, 0.0, (2,), 1),  # no distance decay
+        (150, 4, 3.0, (7, 1, 12, 4), 2),  # stubs exceed the early arrival counts
+        (600, 20, 4.0, (1, 2, 3, 4, 5), 3),  # the synth preset's shape
+        (60, 3, 8.0, (5,), 0),  # strong decay: first rounds often repeat a target
+    ],
+)
+def test_gravity_keeps_the_choice_stream(monkeypatch, n, groups, beta, stubs, seed):
+    params = synth.make_gravity_params(n=n, groups=groups, beta=beta, stubs=stubs, seed=seed)
+    expected = _choice_gravity_edges(params)
+
+    default_rng = np.random.default_rng
+    rngs = []
+
+    class CountingRng:
+        def __init__(self, seed):
+            self._rng = default_rng(seed)
+            self.rounds = 0
+            rngs.append(self)
+
+        def random(self, size):
+            self.rounds += 1
+            return self._rng.random(size)
+
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    targets, arrivals = synth._gravity_edges(params)
+    monkeypatch.undo()
+    np.testing.assert_array_equal(targets, expected[0])
+    np.testing.assert_array_equal(arrivals, expected[1])
+    (rng,) = rngs
+    assert rng.rounds > n - 1, "no arrival needed a second round of draws"
+
+    graph, _ = synth.gen_spatial_gravity(params)
+    src, dst = graph.edge_id_pairs()
+    assert sorted(zip(src.tolist(), dst.tolist())) == sorted(zip(*expected))
+
+
+def _successive_sampling_law(params):
+    """Exact probability of every graph the gravity growth can produce."""
+    decay = params.decay()
+    n, n_groups = params.n, params.groups
+    law = {}
+
+    def subset_prob(weights, subset):
+        total = weights.sum()
+        prob = 0.0
+        for order in itertools.permutations(subset):
+            left, p = total, 1.0
+            for j in order:
+                p *= weights[j] / left
+                left -= weights[j]
+            prob += p
+        return prob
+
+    def grow(i, degree, edges, prob):
+        if i == n:
+            law[frozenset(edges)] = prob
+            return
+        g = i % n_groups
+        m_i = min(params.stubs[g], i)
+        weights = (degree[:i] + 1.0) * decay[g, np.arange(i) % n_groups]
+        for subset in itertools.combinations(range(i), m_i):
+            nxt = degree.copy()
+            nxt[list(subset)] += 1
+            nxt[i] += m_i
+            grow(i + 1, nxt, edges + [(j, i) for j in subset], prob * subset_prob(weights, subset))
+
+    grow(1, np.zeros(n), [], 1.0)
+    return law
+
+
+@pytest.mark.parametrize("beta", [0.5, 2.0])
+def test_gravity_law_matches_exact_enumeration(beta):
+    base = synth.make_gravity_params(n=6, groups=3, beta=beta, stubs=(2, 1, 3), seed=0)
+    law = _successive_sampling_law(base)
+    assert len(law) == 120 and math.isclose(sum(law.values()), 1.0)
+    draws = 4000
+    counts = collections.Counter()
+    for seed in range(draws):
+        params = synth.GravityParams(
+            n=6, groups=3, positions=base.positions, stubs=base.stubs, beta=beta, seed=seed
+        )
+        src, dst = synth._gravity_edges(params)
+        counts[frozenset(zip(src.tolist(), dst.tolist()))] += 1
+    assert set(counts) <= set(law)
+    cells = sorted(law, key=law.get)
+    expected = np.array([draws * law[c] for c in cells])
+    observed = np.array([counts[c] for c in cells], dtype=np.float64)
+    small = expected < 5  # pool the sparse cells into one
+    expected = np.append(expected[~small], expected[small].sum())
+    observed = np.append(observed[~small], observed[small].sum())
+    assert chisquare(observed, expected).pvalue > 1e-3
 
 
 # ---------------------------------------------------------------------------
