@@ -240,7 +240,8 @@ def _stage_ingest(cfg: PipelineConfig) -> None:
         unmatched = len(gstore.unmatched_names(graph, labels))
         info += (
             f" geo_none={none} geo_country={country_only} geo_region={both}"
-            f" geo_rejected={labels.rejected} geo_unmatched={unmatched}"
+            f" geo_rejected={labels.rejected} geo_duplicates={labels.duplicates}"
+            f" geo_unmatched={unmatched}"
         )
     _append_manifest(cfg, "ingest", f"strict={int(cfg.strict)}", inputs, outputs, info)
 

@@ -25,7 +25,7 @@ import re
 import struct
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -64,88 +64,32 @@ class ParseError(ValueError):
 
 
 class EdgeList:
-    """Accumulates unordered node-name pairs; deduplicates on finalization.
+    """Node names and distinct unordered pairs read by one parser, with counters.
 
-    Names are interned to provisional integer ids and pairs kept in flat
-    int64 arrays so that multi-million-edge inputs stay compact.
+    ``ids`` maps each name to a provisional id in first-mention order;
+    ``src``/``dst`` hold each distinct pair once, as int64 id arrays.
     """
 
     def __init__(self) -> None:
-        self._ids: dict[str, int] = {}
-        self._src = array("q")
-        self._dst = array("q")
-        self._codes: np.ndarray | None = None
-        self._code_width = 1
+        self.ids: dict[str, int] = {}
+        self.src = np.empty(0, dtype=np.int64)
+        self.dst = np.empty(0, dtype=np.int64)
+        self.raw_pair_count = 0
         self.self_pairs_dropped = 0
         self.duplicate_pairs_dropped = 0
         self.malformed_lines = 0
 
-    def _intern(self, name: str) -> int:
-        ident = self._ids.get(name)
-        if ident is None:
-            ident = len(self._ids)
-            self._ids[name] = ident
-        return ident
-
-    def add_name(self, name: str) -> None:
-        """Register a node name without any edge (isolated mention)."""
-        self._intern(name)
-
-    def add_pair(self, a: str, b: str) -> None:
-        ia = self._intern(a)
-        ib = self._intern(b)
-        if ia == ib:
-            self.self_pairs_dropped += 1
-            return
-        self._codes = None
-        self._src.append(ia)
-        self._dst.append(ib)
-
-    def add_link_members(self, members: Iterable[str]) -> None:
-        """Clique-expand one link record into all pairs of its distinct members."""
-        members = list(members)
-        distinct = list(dict.fromkeys(members))
-        self.self_pairs_dropped += len(members) - len(distinct)
-        for name in distinct:
-            self._intern(name)
-        for a, b in itertools.combinations(distinct, 2):
-            self.add_pair(a, b)
-
-    @property
-    def raw_pair_count(self) -> int:
-        """Pairs accumulated so far, before cross-record deduplication."""
-        return len(self._src)
-
-    @property
-    def node_names(self) -> set[str]:
-        return set(self._ids)
-
-    def finalize(self) -> None:
-        """Canonicalize and deduplicate the accumulated pairs (idempotent)."""
-        if self._codes is not None:
-            return
-        self._code_width = max(len(self._ids), 1)
-        src = np.frombuffer(self._src, dtype=np.int64)
-        dst = np.frombuffer(self._dst, dtype=np.int64)
-        lo = np.minimum(src, dst)
-        hi = np.maximum(src, dst)
-        codes = np.unique(lo * self._code_width + hi)
-        self.duplicate_pairs_dropped = len(src) - len(codes)
-        self._codes = codes
-
-    @property
-    def edge_count(self) -> int:
-        self.finalize()
-        assert self._codes is not None
-        return len(self._codes)
-
-    def pairs(self) -> Iterator[tuple[str, str]]:
-        """Yield deduplicated edges as name pairs (provisional-id order)."""
-        self.finalize()
-        assert self._codes is not None
-        by_id = {ident: name for name, ident in self._ids.items()}
-        for code in self._codes:
-            yield by_id[int(code) // self._code_width], by_id[int(code) % self._code_width]
+    def finalize(self, pairs: array) -> None:
+        """Keep each distinct pair of the flat ``a, b, a, b, ...`` id array once."""
+        flat = np.frombuffer(pairs, dtype=np.int64)
+        a, b = flat[0::2], flat[1::2]
+        width = max(len(self.ids), 1)
+        keys = np.minimum(a, b) * width + np.maximum(a, b)
+        keys.sort()
+        keys = keys[np.diff(keys, prepend=-1) != 0]  # keys >= 0: the first always stays
+        self.raw_pair_count = len(a)
+        self.duplicate_pairs_dropped = len(a) - len(keys)
+        self.src, self.dst = np.divmod(keys, width)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,27 +178,20 @@ def graph_from_id_edges(names: Sequence[str], src: ArrayLike, dst: ArrayLike) ->
 
 
 def build_graph(edge_list: EdgeList) -> Graph:
-    """Assemble the adjacency structure from an accumulated edge list.
+    """Assemble the adjacency structure from a parsed edge list.
 
     Ids follow lexicographic name order; isolated names are retained with
     degree 0.  Raises ``ValueError`` when no node was ever mentioned.
     """
-    if not edge_list._ids:
+    if not edge_list.ids:
         raise ValueError("empty edge list: no nodes or edges to build from")
-    edge_list.finalize()
-    assert edge_list._codes is not None
-
-    provisional = list(edge_list._ids)  # provisional id order
+    provisional = list(edge_list.ids)  # provisional id order
     n = len(provisional)
     by_name = sorted(range(n), key=provisional.__getitem__)
     relabel = np.empty(n, dtype=np.int64)
     relabel[by_name] = np.arange(n, dtype=np.int64)
-    width = edge_list._code_width
-    codes = edge_list._codes
     return graph_from_id_edges(
-        [provisional[prov] for prov in by_name],
-        relabel[codes // width],
-        relabel[codes % width],
+        [provisional[prov] for prov in by_name], relabel[edge_list.src], relabel[edge_list.dst]
     )
 
 
@@ -283,6 +220,8 @@ def parse_links(stream: Iterable[str], strict: bool = False) -> EdgeList:
     :class:`ParseError` carrying the line number.
     """
     edge_list = EdgeList()
+    ids = edge_list.ids
+    pairs = array("q")
     for line_no, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -293,19 +232,19 @@ def parse_links(stream: Iterable[str], strict: bool = False) -> EdgeList:
                 raise ParseError(f"bad link record {line!r}", line_no)
             edge_list.malformed_lines += 1
             continue
-        edge_list.add_link_members(members)
-    edge_list.finalize()
+        distinct = dict.fromkeys(members)
+        edge_list.self_pairs_dropped += len(members) - len(distinct)
+        record = [ids.setdefault(name, len(ids)) for name in distinct]
+        pairs.extend(itertools.chain.from_iterable(itertools.combinations(record, 2)))
+    edge_list.finalize(pairs)
     return edge_list
 
 
-def parse_edges_tsv(
-    stream: Iterable[str],
-    strict: bool = False,
-    edge_list: EdgeList | None = None,
-) -> EdgeList:
+def parse_edges_tsv(stream: Iterable[str], strict: bool = False) -> EdgeList:
     """Parse a canonical two-column edge TSV (``#`` comments allowed)."""
-    if edge_list is None:
-        edge_list = EdgeList()
+    edge_list = EdgeList()
+    ids = edge_list.ids
+    pairs = array("q")
     for line_no, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -316,18 +255,23 @@ def parse_edges_tsv(
                 raise ParseError(f"bad edge record {line!r}", line_no)
             edge_list.malformed_lines += 1
             continue
-        edge_list.add_pair(parts[0], parts[1])
-    edge_list.finalize()
+        a = ids.setdefault(parts[0], len(ids))
+        b = ids.setdefault(parts[1], len(ids))
+        if a == b:
+            edge_list.self_pairs_dropped += 1
+        else:
+            pairs.extend((a, b))
+    edge_list.finalize(pairs)
     return edge_list
 
 
 def parse_nodes_tsv(stream: Iterable[str], edge_list: EdgeList) -> EdgeList:
-    """Register names from a node-list TSV (one name per line) on ``edge_list``."""
+    """Add the names of a node-list TSV (one name per line) to ``edge_list``."""
+    ids = edge_list.ids
     for raw in stream:
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        edge_list.add_name(line)
+        if line and not line.startswith("#"):
+            ids.setdefault(line, len(ids))
     return edge_list
 
 
@@ -402,25 +346,25 @@ def unmatched_names(graph: Graph, labels: GeoLabels) -> list[str]:
     return sorted(name for name in labels.country if name not in graph.name_to_id)
 
 
-def country_groups(graph: Graph, labels: GeoLabels) -> dict[str, np.ndarray]:
-    """Node-id sets keyed by country code."""
+def _groups(graph: Graph, keyed: Iterable[tuple[str, str]]) -> dict[str, np.ndarray]:
+    """Sorted node-id sets of the graph's names, from ``(name, group key)`` pairs."""
     groups: dict[str, list[int]] = {}
-    for name, country in labels.country.items():
+    for name, key in keyed:
         node = graph.name_to_id.get(name)
         if node is not None:
-            groups.setdefault(country, []).append(node)
+            groups.setdefault(key, []).append(node)
     return {k: np.array(sorted(v), dtype=np.int64) for k, v in sorted(groups.items())}
+
+
+def country_groups(graph: Graph, labels: GeoLabels) -> dict[str, np.ndarray]:
+    """Node-id sets keyed by country code."""
+    return _groups(graph, labels.country.items())
 
 
 def region_groups(graph: Graph, labels: GeoLabels) -> dict[str, np.ndarray]:
     """Node-id sets keyed by ``country/region``."""
-    groups: dict[str, list[int]] = {}
-    for name, region in labels.region.items():
-        node = graph.name_to_id.get(name)
-        if node is not None:
-            key = f"{labels.country[name]}/{region}"
-            groups.setdefault(key, []).append(node)
-    return {k: np.array(sorted(v), dtype=np.int64) for k, v in sorted(groups.items())}
+    keyed = ((name, f"{labels.country[name]}/{region}") for name, region in labels.region.items())
+    return _groups(graph, keyed)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ __all__ = [
     "z_score",
     "summarize",
     "write_null_samples_tsv",
-    "read_null_samples_tsv",
     "write_null_model_tsv",
     "read_null_model_tsv",
     "write_results_tsv",
@@ -287,17 +286,6 @@ def write_null_samples_tsv(samples: NullSamples, out: TextIO) -> None:
     out.write("# N\tmean\tstd\tR\n")
     for row in samples.rows:
         out.write(f"{row.set_size}\t{row.mean:.9g}\t{row.std:.9g}\t{row.reps}\n")
-
-
-def read_null_samples_tsv(lines: Iterable[str]) -> NullSamples:
-    rows = []
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        n, mean, std, reps = line.split("\t")
-        rows.append(NullSampleRow(int(n), float(mean), float(std), int(reps)))
-    return NullSamples(rows=tuple(rows))
 
 
 def write_null_model_tsv(model: NullModel, out: TextIO) -> None:

@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 
-def _node_names(n: int) -> list[str]:
+def _padded_names(n: int) -> list[str]:
     # zero-padded so lexicographic name order matches generation order
     width = len(str(n - 1))
     return [f"N{i:0{width}d}" for i in range(n)]
@@ -40,7 +40,7 @@ def gen_er(n: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     if p == 1.0:
-        return graph_from_id_edges(_node_names(n), *np.triu_indices(n, k=1))
+        return graph_from_id_edges(_padded_names(n), *np.triu_indices(n, k=1))
     src: list[int] = []
     dst: list[int] = []
     if p > 0.0:
@@ -55,7 +55,7 @@ def gen_er(n: int, p: float, seed: int) -> Graph:
             if v < n:
                 src.append(w)
                 dst.append(v)
-    return graph_from_id_edges(_node_names(n), src, dst)
+    return graph_from_id_edges(_padded_names(n), src, dst)
 
 
 def gen_pref_attach(n: int, m: int, seed: int) -> Graph:
@@ -75,7 +75,7 @@ def gen_pref_attach(n: int, m: int, seed: int) -> Graph:
             repeated.append(t)
         repeated.extend([source] * m)
     src, dst = np.array(edges, dtype=np.int64).T
-    return graph_from_id_edges(_node_names(n), src, dst)
+    return graph_from_id_edges(_padded_names(n), src, dst)
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ def gen_spatial_gravity(params: GravityParams) -> tuple[Graph, GeoLabels]:
     ``Generator.choice``, so a seed gives the same graph as a ``choice`` loop.
     """
     n, n_groups = params.n, params.groups
-    graph = graph_from_id_edges(_node_names(n), *_gravity_edges(params))
+    graph = graph_from_id_edges(_padded_names(n), *_gravity_edges(params))
     width = len(str(n_groups - 1)) if n_groups > 1 else 1
     country = [f"C{g:0{width}d}" for g in range(n_groups)]
     region = [_quadrant(position) for position in params.positions]

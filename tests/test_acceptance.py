@@ -235,12 +235,13 @@ def test_criterion_6_ingestion_fixtures():
         "link L3: N1 N2\n"
     )
     el = gstore.parse_links(io.StringIO(text))
-    three_router = {tuple(sorted(p)) for p in el.pairs()} == {
-        ("N1", "N2"), ("N1", "N3"), ("N2", "N3")
-    }
     counters = el.self_pairs_dropped == 1 and el.duplicate_pairs_dropped == 1
 
     graph = gstore.build_graph(el)
+    src, dst = graph.edge_id_pairs()
+    three_router = {
+        tuple(sorted((graph.names[a], graph.names[b]))) for a, b in zip(src.tolist(), dst.tolist())
+    } == {("N1", "N2"), ("N1", "N3"), ("N2", "N3")}
     edges_a, nodes_a = io.StringIO(), io.StringIO()
     gstore.write_edges_tsv(graph, edges_a)
     gstore.write_nodes_tsv(graph, nodes_a)

@@ -284,6 +284,22 @@ def test_geo_name_with_edge_whitespace_meets_its_node(tmp_path):
     assert [row[:3] for row in rows] == [["country", "US", "2"]]
 
 
+def test_ingest_reports_duplicate_geo_records(tmp_path):
+    edges = tmp_path / "input.tsv"
+    edges.write_text("N1\tN2\n", encoding="utf-8")
+    geo = tmp_path / "input.geo"
+    geo.write_text("N1\tUS\tMD\nN1\tFR\t\n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert run(["ingest", "--edges", edges, "--geo", geo, "--out", out]) == 0
+    ingest_line = (out / cli.MANIFEST).read_text(encoding="utf-8").splitlines()[0]
+    info = ingest_line.split("\t")[6].split()
+    assert "geo_duplicates=1" in info
+    # the last record wins, region and all
+    assert "geo_country=1" in info and "geo_region=0" in info
+    labels = cli._load_labels(cli.PipelineConfig(out=out))
+    assert (labels.country, labels.region) == ({"N1": "FR"}, {})
+
+
 # ---------------------------------------------------------------------------
 # graph handoff: later stages see exactly the graph ingest built
 # ---------------------------------------------------------------------------
@@ -337,8 +353,8 @@ def test_synth_gravity_writes_labeled_graph(tmp_path):
     )
     assert code == 0
     with open(tmp_path / cli.EDGES_TSV) as f:
-        el = parse_edges_tsv(f)
-    assert el.edge_count > 0
+        graph = gstore.build_graph(parse_edges_tsv(f))
+    assert graph.m > 0
     with open(tmp_path / cli.LABELS_TSV) as f:
         labels = parse_geo(f)
     assert len(labels.country) == 300

@@ -15,11 +15,8 @@ from toposig.synth import gen_er
 
 
 def graph_from_pairs(pairs, extra_names=()):
-    el = g.EdgeList()
-    for name in extra_names:
-        el.add_name(name)
-    for a, b in pairs:
-        el.add_pair(a, b)
+    el = g.parse_edges_tsv(io.StringIO("".join(f"{a}\t{b}\n" for a, b in pairs)))
+    g.parse_nodes_tsv(io.StringIO("".join(f"{name}\n" for name in extra_names)), el)
     return g.build_graph(el)
 
 
@@ -77,10 +74,10 @@ def test_star_global_stats():
 
 
 def test_global_stats_require_two_nodes():
-    el = g.EdgeList()
-    el.add_name("N1")
+    graph = graph_from_pairs([], extra_names=["N1"])
+    assert graph.names == ("N1",)
     with pytest.raises(ValueError):
-        global_degree_stats(g.build_graph(el))
+        global_degree_stats(graph)
 
 
 def test_global_stats_match_two_pass_oracle():

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toposig import graph as g
@@ -13,8 +13,15 @@ def parse(text, **kw):
     return g.parse_links(io.StringIO(text), **kw)
 
 
-def edge_set(edge_list):
-    return {tuple(sorted(p)) for p in edge_list.pairs()}
+def parse_edges(text, **kw):
+    return g.parse_edges_tsv(io.StringIO(text), **kw)
+
+
+def edge_set(graph):
+    """The graph's edges as name pairs, each sorted."""
+    src, dst = graph.edge_id_pairs()
+    names = graph.names
+    return {tuple(sorted((names[a], names[b]))) for a, b in zip(src.tolist(), dst.tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -22,20 +29,21 @@ def edge_set(edge_list):
 # ---------------------------------------------------------------------------
 
 def test_three_router_link_clique_expands():
-    el = parse("link L1: N1:1.2.3.4 N2 N3:5.6.7.8\n")
-    assert edge_set(el) == {("N1", "N2"), ("N1", "N3"), ("N2", "N3")}
+    graph = g.build_graph(parse("link L1: N1:1.2.3.4 N2 N3:5.6.7.8\n"))
+    assert edge_set(graph) == {("N1", "N2"), ("N1", "N3"), ("N2", "N3")}
 
 
 def test_self_pair_dropped():
     el = parse("link L2: N7 N7\n")
-    assert el.edge_count == 0
-    assert el.node_names == {"N7"}
+    graph = g.build_graph(el)
+    assert graph.m == 0
+    assert graph.names == ("N7",)
     assert el.self_pairs_dropped == 1
 
 
 def test_duplicate_link_lines_dedup():
     el = parse("link L1: N1 N2\nlink L2: N1 N2\nlink L3: N2 N1\n")
-    assert edge_set(el) == {("N1", "N2")}
+    assert edge_set(g.build_graph(el)) == {("N1", "N2")}
     assert el.duplicate_pairs_dropped == 2
 
 
@@ -44,25 +52,24 @@ def test_clique_expansion_pair_count(r):
     members = " ".join(f"N{i}" for i in range(r))
     el = parse(f"link L1: {members}\n")
     assert el.raw_pair_count == math.comb(r, 2)
-    assert el.edge_count == math.comb(r, 2)
+    assert g.build_graph(el).m == math.comb(r, 2)
 
 
 def test_single_member_link_keeps_isolated_node():
-    el = parse("link L1: N1 N2\nlink L2: N9\n")
-    assert "N9" in el.node_names
-    graph = g.build_graph(el)
+    graph = g.build_graph(parse("link L1: N1 N2\nlink L2: N9\n"))
+    assert graph.names == ("N1", "N2", "N9")
     assert graph.degrees[graph.name_to_id["N9"]] == 0
 
 
 def test_comments_and_blank_lines_skipped():
     el = parse("# header\n\nlink L1: N1 N2\n   \n# trailing\n")
-    assert el.edge_count == 1
+    assert g.build_graph(el).m == 1
     assert el.malformed_lines == 0
 
 
 def test_malformed_lines_counted_not_fatal():
     el = parse("link L1: N1 N2\ngarbage\nlink N3 N4\nlink L2:\n")
-    assert el.edge_count == 1
+    assert g.build_graph(el).m == 1
     assert el.malformed_lines == 3
 
 
@@ -73,8 +80,114 @@ def test_strict_mode_raises_with_line_number():
 
 
 def test_interface_suffix_ignored():
-    el = parse("link L1: N1:10.0.0.1 N2:10.0.0.2\n")
-    assert edge_set(el) == {("N1", "N2")}
+    graph = g.build_graph(parse("link L1: N1:10.0.0.1 N2:10.0.0.2\n"))
+    assert edge_set(graph) == {("N1", "N2")}
+
+
+# ---------------------------------------------------------------------------
+# both parsers against a brute-force oracle
+# ---------------------------------------------------------------------------
+# A line is drawn as (kind, members, text): kind "record" lines carry the
+# member names they mention (an edge line is a two-member record), "skip"
+# lines are blank or comments, "bad" lines are malformed.
+
+SKIP = st.sampled_from(["", "   ", "\t", "# comment", "#a\tb"]).map(lambda t: ("skip", None, t))
+
+
+def oracle(tagged):
+    """Names, edges, counters and first bad line number, by brute force."""
+    names, edges = set(), set()
+    raw = self_pairs = malformed = 0
+    first_bad = None
+    for line_no, (kind, members, _) in enumerate(tagged, start=1):
+        if kind == "bad":
+            malformed += 1
+            first_bad = first_bad or line_no
+        elif kind == "record":
+            distinct = set(members)
+            names |= distinct
+            self_pairs += len(members) - len(distinct)
+            raw += math.comb(len(distinct), 2)
+            edges |= {(a, b) for a in distinct for b in distinct if a < b}
+    return names, edges, (raw, self_pairs, raw - len(edges), malformed), first_bad
+
+
+def check_parser_against_oracle(parser, tagged):
+    text = "".join(line + "\n" for _, _, line in tagged)
+    names, edges, counters, first_bad = oracle(tagged)
+    el = parser(io.StringIO(text))
+    got = (el.raw_pair_count, el.self_pairs_dropped, el.duplicate_pairs_dropped, el.malformed_lines)
+    assert got == counters
+    assert all(type(c) is int for c in got)
+    if names:
+        graph = g.build_graph(el)
+        assert graph.names == tuple(sorted(names))
+        assert edge_set(graph) == edges
+        assert graph.m == len(edges)
+    else:
+        with pytest.raises(ValueError):
+            g.build_graph(el)
+    if first_bad is None:
+        strict = parser(io.StringIO(text), strict=True)
+        assert strict.ids == el.ids
+        assert strict.src.tolist() == el.src.tolist() and strict.dst.tolist() == el.dst.tolist()
+    else:
+        with pytest.raises(g.ParseError) as exc:
+            parser(io.StringIO(text), strict=True)
+        assert exc.value.line_no == first_bad
+
+
+EDGE_NAME = st.sampled_from(["a", "b", "c", "d", "e", "f"])
+EDGE_LINE = st.one_of(
+    st.tuples(EDGE_NAME, EDGE_NAME, st.sampled_from(["", " "])).map(
+        lambda t: ("record", [t[0], t[1]], f"{t[2]}{t[0]}\t{t[1]}{t[2]}")
+    ),
+    SKIP,
+    # one field, three fields, an empty field
+    st.tuples(
+        st.sampled_from(["{0}", "{0}\t{1}\t{0}", "{0}\t", "\t{1}", "{0}\t\t{1}"]),
+        EDGE_NAME,
+        EDGE_NAME,
+    ).map(lambda t: ("bad", None, t[0].format(t[1], t[2]))),
+)
+
+
+@given(st.lists(EDGE_LINE, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_edges_tsv_matches_oracle(tagged):
+    check_parser_against_oracle(g.parse_edges_tsv, tagged)
+
+
+LINK_MEMBER = st.tuples(
+    st.sampled_from(["N1", "N2", "N3", "N4", "N5", "N6"]),
+    st.one_of(
+        st.just(""),
+        st.tuples(*[st.integers(0, 255)] * 4).map(lambda q: ":" + ".".join(map(str, q))),
+    ),
+)
+BAD_LINK = st.sampled_from(
+    ["garbage", "link N3 N4", "link L9:", "link L9: X1 N2", "link L9 N1 N2", "link L9: N1:1.2.3"]
+).map(lambda t: ("bad", None, t))
+
+
+@st.composite
+def link_lines(draw):
+    records = draw(st.lists(st.lists(LINK_MEMBER, min_size=1, max_size=5), min_size=1, max_size=6))
+    picks = draw(st.lists(st.one_of(st.integers(0, len(records) - 1), SKIP, BAD_LINK), max_size=20))
+    tagged = []
+    for pick in picks:
+        if isinstance(pick, int):  # records repeat whenever an index is drawn twice
+            members = records[pick]
+            text = f"link L{pick}: " + " ".join(name + suffix for name, suffix in members)
+            pick = ("record", [name for name, _ in members], text)
+        tagged.append(pick)
+    return tagged
+
+
+@given(link_lines())
+@settings(max_examples=200, deadline=None)
+def test_links_match_oracle(tagged):
+    check_parser_against_oracle(g.parse_links, tagged)
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +195,7 @@ def test_interface_suffix_ignored():
 # ---------------------------------------------------------------------------
 
 def test_path_graph_degrees():
-    el = g.EdgeList()
-    el.add_pair("a", "b")
-    el.add_pair("b", "c")
-    graph = g.build_graph(el)
+    graph = g.build_graph(parse_edges("a\tb\nb\tc\n"))
     assert [graph.degrees[graph.name_to_id[x]] for x in ("a", "b", "c")] == [1, 2, 1]
 
 
@@ -116,10 +226,7 @@ def test_degrees_match_bruteforce_recount():
         for a, b in rng.integers(0, 30, size=(120, 2))
         if a != b
     ]
-    el = g.EdgeList()
-    for a, b in raw_pairs:
-        el.add_pair(a, b)
-    graph = g.build_graph(el)
+    graph = g.build_graph(parse_edges("".join(f"{a}\t{b}\n" for a, b in raw_pairs)))
     # independent recount straight from the raw pair list
     count = {}
     seen = set()
@@ -143,12 +250,7 @@ def test_degrees_match_bruteforce_recount():
     )
 )
 def test_adjacency_symmetric_and_degree_sum(int_pairs):
-    el = g.EdgeList()
-    for a, b in int_pairs:
-        el.add_pair(f"N{a}", f"N{b}")
-    if el.edge_count == 0:
-        return
-    graph = g.build_graph(el)
+    graph = g.build_graph(parse_edges("".join(f"N{a}\tN{b}\n" for a, b in int_pairs)))
     assert int(graph.degrees.sum()) == 2 * graph.m
     for i in range(graph.n):
         nbrs = graph.neighbors(i)

@@ -299,11 +299,14 @@ def test_null_samples_tsv_round_trip():
     samples = exact_samples(4.0, 0.8, (10, 30, 90))
     out = io.StringIO()
     nm.write_null_samples_tsv(samples, out)
-    again = nm.read_null_samples_tsv(io.StringIO(out.getvalue()))
-    for a, b in zip(samples.rows, again.rows):
-        assert a.set_size == b.set_size and a.reps == b.reps
-        assert a.mean == pytest.approx(b.mean, rel=1e-8)
-        assert a.std == pytest.approx(b.std, rel=1e-8)
+    lines = out.getvalue().splitlines()
+    assert lines[0] == "# N\tmean\tstd\tR"
+    rows = [line.split("\t") for line in lines[1:]]
+    assert len(rows) == len(samples.rows)
+    for a, (n, mean, std, reps) in zip(samples.rows, rows):
+        assert a.set_size == int(n) and a.reps == int(reps)
+        assert a.mean == pytest.approx(float(mean), rel=1e-8)
+        assert a.std == pytest.approx(float(std), rel=1e-8)
 
 
 def test_null_model_tsv_round_trip():
