@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, TextIO
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .features import FeatureTable
 
@@ -137,6 +136,8 @@ def pair_sample_distances(
     if n < 2:
         raise ValueError("need at least 2 points")
     if n * (n - 1) // 2 <= pair_budget:
+        from scipy.spatial.distance import pdist  # imported here: scipy.spatial is slow to load
+
         return pdist(points), True
     if rng is None:
         raise ValueError("pair sampling requires an explicit rng stream")
@@ -144,10 +145,11 @@ def pair_sample_distances(
     j = rng.integers(0, n - 1, size=pair_budget)
     j += j >= i  # skip the self-pair: j is uniform over the other n - 1 points
     out = np.empty(pair_budget, dtype=np.float64)
-    chunk = 1 << 19
+    chunk = 1 << 16  # a chunk's gathers stay in cache
     for start in range(0, pair_budget, chunk):
         sl = slice(start, min(start + chunk, pair_budget))
-        diff = points[i[sl]] - points[j[sl]]
+        diff = np.take(points, i[sl], axis=0)
+        diff -= np.take(points, j[sl], axis=0)
         out[sl] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     return out, False
 

@@ -21,7 +21,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, tsv_rows
 
 __all__ = [
     "FEATURE_COLUMNS",
@@ -115,14 +115,9 @@ def write_features_tsv(graph: Graph, table: FeatureTable, out: TextIO) -> None:
         f"# mean_degree={stats.mean_degree:.9g}\tdegree_std={stats.degree_std:.9g}"
         f"\tn={stats.n}\n"
     )
-    names = graph.names
-    values = table.values
-    for start in range(0, len(names), _WRITE_CHUNK):
-        stop = min(start + _WRITE_CHUNK, len(names))
-        block = values[start:stop]
-        out.writelines(
-            f"{names[i]}\t{int(block[i - start, 0])}\t{block[i - start, 1]:.9g}"
-            f"\t{block[i - start, 2]:.9g}\t{block[i - start, 3]:.9g}\n"
-            for i in range(start, stop)
-        )
-
+    for start in range(0, graph.n, _WRITE_CHUNK):
+        sl = slice(start, start + _WRITE_CHUNK)
+        block = table.values[sl]
+        columns = [graph.names[sl], list(map(str, block[:, 0].astype(np.int64).tolist()))]
+        columns += ([format(v, ".9g") for v in block[:, c].tolist()] for c in (1, 2, 3))
+        out.write(tsv_rows(columns))

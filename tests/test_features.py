@@ -1,4 +1,5 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toposig import graph as g
+from toposig import features
 from toposig.features import (
+    FeatureTable,
+    GlobalDegreeStats,
     compute_all_features,
     global_degree_stats,
     write_features_tsv,
@@ -191,3 +195,42 @@ def test_features_tsv_round_trip():
     assert names == list(graph.names)
     assert np.allclose(values, table.values, rtol=1e-8)
     assert names == sorted(names)
+
+
+def fstring_features_rows(graph, values):
+    """The features TSV body written one f-string per row of numpy scalars."""
+    return "".join(
+        f"{graph.names[i]}\t{int(values[i, 0])}\t{values[i, 1]:.9g}"
+        f"\t{values[i, 2]:.9g}\t{values[i, 3]:.9g}\n"
+        for i in range(graph.n)
+    )
+
+
+ODD_FLOAT = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, 5e-324, 123456789.5, 1e22, -2.5e-7, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 10**6), ODD_FLOAT, ODD_FLOAT, ODD_FLOAT), min_size=6, max_size=6
+    ),
+    st.integers(1, 7),
+)
+@settings(max_examples=100, deadline=None)
+def test_write_features_tsv_matches_fstring_rows(rows, chunk):
+    graph = g.graph_from_id_edges(sorted(["#a", "x ", "\x85", " ", "N1", "é"]), [0, 1], [1, 2])
+    values = np.array(rows, dtype=np.float64)
+    table = FeatureTable(values=values, stats=GlobalDegreeStats(-0.0, 1e-300, graph.n))
+    out = io.StringIO()
+    with mock.patch.object(features, "_WRITE_CHUNK", chunk):
+        write_features_tsv(graph, table, out)
+    text = out.getvalue()
+    assert text.splitlines(keepends=True)[:3] == [
+        "# node\tk\tavg_nbr_deg\tlocal_var\tlocal_corr\n",
+        "# conventions: k=0 row all zeros; k=1 sets local_var=0;"
+        " zero degree spread sets local_corr=0\n",
+        f"# mean_degree=-0\tdegree_std=1e-300\tn={graph.n}\n",
+    ]
+    assert text.split("\n", 3)[3] == fstring_features_rows(graph, values)

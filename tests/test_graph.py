@@ -1,5 +1,6 @@
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -191,6 +192,87 @@ def test_links_match_oracle(tagged):
 
 
 # ---------------------------------------------------------------------------
+# block reading of the edge TSV
+# ---------------------------------------------------------------------------
+
+def per_line_edges(text):
+    """The edge parser as one strip and split per line of the stream (no blocks)."""
+    el = g.EdgeList()
+    pairs = []
+    for raw in io.StringIO(text):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            el.malformed_lines += 1
+            continue
+        a = el.ids.setdefault(parts[0], len(el.ids))
+        b = el.ids.setdefault(parts[1], len(el.ids))
+        if a == b:
+            el.self_pairs_dropped += 1
+        else:
+            pairs += (a, b)
+    el.finalize(np.array(pairs, dtype=np.int64))
+    return el
+
+
+def edge_list_state(el):
+    counters = (
+        el.raw_pair_count, el.self_pairs_dropped, el.duplicate_pairs_dropped, el.malformed_lines
+    )
+    return list(el.ids.items()), el.src.tolist(), el.dst.tolist(), counters
+
+
+ODD_NAME = st.sampled_from(["a", "b", "N1", "x ", " y", "#a", "\x85", "z\x85"])
+MIXED_LINE = st.one_of(
+    st.tuples(ODD_NAME, ODD_NAME).map("\t".join),
+    st.tuples(ODD_NAME, ODD_NAME).map(lambda t: f"{t[0]}\t{t[1]}\r"),  # CRLF
+    st.sampled_from(
+        ["", "   ", "\r", "# comment", "#a\tb", "a", "a\tb\tc", "a\t", "\tb", "a\t\x0bb"]
+    ),
+)
+
+
+@given(
+    st.lists(MIXED_LINE, max_size=40),
+    st.booleans(),
+    st.one_of(st.integers(1, 40), st.just(1 << 23)),
+)
+@settings(max_examples=300, deadline=None)
+def test_block_path_matches_per_line_path(lines, final_newline, block_chars):
+    text = "\n".join(lines) + ("\n" if final_newline and lines else "")
+    want = edge_list_state(per_line_edges(text))
+    with mock.patch.object(g, "_BLOCK_CHARS", block_chars):
+        assert edge_list_state(parse_edges(text)) == want
+        with mock.patch.object(g, "_plain_records", lambda block: False):
+            assert edge_list_state(parse_edges(text)) == want
+
+
+def test_plain_records_accepts_only_bare_records():
+    assert g._plain_records("a\tb\nN1\tN2\nx\tx\n")
+    for bad in (
+        "#a\tb\n", " a\tb\n", "a\tb \n", "a\tb\r\n", "\x85a\tb\n", "a\x85\tb\n",
+        "a\t\tb\n", "a\n", "\n", "a\tb\tc\n", "\ta\n", "a\t\n", "a\x0bb\tc\n",
+        "a\tb\n\n", "a\tb\nc\n",
+    ):
+        assert not g._plain_records("a\tb\n" + bad), bad
+
+
+@pytest.mark.parametrize("block_chars", [1, 3, 7, 64])
+@pytest.mark.parametrize("bad_line", [1, 2, 9, 10])
+def test_strict_line_number_across_blocks(block_chars, bad_line):
+    lines = [f"N{i}\tN{i + 1}" for i in range(10)]
+    lines[bad_line - 1] = "N1 N2"
+    text = "\n".join(lines)  # the bad line may be the last, with no newline
+    with mock.patch.object(g, "_BLOCK_CHARS", block_chars):
+        with pytest.raises(g.ParseError) as exc:
+            parse_edges(text, strict=True)
+        assert exc.value.line_no == bad_line
+        assert parse_edges(text).malformed_lines == 1
+
+
+# ---------------------------------------------------------------------------
 # graph construction
 # ---------------------------------------------------------------------------
 
@@ -325,6 +407,25 @@ def test_canonical_tsv_round_trip_byte_identical():
     edges_again = io.StringIO()
     g.write_edges_tsv(graph2, edges_again)
     assert edges_again.getvalue() == edges_out.getvalue()
+
+
+def fstring_edges_tsv(graph):
+    """The edge TSV written one f-string per row."""
+    src, dst = graph.edge_id_pairs()
+    names = graph.names
+    return "".join(f"{names[a]}\t{names[b]}\n" for a, b in zip(src.tolist(), dst.tolist()))
+
+
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=20), st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_write_edges_tsv_matches_fstring_rows(pairs, chunk):
+    names = sorted(["#a", "x ", "\x85", " ", "N1", "é"])
+    edges = {(min(a, b), max(a, b)) for a, b in pairs if a != b}
+    graph = g.graph_from_id_edges(names, [a for a, _ in edges], [b for _, b in edges])
+    out = io.StringIO()
+    with mock.patch.object(g, "_WRITE_CHUNK", chunk):
+        g.write_edges_tsv(graph, out)
+    assert out.getvalue() == fstring_edges_tsv(graph)
 
 
 def test_edges_tsv_sorted_with_name_a_less_than_b():
