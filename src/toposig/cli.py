@@ -10,8 +10,10 @@ and later stages never read them.  Every stage appends one line to
 digests; the wall-clock timestamp is isolated in the final column so two
 runs with identical config are byte-identical everywhere else.
 
-Exit codes: 0 ok, 2 missing input/artifact, bad config or too-small input,
-3 parse error in strict mode, 4 numerical degeneracy.
+Exit codes: 0 ok, 2 missing input/artifact, bad config or too-small input
+(among them a non-finite ``--fix-alpha``, an ``--eig-tol`` outside [0, 1) and
+a ``test`` run that leaves no group to score), 3 parse error in strict mode,
+4 numerical degeneracy.  A failed ``ingest`` writes no artifact.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -55,7 +56,6 @@ from .nullmodel import (
     z_score,
 )
 
-STAGES = ("ingest", "features", "embed", "null", "test", "synth", "report")
 ALL_CHAIN = ("ingest", "features", "embed", "null", "test", "report")
 
 EDGES_TSV = "edges.tsv"
@@ -74,35 +74,6 @@ MANIFEST = "run_manifest.tsv"
 DEFAULT_SET_SIZES = (10, 20, 50, 100, 200, 500)
 
 
-@dataclass
-class PipelineConfig:
-    out: Path
-    links: Path | None = None
-    edges: Path | None = None
-    geo: Path | None = None
-    seed: int = 0
-    sets: int = 100
-    sizes: tuple[int, ...] = DEFAULT_SET_SIZES
-    pair_budget: int = DEFAULT_PAIR_BUDGET
-    eig_tol: float = DEFAULT_EIG_TOL
-    fix_alpha: float | None = None
-    min_group_size: int = 2
-    level: str = "country"
-    strict: bool = False
-    labeled_only: bool = False
-    pooled_std: bool = False
-    # synth-only knobs
-    model: str = "gravity"
-    n: int = 20_000
-    p: float = 0.001
-    attach: int = 2
-    groups: int = 20
-    beta: float = 4.0
-    stubs: tuple[int, ...] = (1, 2, 3, 4, 5)
-    random_groups: int = 0
-    group_sizes: tuple[int, int] = (50, 500)
-
-
 # ---------------------------------------------------------------------------
 # manifest
 # ---------------------------------------------------------------------------
@@ -116,7 +87,7 @@ def _digest(path: Path) -> str:
 
 
 def _append_manifest(
-    cfg: PipelineConfig,
+    cfg: argparse.Namespace,
     stage: str,
     config_desc: str,
     inputs: list[Path],
@@ -145,7 +116,7 @@ def _require(path: Path, producer: str) -> Path:
 # shared loading
 # ---------------------------------------------------------------------------
 
-def _load_names(cfg: PipelineConfig) -> list[str]:
+def _load_names(cfg: argparse.Namespace) -> list[str]:
     """Node names in id order, exactly as ``write_nodes_tsv`` wrote them."""
     path = _require(cfg.out / NODES_TSV, "ingest")
     # split on "\n" alone: names may hold "#", edge whitespace, "\x85" or "\u2028"
@@ -156,20 +127,20 @@ def _load_names(cfg: PipelineConfig) -> list[str]:
     return names
 
 
-def _load_graph(cfg: PipelineConfig, names: list[str] | None = None) -> gstore.Graph:
+def _load_graph(cfg: argparse.Namespace, names: list[str] | None = None) -> gstore.Graph:
     graph_path = _require(cfg.out / GRAPH_BIN, "ingest")
     if names is None:
         names = _load_names(cfg)
     return gstore.read_adjacency_cache(str(graph_path), names)
 
 
-def _load_labels(cfg: PipelineConfig) -> gstore.GeoLabels:
+def _load_labels(cfg: argparse.Namespace) -> gstore.GeoLabels:
     labels_path = _require(cfg.out / LABELS_TSV, "ingest")
     with open(labels_path, encoding="utf-8") as f:
         return gstore.parse_geo(f, strict=cfg.strict)
 
 
-def _load_features(cfg: PipelineConfig) -> tuple[list[str], np.ndarray]:
+def _load_features(cfg: argparse.Namespace) -> tuple[list[str], np.ndarray]:
     """Node names and their float64 feature rows, checked against each other."""
     features_path = _require(cfg.out / FEATURES_NPY, "features")
     values = np.load(features_path, allow_pickle=False)
@@ -182,7 +153,7 @@ def _load_features(cfg: PipelineConfig) -> tuple[list[str], np.ndarray]:
     return names, values
 
 
-def _load_points(cfg: PipelineConfig) -> tuple[list[str], np.ndarray]:
+def _load_points(cfg: argparse.Namespace) -> tuple[list[str], np.ndarray]:
     names, values = _load_features(cfg)
     model_path = _require(cfg.out / MODEL_FILE, "embed")
     with open(model_path, encoding="utf-8") as f:
@@ -190,7 +161,20 @@ def _load_points(cfg: PipelineConfig) -> tuple[list[str], np.ndarray]:
     return names, transform_all(model, values)
 
 
-def _write_graph_artifacts(cfg: PipelineConfig, graph: gstore.Graph) -> list[Path]:
+def _labeled_rows(
+    cfg: argparse.Namespace, names: list[str], rows: np.ndarray, inputs: list[Path]
+) -> np.ndarray:
+    """``rows`` cut to the geolocated nodes under ``--labeled-only``, which reads labels.tsv."""
+    if not cfg.labeled_only:
+        return rows
+    labels = _load_labels(cfg)
+    inputs.append(cfg.out / LABELS_TSV)
+    return rows[[i for i, name in enumerate(names) if name in labels.country]]
+
+
+def _write_graph_artifacts(
+    cfg: argparse.Namespace, graph: gstore.Graph, labels: gstore.GeoLabels | None
+) -> list[Path]:
     edges_path = cfg.out / EDGES_TSV
     nodes_path = cfg.out / NODES_TSV
     graph_path = cfg.out / GRAPH_BIN
@@ -199,43 +183,44 @@ def _write_graph_artifacts(cfg: PipelineConfig, graph: gstore.Graph) -> list[Pat
     with open(nodes_path, "w", encoding="utf-8") as f:
         gstore.write_nodes_tsv(graph, f)
     gstore.write_adjacency_cache(graph, str(graph_path))
-    return [edges_path, nodes_path, graph_path]
+    outputs = [edges_path, nodes_path, graph_path]
+    if labels is not None:
+        outputs.append(cfg.out / LABELS_TSV)
+        with open(outputs[-1], "w", encoding="utf-8") as f:
+            gstore.write_geo_tsv(labels, f)
+    return outputs
 
 
 # ---------------------------------------------------------------------------
 # stages
 # ---------------------------------------------------------------------------
 
-def _stage_ingest(cfg: PipelineConfig) -> None:
-    if cfg.links is None and cfg.edges is None:
-        raise FileNotFoundError("missing input: pass --links or --edges to ingest")
-    inputs: list[Path] = []
+def _stage_ingest(cfg: argparse.Namespace) -> None:
     if cfg.links is not None:
-        source = _require(cfg.links, "input")
-        with open(source, encoding="utf-8") as f:
-            edge_list = gstore.parse_links(f, strict=cfg.strict)
+        source, parse = cfg.links, gstore.parse_links
+    elif cfg.edges is not None:
+        source, parse = cfg.edges, gstore.parse_edges_tsv
     else:
-        source = _require(cfg.edges, "input")
-        with open(source, encoding="utf-8") as f:
-            edge_list = gstore.parse_edges_tsv(f, strict=cfg.strict)
-    inputs.append(source)
+        raise FileNotFoundError("missing input: pass --links or --edges to ingest")
+    inputs = [_require(path, "input") for path in (source, cfg.geo) if path is not None]
+    with open(source, encoding="utf-8") as f:
+        edge_list = parse(f, strict=cfg.strict)
     graph = gstore.build_graph(edge_list)
-    outputs = _write_graph_artifacts(cfg, graph)
     info = (
         f"n={graph.n} m={graph.m} self_dropped={edge_list.self_pairs_dropped}"
         f" dup_dropped={edge_list.duplicate_pairs_dropped}"
         f" malformed={edge_list.malformed_lines}"
         f" isolated={int(np.sum(graph.degrees == 0))}"
     )
+    del edge_list  # its name index and pair arrays are spent
+    # geo is parsed once the graph is built (a lower peak) and before anything
+    # is written, so a bad geo file leaves no half-written ingest behind
+    labels = None
     if cfg.geo is not None:
-        geo_path = _require(cfg.geo, "input")
-        inputs.append(geo_path)
-        with open(geo_path, encoding="utf-8") as f:
+        with open(cfg.geo, encoding="utf-8") as f:
             labels = gstore.parse_geo(f, strict=cfg.strict)
-        labels_path = cfg.out / LABELS_TSV
-        with open(labels_path, "w", encoding="utf-8") as f:
-            gstore.write_geo_tsv(labels, f)
-        outputs.append(labels_path)
+    outputs = _write_graph_artifacts(cfg, graph, labels)
+    if labels is not None:
         none, country_only, both = gstore.level_tallies(labels, graph.names)
         unmatched = len(gstore.unmatched_names(graph, labels))
         info += (
@@ -246,7 +231,7 @@ def _stage_ingest(cfg: PipelineConfig) -> None:
     _append_manifest(cfg, "ingest", f"strict={int(cfg.strict)}", inputs, outputs, info)
 
 
-def _stage_features(cfg: PipelineConfig) -> None:
+def _stage_features(cfg: argparse.Namespace) -> None:
     graph = _load_graph(cfg)
     table = compute_all_features(graph)
     tsv_path = cfg.out / FEATURES_TSV
@@ -262,15 +247,10 @@ def _stage_features(cfg: PipelineConfig) -> None:
     )
 
 
-def _stage_embed(cfg: PipelineConfig) -> None:
+def _stage_embed(cfg: argparse.Namespace) -> None:
     names, values = _load_features(cfg)
     inputs = [cfg.out / FEATURES_NPY, cfg.out / NODES_TSV]
-    if cfg.labeled_only:
-        labels = _load_labels(cfg)
-        inputs.append(cfg.out / LABELS_TSV)
-        keep = [i for i, name in enumerate(names) if name in labels.country]
-        values = values[keep]
-    model = fit_embedding(values, eig_tol=cfg.eig_tol)
+    model = fit_embedding(_labeled_rows(cfg, names, values, inputs), eig_tol=cfg.eig_tol)
     out_path = cfg.out / MODEL_FILE
     with open(out_path, "w", encoding="utf-8") as f:
         save_model(model, f)
@@ -285,14 +265,10 @@ def _stage_embed(cfg: PipelineConfig) -> None:
     )
 
 
-def _stage_null(cfg: PipelineConfig) -> None:
+def _stage_null(cfg: argparse.Namespace) -> None:
     names, points = _load_points(cfg)
     inputs = [cfg.out / FEATURES_NPY, cfg.out / NODES_TSV, cfg.out / MODEL_FILE]
-    if cfg.labeled_only:
-        labels = _load_labels(cfg)
-        inputs.append(cfg.out / LABELS_TSV)
-        keep = [i for i, name in enumerate(names) if name in labels.country]
-        points = points[keep]
+    points = _labeled_rows(cfg, names, points, inputs)
     config = NullSamplingConfig(
         set_sizes=cfg.sizes,
         sets_per_size=cfg.sets,
@@ -318,7 +294,7 @@ def _stage_null(cfg: PipelineConfig) -> None:
     _append_manifest(cfg, "null", desc, inputs, [samples_path, model_path], info)
 
 
-def _stage_test(cfg: PipelineConfig) -> None:
+def _stage_test(cfg: argparse.Namespace) -> None:
     names, points = _load_points(cfg)
     null_path = _require(cfg.out / NULL_MODEL_TSV, "null")
     with open(null_path, encoding="utf-8") as f:
@@ -353,6 +329,11 @@ def _stage_test(cfg: PipelineConfig) -> None:
             results.append(z_score(null_model, key, level, n_data, result.mean))
             if not result.exact:
                 se_fracs.append(result.se / null_model.sigma(n_data))
+    if not results:
+        raise ValueError(
+            f"no group has {max(cfg.min_group_size, 2)} or more nodes"
+            f" (--min-group-size {cfg.min_group_size})"
+        )
 
     out_path = cfg.out / RESULTS_TSV
     with open(out_path, "w", encoding="utf-8") as f:
@@ -378,7 +359,7 @@ def _stage_test(cfg: PipelineConfig) -> None:
     )
 
 
-def _stage_report(cfg: PipelineConfig) -> None:
+def _stage_report(cfg: argparse.Namespace) -> None:
     results_path = _require(cfg.out / RESULTS_TSV, "test")
     with open(results_path, encoding="utf-8") as f:
         results = read_results_tsv(f)
@@ -398,7 +379,7 @@ def _stage_report(cfg: PipelineConfig) -> None:
     _append_manifest(cfg, "report", "-", [results_path], [out_path], info)
 
 
-def _stage_synth(cfg: PipelineConfig) -> None:
+def _stage_synth(cfg: argparse.Namespace) -> None:
     labels = None
     if cfg.model == "er":
         graph = synthmod.gen_er(cfg.n, cfg.p, cfg.seed)
@@ -424,12 +405,7 @@ def _stage_synth(cfg: PipelineConfig) -> None:
         )
         desc += f" random_groups={cfg.random_groups}"
 
-    outputs = _write_graph_artifacts(cfg, graph)
-    if labels is not None:
-        labels_path = cfg.out / LABELS_TSV
-        with open(labels_path, "w", encoding="utf-8") as f:
-            gstore.write_geo_tsv(labels, f)
-        outputs.append(labels_path)
+    outputs = _write_graph_artifacts(cfg, graph, labels)
     _append_manifest(cfg, "synth", desc, [], outputs, f"n={graph.n} m={graph.m}")
 
 
@@ -444,7 +420,7 @@ _STAGE_FUNCS = {
 }
 
 
-def run_stage(stage: str, cfg: PipelineConfig) -> int:
+def run_stage(stage: str, cfg: argparse.Namespace) -> int:
     """Run a single stage; raises on failure (main maps to exit codes)."""
     if stage not in _STAGE_FUNCS:
         raise ValueError(f"unknown stage {stage!r}")
@@ -453,7 +429,7 @@ def run_stage(stage: str, cfg: PipelineConfig) -> int:
     return 0
 
 
-def run_all(cfg: PipelineConfig) -> int:
+def run_all(cfg: argparse.Namespace) -> int:
     """ingest -> features -> embed -> null -> test -> report, stop on failure."""
     for stage in ALL_CHAIN:
         run_stage(stage, cfg)
@@ -527,21 +503,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    cfg = PipelineConfig(out=args.out)
-    for name in vars(cfg):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    return cfg
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
     try:
         if args.command == "all":
-            return run_all(cfg)
-        return run_stage(args.command, cfg)
+            return run_all(args)
+        return run_stage(args.command, args)
     except FileNotFoundError as exc:
         print(f"toposig: {exc}", file=sys.stderr)
         return 2

@@ -64,6 +64,8 @@ def _build_whitening(eigenvalues: np.ndarray, eigenvectors: np.ndarray, retained
 
 def fit_embedding(table: FeatureTable | np.ndarray, eig_tol: float = DEFAULT_EIG_TOL) -> EmbeddingModel:
     """Fit the whitened component space on the rows of a feature table."""
+    if not 0.0 <= eig_tol < 1.0:
+        raise ValueError(f"eigenvalue tolerance must lie in [0, 1), got {eig_tol}")
     data = table.values if isinstance(table, FeatureTable) else np.asarray(table, dtype=np.float64)
     if data.ndim != 2:
         raise ValueError("feature data must be 2-d")

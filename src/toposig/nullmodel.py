@@ -97,7 +97,6 @@ class NullModel:
     a: float
     alpha: float
     fit_residual: float
-    samples: NullSamples | None = None
 
     def sigma(self, n: int) -> float:
         return self.a * float(n) ** (-self.alpha)
@@ -176,6 +175,8 @@ def fit_null_scaling(samples: NullSamples, fix_alpha: float | None = None) -> Nu
     spread are excluded from the power-law fit; a free-alpha fit needs at
     least 3 usable sizes, a fixed-alpha fit at least 1.
     """
+    if fix_alpha is not None and not math.isfinite(fix_alpha):
+        raise ValueError(f"fixed alpha must be finite, got {fix_alpha}")
     rows = samples.rows
     if not rows:
         raise NullFitError("no sample rows to fit")
@@ -204,7 +205,6 @@ def fit_null_scaling(samples: NullSamples, fix_alpha: float | None = None) -> Nu
         a=float(math.exp(log_a)),
         alpha=alpha,
         fit_residual=float(np.sqrt(np.mean(residuals**2))),
-        samples=samples,
     )
 
 

@@ -1,4 +1,6 @@
+import argparse
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -27,10 +29,16 @@ CORE_ARTIFACTS = (
     cli.RESULTS_TSV,
     cli.SUMMARY_TSV,
 )
+INGEST_ARTIFACTS = (cli.EDGES_TSV, cli.NODES_TSV, cli.GRAPH_BIN, cli.LABELS_TSV, cli.MANIFEST)
 
 
 def run(args):
     return cli.main([str(a) for a in args])
+
+
+def parsed_args(stage, out):
+    """The namespace the CLI hands a stage, with the parser's own defaults."""
+    return cli.build_parser().parse_args([stage, "--out", str(out)])
 
 
 def fixture_args(out, seed=7):
@@ -61,10 +69,19 @@ def test_ingest_without_input_exits_2(tmp_path):
 
 
 def test_missing_geo_file_exits_2(tmp_path):
-    code = run(
-        ["ingest", "--links", FIXTURE_LINKS, "--geo", tmp_path / "nope.tsv", "--out", tmp_path]
-    )
+    out = tmp_path / "run"
+    code = run(["ingest", "--links", FIXTURE_LINKS, "--geo", tmp_path / "nope.tsv", "--out", out])
     assert code == 2
+    assert not [name for name in INGEST_ARTIFACTS if (out / name).exists()]
+
+
+def test_strict_geo_parse_failure_exits_3_and_writes_nothing(tmp_path, capsys):
+    geo = tmp_path / "bad.geo"
+    geo.write_text("N000\tC0\nnot a record\n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert run(["ingest", "--links", FIXTURE_LINKS, "--geo", geo, "--out", out, "--strict"]) == 3
+    assert "bad geo record" in capsys.readouterr().err
+    assert not [name for name in INGEST_ARTIFACTS if (out / name).exists()]
 
 
 def test_strict_parse_failure_exits_3(tmp_path):
@@ -107,6 +124,35 @@ def test_corrupt_graph_artifacts_exit_2(tmp_path, capsys):
 def test_pair_budget_below_one_exits_2(tmp_path, capsys):
     assert run(fixture_args(tmp_path) + ["--pair-budget", "0"]) == 2
     assert "pair budget" in capsys.readouterr().err
+
+
+def run_stages(out, *stages):
+    """Run ``stages`` one by one on the fixture with ``fixture_args``' settings."""
+    for stage in stages:
+        assert run([stage] + fixture_args(out)[1:]) == 0, stage
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_non_finite_fix_alpha_exits_2(tmp_path, capsys, alpha):
+    run_stages(tmp_path, "ingest", "features", "embed")
+    assert run(["null"] + fixture_args(tmp_path)[1:] + [f"--fix-alpha={alpha}"]) == 2
+    assert "fixed alpha must be finite" in capsys.readouterr().err
+    assert not (tmp_path / cli.NULL_MODEL_TSV).exists()
+
+
+@pytest.mark.parametrize("eig_tol", ["nan", "-1", "1", "2"])
+def test_eig_tol_outside_unit_interval_exits_2(tmp_path, capsys, eig_tol):
+    run_stages(tmp_path, "ingest", "features")
+    assert run(["embed", "--out", tmp_path, f"--eig-tol={eig_tol}"]) == 2
+    assert "tolerance must lie in [0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / cli.MODEL_FILE).exists()
+
+
+def test_min_group_size_above_every_group_exits_2(tmp_path, capsys):
+    run_stages(tmp_path, "ingest", "features", "embed", "null")
+    assert run(["test"] + fixture_args(tmp_path)[1:] + ["--min-group-size", 1000]) == 2
+    assert "--min-group-size 1000" in capsys.readouterr().err
+    assert not (tmp_path / cli.RESULTS_TSV).exists()
 
 
 def test_missing_labels_for_test_stage_exits_2(tmp_path):
@@ -212,17 +258,21 @@ def test_level_both_without_regions_scores_countries(tmp_path):
     assert run(["test", "--out", out, "--level", "region"]) == 2
 
 
-def library_results_tsv(seed, sizes, sets, pair_budget=em.DEFAULT_PAIR_BUDGET):
+def library_features():
+    with open(FIXTURE_LINKS, encoding="utf-8") as f:
+        graph = gstore.build_graph(gstore.parse_links(f))
+    return graph, compute_all_features(graph).values
+
+
+def library_results_tsv(seed, sizes, sets, pair_budget=em.DEFAULT_PAIR_BUDGET, min_group_size=2):
     """The acceptance module's group_zscores path, both levels, as results.tsv text.
 
     Also returns se / sigma(N) of every group that took the sampled pair path.
     """
-    with open(FIXTURE_LINKS, encoding="utf-8") as f:
-        graph = gstore.build_graph(gstore.parse_links(f))
+    graph, values = library_features()
     with open(FIXTURE_GEO, encoding="utf-8") as f:
         labels = parse_geo(f)
-    table = compute_all_features(graph)
-    points = em.transform_all(em.fit_embedding(table), table)
+    points = em.transform_all(em.fit_embedding(values), values)
     config = nm.NullSamplingConfig(
         set_sizes=sizes, sets_per_size=sets, pair_budget=pair_budget, seed=seed
     )
@@ -231,7 +281,9 @@ def library_results_tsv(seed, sizes, sets, pair_budget=em.DEFAULT_PAIR_BUDGET):
     se_fracs = []
     for level, build in (("country", gstore.country_groups), ("region", gstore.region_groups)):
         groups = build(graph, labels)
-        means, _ = nm.group_mean_distance(points, groups, pair_budget=pair_budget, seed=seed)
+        means, _ = nm.group_mean_distance(
+            points, groups, pair_budget=pair_budget, seed=seed, min_group_size=min_group_size
+        )
         results += [nm.z_score(null, k, level, len(groups[k]), means[k].mean) for k in means]
         se_fracs += [r.se / null.sigma(len(groups[k])) for k, r in means.items() if not r.exact]
     out = io.StringIO()
@@ -265,6 +317,97 @@ def test_cli_results_byte_identical_to_library_on_sampled_pairs(tmp_path):
     assert se_fracs and all(0.0 < frac < 1.0 for frac in se_fracs)
 
 
+# ---------------------------------------------------------------------------
+# flags with their own code path: the CLI artifact equals the library call
+# ---------------------------------------------------------------------------
+
+def manifest_fields(out, stage):
+    """Config description, inputs and info of ``stage``'s manifest line."""
+    line = next(line for line in (out / cli.MANIFEST).read_text().splitlines()
+                if line.startswith(stage + "\t"))
+    fields = line.split("\t")
+    return fields[3].split(), fields[4], fields[6].split()
+
+
+def model_text(model):
+    out = io.StringIO()
+    em.save_model(model, out)
+    return out.getvalue()
+
+
+def null_samples_text(points, pooled_std=False):
+    config = nm.NullSamplingConfig(
+        set_sizes=(10, 20, 50), sets_per_size=40, seed=7, pooled_std=pooled_std
+    )
+    out = io.StringIO()
+    nm.write_null_samples_tsv(nm.sample_null(points, config), out)
+    return out.getvalue()
+
+
+def test_labeled_only_fits_and_samples_the_labeled_rows(tmp_path):
+    geo = tmp_path / "half.geo"
+    lines = FIXTURE_GEO.read_text(encoding="utf-8").splitlines(keepends=True)
+    geo.write_text("".join(lines[::2]), encoding="utf-8")  # header and every other node
+    out = tmp_path / "run"
+    args = fixture_args(out)
+    args[args.index(FIXTURE_GEO)] = geo
+    assert run(args + ["--labeled-only"]) == 0
+
+    graph, values = library_features()
+    with open(geo, encoding="utf-8") as f:
+        labels = parse_geo(f)
+    keep = [i for i, name in enumerate(graph.names) if name in labels.country]
+    assert len(keep) == 100
+    model = em.fit_embedding(values[keep])
+    assert (out / cli.MODEL_FILE).read_text(encoding="utf-8") == model_text(model)
+    points = em.transform_all(model, values)[keep]
+    assert (out / cli.NULL_SAMPLES_TSV).read_text(encoding="utf-8") == null_samples_text(points)
+    for stage in ("embed", "null"):
+        desc, inputs, _ = manifest_fields(out, stage)
+        assert "labeled_only=1" in desc and f"{cli.LABELS_TSV}:" in inputs
+
+
+def test_eig_tol_drops_small_components(tmp_path):
+    # the fixture's smallest eigenvalue is 4.2e-5 of the largest
+    assert run(fixture_args(tmp_path) + ["--eig-tol", "1e-4"]) == 0
+    desc, _, info = manifest_fields(tmp_path, "embed")
+    assert "eig_tol=0.0001" in desc and "retained=3" in info
+    _, values = library_features()
+    expected = model_text(em.fit_embedding(values, eig_tol=1e-4))
+    assert (tmp_path / cli.MODEL_FILE).read_text(encoding="utf-8") == expected
+
+
+def test_min_group_size_skips_small_groups(tmp_path):
+    # region groups hold 26-28 nodes and country groups 33-34, so 27 skips three regions
+    assert run(fixture_args(tmp_path) + ["--min-group-size", 27]) == 0
+    desc, _, info = manifest_fields(tmp_path, "test")
+    assert "min_group_size=27" in desc and "skipped=3" in info and "groups=9" in info
+    expected, _ = library_results_tsv(seed=7, sizes=(10, 20, 50), sets=40, min_group_size=27)
+    assert (tmp_path / cli.RESULTS_TSV).read_text(encoding="utf-8") == expected
+
+
+def test_pooled_std_spreads_over_pooled_pair_distances(tmp_path):
+    assert run(fixture_args(tmp_path) + ["--pooled-std"]) == 0
+    assert "pooled_std=1" in manifest_fields(tmp_path, "null")[0]
+    _, values = library_features()
+    points = em.transform_all(em.fit_embedding(values), values)
+    expected = null_samples_text(points, pooled_std=True)
+    assert expected != null_samples_text(points)
+    assert (tmp_path / cli.NULL_SAMPLES_TSV).read_text(encoding="utf-8") == expected
+
+
+def test_readme_shared_flags_are_the_parser_options():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = readme.split("Shared flags:", 1)[1].split(".", 1)[0]
+    documented = re.findall(r"`(--[\w-]+)", sentence)
+    parser = cli.build_parser()
+    stages = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, stage in stages.choices.items():
+        if name != "synth":
+            options = [s for a in stage._actions for s in a.option_strings]
+            assert documented == [s for s in options if s not in ("-h", "--help")], name
+
+
 def test_geo_name_with_edge_whitespace_meets_its_node(tmp_path):
     edges = tmp_path / "input.tsv"
     edges.write_text("x \tc\nc\td\nd\te\ne\tf\nf\tg\ng\th\nc\tf\nd\tg\n", encoding="utf-8")
@@ -276,7 +419,7 @@ def test_geo_name_with_edge_whitespace_meets_its_node(tmp_path):
     info = ingest_line.split("\t")[6].split()
     assert "geo_country=2" in info and "geo_unmatched=0" in info
     # labels.tsv keeps the name, so the test stage reads back the same label
-    assert cli._load_labels(cli.PipelineConfig(out=out)).country == {"x ": "US", "c": "US"}
+    assert cli._load_labels(parsed_args("test", out)).country == {"x ": "US", "c": "US"}
     for stage in (["features"], ["embed"], ["null", "--sizes", "2,3,4", "--sets", "20"], ["test"]):
         assert run([*stage, "--out", out]) == 0
     rows = [line.split("\t") for line in (out / cli.RESULTS_TSV).read_text().splitlines()
@@ -296,7 +439,7 @@ def test_ingest_reports_duplicate_geo_records(tmp_path):
     assert "geo_duplicates=1" in info
     # the last record wins, region and all
     assert "geo_country=1" in info and "geo_region=0" in info
-    labels = cli._load_labels(cli.PipelineConfig(out=out))
+    labels = cli._load_labels(parsed_args("test", out))
     assert (labels.country, labels.region) == ({"N1": "FR"}, {})
 
 
@@ -311,7 +454,7 @@ def check_handoff(out, edges_text):
     reference = gstore.build_graph(parse_edges_tsv(io.StringIO(edges_text)))
     assert run(["ingest", "--edges", edges, "--out", out]) == 0
     assert run(["features", "--out", out]) == 0
-    loaded = cli._load_graph(cli.PipelineConfig(out=out))
+    loaded = cli._load_graph(parsed_args("features", out))
     assert loaded.equals(reference)
     values = np.load(out / cli.FEATURES_NPY)
     assert np.array_equal(values, compute_all_features(reference).values)

@@ -74,6 +74,21 @@ def test_collinear_data_retains_one_component():
     assert model.retained == 1
 
 
+@pytest.mark.parametrize("eig_tol", [float("nan"), -1.0, -1e-300, 1.0, 2.0, float("inf")])
+def test_eig_tol_outside_unit_interval_rejected(eig_tol):
+    # at eig_tol = -1 the collinear data used to keep its zero eigenvalues,
+    # giving an infinite whitening matrix
+    x = np.outer(np.linspace(0, 1, 50), [1.0, -2.0, 0.5, 3.0])
+    with pytest.raises(ValueError, match=r"tolerance must lie in \[0, 1\)"):
+        em.fit_embedding(x, eig_tol=eig_tol)
+
+
+def test_eig_tol_zero_keeps_every_positive_component():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(100, 4))
+    assert em.fit_embedding(x, eig_tol=0.0).retained == 4
+
+
 def test_whitened_training_covariance_is_identity():
     rng = np.random.default_rng(3)
     x = rng.multivariate_normal(np.array([5.0, -1.0, 2.0, 0.0]), random_spd(rng), size=10_000)

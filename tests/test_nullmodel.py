@@ -147,6 +147,14 @@ def test_fix_alpha_fits_only_amplitude():
     assert model.a == pytest.approx(3.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_non_finite_fix_alpha_rejected_as_bad_config(alpha):
+    # a plain ValueError (bad config), not the NullFitError of a degenerate null
+    with pytest.raises(ValueError, match="fixed alpha must be finite") as info:
+        nm.fit_null_scaling(exact_samples(3.0, 1.0, (10, 20, 50)), fix_alpha=alpha)
+    assert not isinstance(info.value, nm.NullFitError)
+
+
 def test_zero_std_rows_excluded():
     rows = (
         nm.NullSampleRow(10, 0.9, 0.5, 100),
