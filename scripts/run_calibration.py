@@ -25,8 +25,8 @@ def main() -> None:
     ap.add_argument("--mean-degree", type=float, default=6.0)
     ap.add_argument("--groups", type=int, default=50)
     ap.add_argument("--group-sizes", type=int, nargs=2, default=(50, 500))
-    ap.add_argument("--sets", type=int, default=100)
-    ap.add_argument("--sizes", type=int, nargs="+", default=[10, 20, 50, 100, 200, 500])
+    ap.add_argument("--sets", type=int, default=nm.DEFAULT_SETS_PER_SIZE)
+    ap.add_argument("--sizes", type=int, nargs="+", default=nm.DEFAULT_SET_SIZES)
     ap.add_argument("--seed", type=int, default=4)
     args = ap.parse_args()
 

@@ -43,8 +43,8 @@ def main() -> None:
     ap.add_argument("--stubs", type=int, nargs="+", default=[1, 2, 3, 4, 5])
     ap.add_argument("--homogeneous", action="store_true",
                     help="uniform stub counts (kills the degree signal)")
-    ap.add_argument("--sets", type=int, default=100)
-    ap.add_argument("--sizes", type=int, nargs="+", default=[10, 20, 50, 100, 200, 500])
+    ap.add_argument("--sets", type=int, default=nm.DEFAULT_SETS_PER_SIZE)
+    ap.add_argument("--sizes", type=int, nargs="+", default=nm.DEFAULT_SET_SIZES)
     ap.add_argument("--seed", type=int, default=3)
     args = ap.parse_args()
 

@@ -11,9 +11,11 @@ digests; the wall-clock timestamp is isolated in the final column so two
 runs with identical config are byte-identical everywhere else.
 
 Exit codes: 0 ok, 2 missing input/artifact, bad config or too-small input
-(among them a non-finite ``--fix-alpha``, an ``--eig-tol`` outside [0, 1) and
-a ``test`` run that leaves no group to score), 3 parse error in strict mode,
-4 numerical degeneracy.  A failed ``ingest`` writes no artifact.
+(among them argparse usage errors such as an unknown flag or both
+``--links`` and ``--edges``, a non-finite ``--fix-alpha``, an ``--eig-tol``
+outside [0, 1) and a ``test`` run that leaves no group to score), 3 parse
+error in strict mode, 4 numerical degeneracy.  A failed ``ingest`` writes
+no artifact.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from .embedding import (
 from .features import compute_all_features, write_features_tsv
 from .graph import ParseError
 from .nullmodel import (
+    DEFAULT_SET_SIZES,
+    DEFAULT_SETS_PER_SIZE,
     NullFitError,
     NullSamplingConfig,
     fit_null_scaling,
@@ -70,8 +74,6 @@ NULL_MODEL_TSV = "null_model.tsv"
 RESULTS_TSV = "results.tsv"
 SUMMARY_TSV = "summary.tsv"
 MANIFEST = "run_manifest.tsv"
-
-DEFAULT_SET_SIZES = (10, 20, 50, 100, 200, 500)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +276,6 @@ def _stage_null(cfg: argparse.Namespace) -> None:
         sets_per_size=cfg.sets,
         pair_budget=cfg.pair_budget,
         seed=cfg.seed,
-        pooled_std=cfg.pooled_std,
     )
     samples = sample_null(points, config)
     model = fit_null_scaling(samples, fix_alpha=cfg.fix_alpha)
@@ -286,7 +287,7 @@ def _stage_null(cfg: argparse.Namespace) -> None:
         write_null_model_tsv(model, f)
     desc = (
         f"sizes={','.join(map(str, cfg.sizes))} sets={cfg.sets}"
-        f" pair_budget={cfg.pair_budget} pooled_std={int(cfg.pooled_std)}"
+        f" pair_budget={cfg.pair_budget}"
         f" fix_alpha={'-' if cfg.fix_alpha is None else f'{cfg.fix_alpha:.9g}'}"
         f" labeled_only={int(cfg.labeled_only)}"
     )
@@ -458,13 +459,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--links", type=Path, help="router links file")
-    common.add_argument("--edges", type=Path, help="canonical edge TSV")
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--out", type=Path, required=True, help="artifact directory")
+    base.add_argument("--seed", type=int, default=0)
+
+    common = argparse.ArgumentParser(add_help=False, parents=[base])
+    source = common.add_mutually_exclusive_group()
+    source.add_argument("--links", type=Path, help="router links file")
+    source.add_argument("--edges", type=Path, help="canonical edge TSV")
     common.add_argument("--geo", type=Path, help="geolocation TSV")
-    common.add_argument("--out", type=Path, required=True, help="artifact directory")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--sets", type=int, default=100, help="random sets per size")
+    common.add_argument(
+        "--sets", type=int, default=DEFAULT_SETS_PER_SIZE, help="random sets per size"
+    )
     common.add_argument(
         "--sizes", type=_int_list, default=DEFAULT_SET_SIZES, help="comma list of set sizes"
     )
@@ -479,16 +485,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="restrict the stage's node set to geolocated nodes",
     )
-    common.add_argument(
-        "--pooled-std",
-        action="store_true",
-        help="null spread over pooled pair distances instead of set means",
-    )
 
     for stage in ("ingest", "features", "embed", "null", "test", "report", "all"):
         sub.add_parser(stage, parents=[common])
 
-    synth = sub.add_parser("synth", parents=[common])
+    synth = sub.add_parser("synth", parents=[base])
     synth.add_argument("--model", choices=("er", "ba", "gravity"), default="gravity")
     synth.add_argument("--n", type=int, default=20_000)
     synth.add_argument("--p", type=float, default=0.001, help="edge probability (er)")

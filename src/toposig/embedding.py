@@ -143,8 +143,9 @@ def pair_sample_distances(
         return pdist(points), True
     if rng is None:
         raise ValueError("pair sampling requires an explicit rng stream")
-    i = rng.integers(0, n, size=pair_budget)
-    j = rng.integers(0, n - 1, size=pair_budget)
+    # int32 halves the index arrays; numpy draws a range below 2**32 alike for either dtype
+    i = rng.integers(0, n, size=pair_budget, dtype=np.int32)
+    j = rng.integers(0, n - 1, size=pair_budget, dtype=np.int32)
     j += j >= i  # skip the self-pair: j is uniform over the other n - 1 points
     out = np.empty(pair_budget, dtype=np.float64)
     chunk = 1 << 16  # a chunk's gathers stay in cache

@@ -19,14 +19,11 @@ from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .embedding import (
-    DEFAULT_PAIR_BUDGET,
-    MeanDistanceResult,
-    mean_pairwise_distance,
-    pair_sample_distances,
-)
+from .embedding import DEFAULT_PAIR_BUDGET, MeanDistanceResult, mean_pairwise_distance
 
 __all__ = [
+    "DEFAULT_SET_SIZES",
+    "DEFAULT_SETS_PER_SIZE",
     "NullFitError",
     "NullSamplingConfig",
     "NullSampleRow",
@@ -47,6 +44,9 @@ __all__ = [
     "write_summary_tsv",
 ]
 
+DEFAULT_SET_SIZES = (10, 20, 50, 100, 200, 500)
+DEFAULT_SETS_PER_SIZE = 100
+
 _HIST_CLAMP = 20
 SIGNIFICANCE_Z = 2.0
 
@@ -58,10 +58,9 @@ class NullFitError(ValueError):
 @dataclass(frozen=True)
 class NullSamplingConfig:
     set_sizes: tuple[int, ...]
-    sets_per_size: int = 100
+    sets_per_size: int = DEFAULT_SETS_PER_SIZE
     pair_budget: int = DEFAULT_PAIR_BUDGET
     seed: int = 0
-    pooled_std: bool = False  # spread over pooled pair distances instead of set means
 
     def __post_init__(self) -> None:
         sizes = tuple(int(s) for s in self.set_sizes)
@@ -147,23 +146,12 @@ def sample_null(points: np.ndarray, config: NullSamplingConfig) -> NullSamples:
     rows = []
     for size_index, set_size in enumerate(config.set_sizes):
         set_means = np.empty(config.sets_per_size)
-        pooled_sum = pooled_sumsq = 0.0
-        pooled_count = 0
         for rep in range(config.sets_per_size):
             rng = _task_rng(config.seed, 1, size_index, rep)
             chosen = rng.choice(n_points, size=set_size, replace=False)
-            dists, _ = pair_sample_distances(points[chosen], config.pair_budget, rng)
-            set_means[rep] = dists.mean()
-            if config.pooled_std:
-                pooled_sum += float(dists.sum())
-                pooled_sumsq += float((dists**2).sum())
-                pooled_count += len(dists)
+            set_means[rep] = mean_pairwise_distance(points[chosen], config.pair_budget, rng).mean
         mean = float(set_means.mean())
-        if config.pooled_std:
-            var = (pooled_sumsq - pooled_sum**2 / pooled_count) / (pooled_count - 1)
-            std = math.sqrt(max(var, 0.0))
-        else:
-            std = float(set_means.std(ddof=1))
+        std = float(set_means.std(ddof=1))
         rows.append(NullSampleRow(set_size, mean, std, config.sets_per_size))
     return NullSamples(rows=tuple(rows))
 

@@ -68,6 +68,30 @@ def test_ingest_without_input_exits_2(tmp_path):
     assert run(["ingest", "--out", tmp_path]) == 2
 
 
+def usage_error_code(args):
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    return exc.value.code
+
+
+def test_links_and_edges_together_exit_2_and_write_nothing(tmp_path, capsys):
+    out = tmp_path / "run"
+    args = ["ingest", "--links", FIXTURE_LINKS, "--edges", FIXTURE_LINKS, "--out", out]
+    assert usage_error_code(args) == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["null", "--pooled-std"],
+    ["synth", "--geo", "x"],
+    ["synth", "--level", "region"],
+], ids=["null-pooled-std", "synth-geo", "synth-level"])
+def test_flags_a_stage_does_not_take_exit_2(tmp_path, args):
+    assert usage_error_code(args + ["--out", tmp_path / "run"]) == 2
+    assert not (tmp_path / "run").exists()
+
+
 def test_missing_geo_file_exits_2(tmp_path):
     out = tmp_path / "run"
     code = run(["ingest", "--links", FIXTURE_LINKS, "--geo", tmp_path / "nope.tsv", "--out", out])
@@ -335,10 +359,8 @@ def model_text(model):
     return out.getvalue()
 
 
-def null_samples_text(points, pooled_std=False):
-    config = nm.NullSamplingConfig(
-        set_sizes=(10, 20, 50), sets_per_size=40, seed=7, pooled_std=pooled_std
-    )
+def null_samples_text(points):
+    config = nm.NullSamplingConfig(set_sizes=(10, 20, 50), sets_per_size=40, seed=7)
     out = io.StringIO()
     nm.write_null_samples_tsv(nm.sample_null(points, config), out)
     return out.getvalue()
@@ -386,26 +408,56 @@ def test_min_group_size_skips_small_groups(tmp_path):
     assert (tmp_path / cli.RESULTS_TSV).read_text(encoding="utf-8") == expected
 
 
-def test_pooled_std_spreads_over_pooled_pair_distances(tmp_path):
-    assert run(fixture_args(tmp_path) + ["--pooled-std"]) == 0
-    assert "pooled_std=1" in manifest_fields(tmp_path, "null")[0]
-    _, values = library_features()
-    points = em.transform_all(em.fit_embedding(values), values)
-    expected = null_samples_text(points, pooled_std=True)
-    assert expected != null_samples_text(points)
-    assert (tmp_path / cli.NULL_SAMPLES_TSV).read_text(encoding="utf-8") == expected
-
-
 def test_readme_shared_flags_are_the_parser_options():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    sentence = readme.split("Shared flags:", 1)[1].split(".", 1)[0]
-    documented = re.findall(r"`(--[\w-]+)", sentence)
+
+    def documented(opening):
+        return re.findall(r"`(--[\w-]+)", readme.split(opening, 1)[1].split(".", 1)[0])
+
     parser = cli.build_parser()
     stages = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     for name, stage in stages.choices.items():
-        if name != "synth":
-            options = [s for a in stage._actions for s in a.option_strings]
-            assert documented == [s for s in options if s not in ("-h", "--help")], name
+        options = [s for a in stage._actions for s in a.option_strings]
+        expected = documented("`synth` takes" if name == "synth" else "Shared flags:")
+        assert expected == [s for s in options if s not in ("-h", "--help")], name
+
+
+class ReadRecorder(argparse.Namespace):
+    """A parsed namespace that records which settings the code reads from it."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            vars(self).setdefault("_read", set()).add(name)
+        return super().__getattribute__(name)
+
+
+def options_unread(stage, runs):
+    """Options ``stage`` declares that none of ``runs`` (argument lists) reads."""
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {a.dest: a.option_strings[0] for a in subparsers.choices[stage]._actions
+                if a.dest != "help"}
+    read = set()
+    for args in runs:
+        cfg = parser.parse_args([str(a) for a in args], namespace=ReadRecorder())
+        vars(cfg)["_read"] = set()  # parsing itself reads every default
+        assert (cli.run_all(cfg) if stage == "all" else cli.run_stage(stage, cfg)) == 0
+        read |= vars(cfg)["_read"]
+    return sorted(flag for dest, flag in declared.items() if dest not in read)
+
+
+def test_every_option_of_all_is_read_by_its_chain(tmp_path):
+    links_run = fixture_args(tmp_path / "links")
+    edges_run = ["all", "--edges", tmp_path / "links" / cli.EDGES_TSV, "--geo", FIXTURE_GEO,
+                 "--out", tmp_path / "edges", "--sizes", "10,20,50", "--sets", "40"]
+    assert options_unread("all", [links_run, edges_run]) == []
+
+
+def test_every_option_of_synth_is_read_by_synth(tmp_path):
+    runs = [["synth", "--model", model, "--n", 300, "--groups", 4, "--random-groups", 3,
+             "--group-sizes", "10,20", "--out", tmp_path / model]
+            for model in ("er", "ba", "gravity")]
+    assert options_unread("synth", runs) == []
 
 
 def test_geo_name_with_edge_whitespace_meets_its_node(tmp_path):

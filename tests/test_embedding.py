@@ -281,6 +281,22 @@ def test_sampled_pairs_uniform_over_distinct_pairs():
     assert np.all(np.abs(counts / len(draws) - p) <= band)
 
 
+@pytest.mark.parametrize("n,budget", [(3, 2), (2001, 5000), (100_000, 5000)])
+def test_int32_pair_draw_keeps_the_int64_stream(n, budget):
+    # reference: the same draw with numpy's default int64 indices
+    pts = np.random.default_rng(16).normal(size=(n, 4))
+    for seed in range(3):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        dists, exact = em.pair_sample_distances(pts, budget, rng)
+        i = ref_rng.integers(0, n, size=budget)
+        j = ref_rng.integers(0, n - 1, size=budget)
+        j += j >= i
+        diff = pts[i] - pts[j]
+        assert not exact
+        assert np.array_equal(dists, np.sqrt(np.einsum("ij,ij->i", diff, diff)))
+        assert rng.random() == ref_rng.random()
+
+
 # ---------------------------------------------------------------------------
 # model file
 # ---------------------------------------------------------------------------

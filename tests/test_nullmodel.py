@@ -76,16 +76,20 @@ def test_three_point_draws_match_hand_enumeration():
     assert row.std == pytest.approx(np.std(replayed, ddof=1), abs=1e-15)
 
 
-def test_pooled_std_variant_differs_for_larger_sets():
-    rng = np.random.default_rng(3)
-    pts = rng.normal(size=(60, 2))
-    base = nm.NullSamplingConfig(set_sizes=(10,), sets_per_size=20, seed=2)
-    pooled = nm.NullSamplingConfig(set_sizes=(10,), sets_per_size=20, seed=2, pooled_std=True)
-    r_base = nm.sample_null(pts, base).rows[0]
-    r_pooled = nm.sample_null(pts, pooled).rows[0]
-    assert r_base.mean == r_pooled.mean
-    # spread across individual pair distances dominates spread across set means
-    assert r_pooled.std > r_base.std
+def test_rows_are_mean_and_std_of_replayed_set_means():
+    # oracle: replay each (seed, 1, size index, rep) stream through mean_pairwise_distance;
+    # at a pair budget of 10 the 20-node sets (190 pairs) take the sampled path
+    pts = np.random.default_rng(3).normal(size=(60, 2))
+    for budget in (10, 1000):
+        cfg = nm.NullSamplingConfig(set_sizes=(4, 20), sets_per_size=15, pair_budget=budget, seed=2)
+        for size_index, row in enumerate(nm.sample_null(pts, cfg).rows):
+            means = []
+            for rep in range(15):
+                rng = np.random.default_rng(np.random.SeedSequence([2, 1, size_index, rep]))
+                chosen = rng.choice(60, size=row.set_size, replace=False)
+                means.append(mean_pairwise_distance(pts[chosen], budget, rng).mean)
+            assert row.mean == np.mean(means)
+            assert row.std == np.std(means, ddof=1)
 
 
 def test_enumeration_bounds_sampled_mean():
