@@ -215,8 +215,11 @@ def load_model(lines: Iterable[str]) -> EmbeddingModel:
             retained = int(rest)
         else:
             fields.setdefault(key, []).append([float(v) for v in rest.split("\t")])
-    if dim is None or retained is None:
-        raise ValueError("model file missing dim/retained")
+    missing = [key for key, value in (("dim", dim), ("retained", retained)) if value is None]
+    missing += [key for key in ("eig_tol", "mean", "cov", "eigenvalues", "eigenvectors")
+                if key not in fields]
+    if missing:
+        raise ValueError(f"model file missing {', '.join(missing)}")
     eig_tol = fields["eig_tol"][0][0]
     mean = np.array(fields["mean"][0])
     covariance = np.array(fields["cov"])

@@ -66,8 +66,9 @@ class ParseError(ValueError):
 class EdgeList:
     """Node names and distinct unordered pairs read by one parser, with counters.
 
-    ``ids`` maps each name to a provisional id in first-mention order;
-    ``src``/``dst`` hold each distinct pair once, as int64 id arrays.
+    ``ids`` maps each name to a provisional id, numbered as the parser reads
+    (:func:`build_graph` puts the ids in name order); ``src``/``dst`` hold
+    each distinct pair once, as int64 id arrays.
     """
 
     def __init__(self) -> None:
@@ -80,9 +81,16 @@ class EdgeList:
         self.malformed_lines = 0
 
     def finalize(self, pairs: np.ndarray | array) -> None:
-        """Keep each distinct pair of the flat ``a, b, a, b, ...`` int64 id array once."""
+        """Keep each distinct pair of the flat ``a, b, a, b, ...`` int64 id array once.
+
+        Self-pairs are dropped and counted.
+        """
         flat = np.asarray(pairs, dtype=np.int64)
         a, b = flat[0::2], flat[1::2]
+        keep = a != b
+        self.self_pairs_dropped += len(keep) - int(np.count_nonzero(keep))
+        if not keep.all():
+            a, b = a[keep], b[keep]
         width = max(len(self.ids), 1)
         keys = np.minimum(a, b) * width + np.maximum(a, b)
         keys.sort()
@@ -168,13 +176,19 @@ def graph_from_id_edges(names: Sequence[str], src: ArrayLike, dst: ArrayLike) ->
     if np.any(lo == hi):
         raise ValueError("edges contain a self-loop")
     # both directions keyed row * n + col (n**2 < 2**63), sorted: row-major CSR order
-    keys = np.concatenate([lo * n + hi, hi * n + lo])
+    m = len(lo)
+    keys = np.empty(2 * m, dtype=np.int64)
+    np.multiply(lo, n, out=keys[:m])
+    keys[:m] += hi
+    np.multiply(hi, n, out=keys[m:])
+    keys[m:] += lo
+    del lo, hi
     keys.sort()
     if np.any(keys[1:] == keys[:-1]):
         raise ValueError("edges contain a duplicate pair")
     degrees = np.bincount(keys // n, minlength=n).astype(np.int64)
     keys %= n  # in place: each key becomes its column, the CSR neighbor ids
-    return _make_graph(names, len(src), degrees, keys)
+    return _make_graph(names, m, degrees, keys)
 
 
 def build_graph(edge_list: EdgeList) -> Graph:
@@ -185,14 +199,15 @@ def build_graph(edge_list: EdgeList) -> Graph:
     """
     if not edge_list.ids:
         raise ValueError("empty edge list: no nodes or edges to build from")
-    provisional = list(edge_list.ids)  # provisional id order
-    n = len(provisional)
-    by_name = sorted(range(n), key=provisional.__getitem__)
-    relabel = np.empty(n, dtype=np.int64)
-    relabel[by_name] = np.arange(n, dtype=np.int64)
-    return graph_from_id_edges(
-        [provisional[prov] for prov in by_name], relabel[edge_list.src], relabel[edge_list.dst]
-    )
+    names = list(edge_list.ids)  # provisional id order
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    src, dst = edge_list.src, edge_list.dst
+    if by_name != list(range(len(names))):  # an all-keyed parse numbers in name order
+        relabel = np.empty(len(names), dtype=np.int64)
+        relabel[by_name] = np.arange(len(names), dtype=np.int64)
+        names = [names[prov] for prov in by_name]
+        src, dst = relabel[src], relabel[dst]
+    return graph_from_id_edges(names, src, dst)
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +266,9 @@ def _edge_records(
 ) -> np.ndarray:
     """The per-line edge-record body: flat ``a, b, a, b, ...`` ids of the records in ``lines``.
 
-    Blank lines and ``#`` comments are skipped, self-pairs counted, and
-    malformed lines counted or, with ``strict``, raised as :class:`ParseError`
-    numbered from ``first_line``.
+    Blank lines and ``#`` comments are skipped, and malformed lines counted
+    or, with ``strict``, raised as :class:`ParseError` numbered from
+    ``first_line``.
     """
     ids = edge_list.ids
     pairs: list[int] = []
@@ -267,49 +282,72 @@ def _edge_records(
                 raise ParseError(f"bad edge record {line!r}", line_no)
             edge_list.malformed_lines += 1
             continue
-        a = ids.setdefault(parts[0], len(ids))
-        b = ids.setdefault(parts[1], len(ids))
-        if a == b:
-            edge_list.self_pairs_dropped += 1
-        else:
-            pairs += (a, b)
+        pairs += (ids.setdefault(parts[0], len(ids)), ids.setdefault(parts[1], len(ids)))
     return np.array(pairs, dtype=np.int64)
 
 
-def _plain_records(block: str) -> bool:
-    """Whether each line of ``block`` (which ends in a newline) is a bare ``a<TAB>b`` record.
+def _plain_records(block: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ASCII bytes of ``block`` and the positions of its tabs and newlines, if bare.
 
-    Bare means ASCII with no control byte but tab and newline, one tab with a
-    name on each side, and no line that starts with ``#`` or a space or ends
+    ``block`` ends in a newline.  Bare means that each line is an ``a<TAB>b``
+    record: ASCII with no control byte but one tab and the newline, a name on
+    each side of the tab, and no line that starts with ``#`` or a space or ends
     with a space.  Stripping such a line changes nothing, so the block's tab
-    split is the per-line body's split.
+    split is the per-line body's split.  Any other block gives ``None``.
     """
     try:
         raw = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
     except UnicodeEncodeError:
-        return False
-    ends = np.flatnonzero(raw == 10)
-    tabs = np.flatnonzero(raw == 9)
-    if len(tabs) != len(ends) or np.any((raw < 32) & (raw != 9) & (raw != 10)):
-        return False
+        return None
+    seps = np.flatnonzero(raw < 32)  # tab, newline, tab, newline, ... if bare
+    tabs, ends = seps[0::2], seps[1::2]
+    if len(tabs) != len(ends) or np.any(raw[tabs] != 9) or np.any(raw[ends] != 10):
+        return None
     starts = np.concatenate(([0], ends[:-1] + 1))
     first, last = raw[starts], raw[ends - 1]
-    return bool(
-        np.all((starts < tabs) & (tabs + 1 < ends))
-        and not np.any((first == 35) | (first == 32) | (last == 32))
-    )
+    if np.all((starts < tabs) & (tabs + 1 < ends)) and not np.any(
+        (first == 35) | (first == 32) | (last == 32)
+    ):
+        return raw, seps
+    return None
+
+
+def _name_keys(raw: np.ndarray, seps: np.ndarray) -> np.ndarray | None:
+    """Each name of a bare block as a ``uint64`` key, or ``None`` if one is over 8 bytes.
+
+    A name's bytes are packed big-endian and zero-padded, so integer order is
+    name order.  A bare block holds no zero byte, so no two names share a key.
+    """
+    starts = np.concatenate(([0], seps[:-1] + 1))
+    lengths = seps - starts
+    if lengths.max() > 8:
+        return None
+    padded = np.concatenate((raw, np.zeros(7, dtype=np.uint8)))
+    words = np.lib.stride_tricks.sliding_window_view(padded, 8)[starts].view(">u8").ravel()
+    shift = (8 * (8 - lengths)).astype(np.uint64)  # drop the bytes after the name
+    return (words >> shift) << shift
 
 
 def parse_edges_tsv(stream: TextIO, strict: bool = False) -> EdgeList:
     """Parse a canonical two-column edge TSV (``#`` comments allowed).
 
-    The text is read in blocks of whole lines.  A block of bare records is
-    split and interned whole; any other block goes through the per-line body,
-    so counters and strict-mode line numbers are the same either way.
+    The text is read in blocks of whole lines, and the block selects its path:
+
+    - a block of bare records whose names all fit in 8 bytes is keyed: each
+      name becomes a ``uint64`` key, and one sort of every key at the end of
+      the file interns the keyed names, in name order;
+    - a block of bare records with a longer name is split whole and interned
+      through the ``ids`` dict in one comprehension;
+    - any other block goes through the per-line body.
+
+    Counters and strict-mode line numbers are the same on every path.  Only
+    the provisional ids differ: dict-path names are numbered on first
+    mention, and the keyed names after them.
     """
     edge_list = EdgeList()
     ids = edge_list.ids
-    parts = [np.empty(0, dtype=np.int64)]  # flat id pairs per block; one even for empty input
+    parts = []  # flat id pairs of the dict-path blocks
+    keyed = []  # flat name-key pairs of the keyed blocks
     line_no, rest = 1, ""
     while True:
         text = stream.read(_BLOCK_CHARS)
@@ -323,20 +361,54 @@ def parse_edges_tsv(stream: TextIO, strict: bool = False) -> EdgeList:
             break
         if not block:
             continue
-        if _plain_records(block):
+        plain = _plain_records(block)
+        keys = _name_keys(*plain) if plain else None
+        if keys is not None:
+            keyed.append(keys)
+        elif plain:
             tokens = block.replace("\n", "\t").split("\t")
             tokens.pop()  # the empty token after the last newline
-            pairs = np.fromiter(
-                (ids.setdefault(t, len(ids)) for t in tokens), dtype=np.int64, count=len(tokens)
-            ).reshape(-1, 2)
-            keep = pairs[:, 0] != pairs[:, 1]
-            edge_list.self_pairs_dropped += len(keep) - int(np.count_nonzero(keep))
-            parts.append(pairs[keep].ravel())
+            parts.append(
+                np.fromiter((ids.setdefault(t, len(ids)) for t in tokens), np.int64, len(tokens))
+            )
         else:
             parts.append(_edge_records(block.split("\n"), line_no, edge_list, strict))
         line_no += block.count("\n")
-    edge_list.finalize(np.concatenate(parts))
+    if keyed:
+        parts.append(_intern_keys(keyed, ids))
+    if len(parts) != 1:  # one part, as in an all-keyed file, is not copied
+        parts = [np.concatenate([np.empty(0, dtype=np.int64), *parts])]
+    edge_list.finalize(parts.pop())
     return edge_list
+
+
+def _intern_keys(keyed: list[np.ndarray], ids: dict[str, int]) -> np.ndarray:
+    """Intern the names behind the key arrays in ``keyed`` (emptied) into ``ids``.
+
+    One sort of every key gives the distinct names in order and each key's
+    rank; the names join ``ids`` in that order, so a name already there keeps
+    its id.  Returns the id of every key.
+    """
+    # each token-length array is dropped once spent (80 MB apiece at 10M tokens)
+    keys = np.concatenate(keyed)
+    keyed.clear()
+    order = keys.argsort()
+    keys = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    names = keys[first].astype(">u8").view("S8").astype(str).tolist()
+    del keys
+    rank = np.cumsum(first) - 1
+    del first
+    key_ids = np.empty_like(order)
+    key_ids[order] = rank
+    del order, rank
+    if not ids:  # the ranks are the ids
+        ids.update(zip(names, range(len(names))))
+        return key_ids
+    remap = np.fromiter((ids.setdefault(name, len(ids)) for name in names), np.int64, len(names))
+    return remap[key_ids]
 
 
 def parse_nodes_tsv(stream: Iterable[str], edge_list: EdgeList) -> EdgeList:

@@ -289,8 +289,12 @@ def read_null_model_tsv(lines: Iterable[str]) -> NullModel:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        mu_r, a, alpha, residual = line.split("\t")
-        return NullModel(float(mu_r), float(a), float(alpha), float(residual))
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise ValueError(
+                f"null model row has {len(fields)} fields, expected 4: mu_r, a, alpha, residual"
+            )
+        return NullModel(*map(float, fields))
     raise ValueError("empty null model file")
 
 

@@ -145,6 +145,24 @@ def test_corrupt_graph_artifacts_exit_2(tmp_path, capsys):
     assert "expected float64" in capsys.readouterr().err
 
 
+def test_truncated_model_files_exit_2(tmp_path, capsys):
+    assert run(fixture_args(tmp_path)) == 0
+    model, null_model = tmp_path / cli.MODEL_FILE, tmp_path / cli.NULL_MODEL_TSV
+    good_model = model.read_text()
+    model.write_text("".join(
+        line for line in good_model.splitlines(keepends=True) if not line.startswith("mean\t")
+    ))
+    assert run(["null"] + fixture_args(tmp_path)[1:]) == 2
+    assert "missing mean" in capsys.readouterr().err
+
+    model.write_text(good_model)
+    header, row = null_model.read_text().splitlines()
+    short_row = row.rsplit("\t", 1)[0]
+    null_model.write_text(f"{header}\n{short_row}\n")
+    assert run(["test"] + fixture_args(tmp_path)[1:]) == 2
+    assert "expected 4" in capsys.readouterr().err
+
+
 def test_pair_budget_below_one_exits_2(tmp_path, capsys):
     assert run(fixture_args(tmp_path) + ["--pair-budget", "0"]) == 2
     assert "pair budget" in capsys.readouterr().err

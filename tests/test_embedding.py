@@ -316,6 +316,19 @@ def test_model_save_load_bit_identical():
     assert np.array_equal(em.transform(loaded, v), em.transform(model, v))
 
 
+@pytest.mark.parametrize(
+    "key", ["dim", "retained", "eig_tol", "mean", "cov", "eigenvalues", "eigenvectors"]
+)
+def test_model_load_names_a_missing_field(key):
+    rng = np.random.default_rng(16)
+    out = io.StringIO()
+    em.save_model(em.fit_embedding(rng.normal(size=(50, 4))), out)
+    lines = [line for line in out.getvalue().splitlines(keepends=True)
+             if not line.startswith(key + "\t")]
+    with pytest.raises(ValueError, match=f"missing {key}$"):
+        em.load_model(io.StringIO("".join(lines)))
+
+
 def test_model_load_rejects_garbage():
     with pytest.raises(ValueError):
         em.load_model(io.StringIO("not a model\n"))

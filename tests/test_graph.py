@@ -218,13 +218,23 @@ def per_line_edges(text):
 
 
 def edge_list_state(el):
+    """What a parse says about the file, without its provisional numbering."""
+    names = list(el.ids)
+    pairs = {
+        tuple(sorted((names[a], names[b])))
+        for a, b in zip(el.src.tolist(), el.dst.tolist())
+    }
     counters = (
         el.raw_pair_count, el.self_pairs_dropped, el.duplicate_pairs_dropped, el.malformed_lines
     )
-    return list(el.ids.items()), el.src.tolist(), el.dst.tolist(), counters
+    return set(names), pairs, len(el.src), counters
 
 
-ODD_NAME = st.sampled_from(["a", "b", "N1", "x ", " y", "#a", "\x85", "z\x85"])
+# names across the 8-byte key limit, shared prefixes, and names no bare block holds
+ODD_NAME = st.sampled_from(
+    ["a", "a0", "ab", "abcdefgh", "abcdefghi", "N1234567", "N12345678", "b", "N1",
+     "x ", " y", "#a", "\x85", "z\x85"]
+)
 MIXED_LINE = st.one_of(
     st.tuples(ODD_NAME, ODD_NAME).map("\t".join),
     st.tuples(ODD_NAME, ODD_NAME).map(lambda t: f"{t[0]}\t{t[1]}\r"),  # CRLF
@@ -247,6 +257,22 @@ def test_block_path_matches_per_line_path(lines, final_newline, block_chars):
         assert edge_list_state(parse_edges(text)) == want
         with mock.patch.object(g, "_plain_records", lambda block: False):
             assert edge_list_state(parse_edges(text)) == want
+
+
+@pytest.mark.parametrize("block_chars", [9, 64, 1 << 20])
+def test_short_plain_names_are_numbered_in_name_order(block_chars):
+    rng = np.random.default_rng(3)
+    alphabet = ["a", "a0", "ab", "abcdefgh", "N1234567", "N2", "Z", "~~~~~~~~"]
+    names = alphabet + [f"N{i}" for i in rng.permutation(200)]
+    pairs = rng.choice(names, size=(300, 2))
+    text = "".join(f"{a}\t{b}\n" for a, b in pairs)
+    with mock.patch.object(g, "_BLOCK_CHARS", block_chars):
+        el = parse_edges(text)
+    assert list(el.ids) == sorted(set(pairs.ravel().tolist()))
+
+
+def test_build_graph_names_are_sorted():
+    assert g.build_graph(parse_edges("b\ta\na\tc\n")).names == ("a", "b", "c")
 
 
 def test_plain_records_accepts_only_bare_records():

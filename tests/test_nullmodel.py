@@ -331,6 +331,12 @@ def test_null_model_tsv_round_trip():
     )
 
 
+@pytest.mark.parametrize("row", ["1\t2\t3", "1\t2\t3\t4\t5"])
+def test_null_model_tsv_row_of_wrong_width_names_the_fields(row):
+    with pytest.raises(ValueError, match="expected 4: mu_r, a, alpha, residual"):
+        nm.read_null_model_tsv(io.StringIO(f"# mu_r\ta\talpha\tresidual\n{row}\n"))
+
+
 def test_results_tsv_sorted_by_z():
     results = [make_result(z) for z in (3.0, -5.0, 0.0)]
     out = io.StringIO()
