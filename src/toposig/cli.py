@@ -223,8 +223,7 @@ def _stage_ingest(cfg: argparse.Namespace) -> None:
             labels = gstore.parse_geo(f, strict=cfg.strict)
     outputs = _write_graph_artifacts(cfg, graph, labels)
     if labels is not None:
-        none, country_only, both = gstore.level_tallies(labels, graph.names)
-        unmatched = len(gstore.unmatched_names(graph, labels))
+        none, country_only, both, unmatched = gstore.label_coverage(graph, labels)
         info += (
             f" geo_none={none} geo_country={country_only} geo_region={both}"
             f" geo_rejected={labels.rejected} geo_duplicates={labels.duplicates}"
@@ -305,7 +304,7 @@ def _stage_test(cfg: argparse.Namespace) -> None:
     builders = {"country": gstore.country_groups, "region": gstore.region_groups}
     levels = ("country", "region") if cfg.level == "both" else (cfg.level,)
     memberships = {level: builders[level](graph, labels) for level in levels}
-    unmatched = len(gstore.unmatched_names(graph, labels))
+    unmatched = gstore.label_coverage(graph, labels)[3]
     del graph, names  # not needed while group pairs are sampled
     empty = [level for level in levels if not memberships[level]]
     if len(empty) == len(levels):

@@ -7,15 +7,22 @@ Links file (router-topology style)::
     # comment
     link L1:  N1:1.2.3.4 N2 N3:5.6.7.8
 
-Every link record is clique-expanded: a record naming r distinct routers
-contributes all C(r, 2) unordered pairs.  The optional ``:<ipv4>`` interface
-suffix on a member is ignored.  Self-pairs and duplicate pairs are dropped
-with counters.
+Tokens are split at whitespace.  A record is ``link``, an id of two or more
+characters ending in ``:``, and one or more members ``N<digits>``, each with
+an optional ``:<a>.<b>.<c>.<d>`` interface suffix of 1 to 3 digits per part,
+which is ignored; digits are ASCII only.  Every link record is
+clique-expanded: a record naming r distinct routers contributes all C(r, 2)
+unordered pairs.  Self-pairs and duplicate pairs are dropped with counters.
 
 Canonical edge TSV: ``name_a<TAB>name_b`` with ``name_a < name_b``, rows
 sorted.  Node list TSV: one name per line, sorted (carries isolated nodes
 that the edge TSV cannot).  Geo TSV: ``name<TAB>country<TAB>region`` with
 region optionally empty.
+
+The links file and the edge TSV are read in blocks of whole lines.  Lines
+that numpy can check in bulk keep their names of at most 8 bytes as
+``uint64`` keys, interned by one sort at the end of the file; every other
+line goes through a per-line body.  Both give the same graph and counters.
 """
 
 from __future__ import annotations
@@ -42,10 +49,9 @@ __all__ = [
     "parse_geo",
     "build_graph",
     "graph_from_id_edges",
-    "level_tallies",
     "country_groups",
     "region_groups",
-    "unmatched_names",
+    "label_coverage",
     "write_edges_tsv",
     "write_nodes_tsv",
     "write_geo_tsv",
@@ -53,7 +59,7 @@ __all__ = [
     "read_adjacency_cache",
 ]
 
-_MEMBER_RE = re.compile(r"^N\d+(?::\d{1,3}(?:\.\d{1,3}){3})?$")
+_MEMBER_RE = re.compile(r"^N\d+(?::\d{1,3}(?:\.\d{1,3}){3})?$", re.ASCII)
 
 
 class ParseError(ValueError):
@@ -67,9 +73,10 @@ class ParseError(ValueError):
 class EdgeList:
     """Node names and distinct unordered pairs read by one parser, with counters.
 
-    ``ids`` maps each name to a provisional id, numbered as the parser reads
-    (:func:`build_graph` puts the ids in name order); ``src``/``dst`` hold
-    each distinct pair once, as int64 id arrays.
+    ``ids`` maps each name to a provisional id: names read by a parser's
+    per-line body are numbered on first mention, and keyed names after them,
+    in name order (:func:`build_graph` puts all the ids in name order);
+    ``src``/``dst`` hold each distinct pair once, as int64 id arrays.
     """
 
     def __init__(self) -> None:
@@ -202,7 +209,8 @@ def build_graph(edge_list: EdgeList) -> Graph:
         raise ValueError("empty edge list: no nodes or edges to build from")
     names = list(edge_list.ids)  # provisional id order
     src, dst = edge_list.src, edge_list.dst
-    # an all-keyed parse numbers in name order already; only other parses relabel
+    # an all-keyed parse of a links file or edge TSV numbers in name order
+    # already; only a parse that took the per-line body relabels
     if not all(map(operator.lt, names, itertools.islice(names, 1, None))):
         by_name = sorted(range(len(names)), key=names.__getitem__)
         relabel = np.empty(len(names), dtype=np.int64)
@@ -216,165 +224,27 @@ def build_graph(edge_list: EdgeList) -> Graph:
 # parsing
 # ---------------------------------------------------------------------------
 
-def _link_members(line: str) -> list[str] | None:
-    tokens = line.split()
-    if len(tokens) < 3 or tokens[0] != "link":
-        return None
-    if not tokens[1].endswith(":") or len(tokens[1]) < 2:
-        return None
-    members = []
-    for token in tokens[2:]:
-        if not _MEMBER_RE.match(token):
-            return None
-        members.append(token.split(":", 1)[0])
-    return members
-
-
-def parse_links(stream: Iterable[str], strict: bool = False) -> EdgeList:
-    """Parse a links file into a deduplicated :class:`EdgeList`.
-
-    Malformed lines are counted and skipped; with ``strict`` they raise
-    :class:`ParseError` carrying the line number.
-    """
-    edge_list = EdgeList()
-    ids = edge_list.ids
-    pairs = array("q")
-    for line_no, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        members = _link_members(line)
-        if members is None:
-            if strict:
-                raise ParseError(f"bad link record {line!r}", line_no)
-            edge_list.malformed_lines += 1
-            continue
-        distinct = dict.fromkeys(members)
-        edge_list.self_pairs_dropped += len(members) - len(distinct)
-        record = [ids.setdefault(name, len(ids)) for name in distinct]
-        pairs.extend(itertools.chain.from_iterable(itertools.combinations(record, 2)))
-    edge_list.finalize(pairs)
-    return edge_list
-
-
-# characters read per block of the edge TSV.  A block's tokens are all alive at
-# once; at 8 MB they left a fragmented heap (ingest peak 894 against 640 MB at
-# 1 MB on 1M nodes / 5M edges) and parsed no faster.
+# characters read per block of a links file or edge TSV.  A block's tokens are
+# all alive at once; at 8 MB they left a fragmented heap (ingest peak 894
+# against 640 MB at 1 MB on 1M nodes / 5M edges) and parsed no faster.  Each
+# parser writes the read loop out: read through a shared generator or iterator
+# class, the `all` peak RSS on 100k nodes / 500k edges read 143-147 MB in some
+# runs against 128-131 MB inline (malloc's adaptive mmap threshold: with a
+# fixed one every form read 125-127 MB).
 _BLOCK_CHARS = 1 << 20
 
 
-def _edge_records(
-    lines: Iterable[str], first_line: int, edge_list: EdgeList, strict: bool
-) -> np.ndarray:
-    """The per-line edge-record body: flat ``a, b, a, b, ...`` ids of the records in ``lines``.
+def _name_keys(raw: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The names ``raw[start : start + length]`` as ``uint64`` keys.
 
-    Blank lines and ``#`` comments are skipped, and malformed lines counted
-    or, with ``strict``, raised as :class:`ParseError` numbered from
-    ``first_line``.
+    Each name is 1 to 8 bytes with no zero byte.  Its bytes are packed
+    big-endian and zero-padded, so integer order is name order and no two
+    names share a key.
     """
-    ids = edge_list.ids
-    pairs: list[int] = []
-    for line_no, raw in enumerate(lines, start=first_line):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            if strict:
-                raise ParseError(f"bad edge record {line!r}", line_no)
-            edge_list.malformed_lines += 1
-            continue
-        pairs += (ids.setdefault(parts[0], len(ids)), ids.setdefault(parts[1], len(ids)))
-    return np.array(pairs, dtype=np.int64)
-
-
-def _plain_records(block: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """The ASCII bytes of ``block`` and the positions of its tabs and newlines, if bare.
-
-    ``block`` ends in a newline.  Bare means that each line is an ``a<TAB>b``
-    record: ASCII with no control byte but one tab and the newline, a name on
-    each side of the tab, and no line that starts with ``#`` or a space or ends
-    with a space.  Stripping such a line changes nothing, so the names between
-    the separators are the per-line body's names.  Any other block gives ``None``.
-    """
-    try:
-        raw = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
-    except UnicodeEncodeError:
-        return None
-    seps = np.flatnonzero(raw < 32)  # tab, newline, tab, newline, ... if bare
-    tabs, ends = seps[0::2], seps[1::2]
-    if len(tabs) != len(ends) or np.any(raw[tabs] != 9) or np.any(raw[ends] != 10):
-        return None
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    first, last = raw[starts], raw[ends - 1]
-    if np.all((starts < tabs) & (tabs + 1 < ends)) and not np.any(
-        (first == 35) | (first == 32) | (last == 32)
-    ):
-        return raw, seps
-    return None
-
-
-def _name_keys(raw: np.ndarray, seps: np.ndarray) -> np.ndarray | None:
-    """Each name of a bare block as a ``uint64`` key, or ``None`` if one is over 8 bytes.
-
-    A name's bytes are packed big-endian and zero-padded, so integer order is
-    name order.  A bare block holds no zero byte, so no two names share a key.
-    """
-    starts = np.concatenate(([0], seps[:-1] + 1))
-    lengths = seps - starts
-    if lengths.max() > 8:
-        return None
     padded = np.concatenate((raw, np.zeros(7, dtype=np.uint8)))
     words = np.lib.stride_tricks.sliding_window_view(padded, 8)[starts].view(">u8").ravel()
     shift = (8 * (8 - lengths)).astype(np.uint64)  # drop the bytes after the name
     return (words >> shift) << shift
-
-
-def parse_edges_tsv(stream: TextIO, strict: bool = False) -> EdgeList:
-    """Parse a canonical two-column edge TSV (``#`` comments allowed).
-
-    The text is read in blocks of whole lines, and the block selects its path:
-
-    - a block of bare records whose names all fit in 8 bytes is keyed: each
-      name becomes a ``uint64`` key, and one sort of every key at the end of
-      the file interns the keyed names, in name order;
-    - any other block, a bare one with a longer name included, goes through
-      the per-line body, which interns through the ``ids`` dict.
-
-    Counters and strict-mode line numbers are the same on both paths.  Only
-    the provisional ids differ: per-line names are numbered on first
-    mention, and the keyed names after them.
-    """
-    edge_list = EdgeList()
-    ids = edge_list.ids
-    parts = []  # flat id pairs of the per-line blocks
-    keyed = []  # flat name-key pairs of the keyed blocks
-    line_no, rest = 1, ""
-    while True:
-        text = stream.read(_BLOCK_CHARS)
-        if text:
-            block = rest + text
-            cut = block.rfind("\n") + 1
-            block, rest = block[:cut], block[cut:]
-        elif rest:
-            block, rest = rest + "\n", ""  # the last line has no newline
-        else:
-            break
-        if not block:
-            continue
-        plain = _plain_records(block)
-        keys = _name_keys(*plain) if plain else None
-        if keys is not None:
-            keyed.append(keys)
-        else:
-            parts.append(_edge_records(block.split("\n"), line_no, edge_list, strict))
-        line_no += block.count("\n")
-    if keyed:
-        parts.append(_intern_keys(keyed, ids))
-    if len(parts) != 1:  # one part, as in an all-keyed file, is not copied
-        parts = [np.concatenate([np.empty(0, dtype=np.int64), *parts])]
-    edge_list.finalize(parts.pop())
-    return edge_list
 
 
 def _intern_keys(keyed: list[np.ndarray], ids: dict[str, int]) -> np.ndarray:
@@ -404,6 +274,335 @@ def _intern_keys(keyed: list[np.ndarray], ids: dict[str, int]) -> np.ndarray:
         return key_ids
     remap = np.fromiter((ids.setdefault(name, len(ids)) for name in names), np.int64, len(names))
     return remap[key_ids]
+
+
+def _finalize(edge_list: EdgeList, parts: list[np.ndarray]) -> EdgeList:
+    """Finalize ``edge_list`` on the flat id pairs of ``parts``;
+    a lone non-empty part is not copied.
+    """
+    parts = [part for part in parts if len(part)]
+    if len(parts) != 1:
+        parts = [np.concatenate([np.empty(0, dtype=np.int64), *parts])]
+    edge_list.finalize(parts.pop())
+    return edge_list
+
+
+# ---------------------------------------------------------------------------
+# links file
+# ---------------------------------------------------------------------------
+
+def _link_members(line: str) -> list[str] | None:
+    tokens = line.split()
+    if len(tokens) < 3 or tokens[0] != "link":
+        return None
+    if not tokens[1].endswith(":") or len(tokens[1]) < 2:
+        return None
+    members = []
+    for token in tokens[2:]:
+        if not _MEMBER_RE.match(token):
+            return None
+        members.append(token.split(":", 1)[0])
+    return members
+
+
+def _link_records(
+    lines: Iterable[str], first_line: int, edge_list: EdgeList, strict: bool
+) -> np.ndarray:
+    """The per-line link-record body: flat ``a, b, a, b, ...`` clique ids of ``lines``' records.
+
+    Blank lines and ``#`` comments are skipped, self-repeats counted, and
+    malformed lines counted or, with ``strict``, raised as
+    :class:`ParseError` numbered from ``first_line``.
+    """
+    ids = edge_list.ids
+    pairs = array("q")
+    for line_no, raw in enumerate(lines, start=first_line):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        members = _link_members(line)
+        if members is None:
+            if strict:
+                raise ParseError(f"bad link record {line!r}", line_no)
+            edge_list.malformed_lines += 1
+            continue
+        distinct = dict.fromkeys(members)
+        edge_list.self_pairs_dropped += len(members) - len(distinct)
+        record = [ids.setdefault(name, len(ids)) for name in distinct]
+        pairs.extend(itertools.chain.from_iterable(itertools.combinations(record, 2)))
+    return np.frombuffer(pairs, dtype=np.int64)
+
+
+def _bare_text(block: str) -> np.ndarray | None:
+    """The bytes of ``block`` if it is ASCII with no control byte but newline, else ``None``.
+
+    In such a block ``str.split`` splits only at spaces and newlines.
+    """
+    if not block.isascii():
+        return None
+    raw = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
+    return raw if np.count_nonzero(raw < 32) == block.count("\n") else None
+
+
+_LINK_KEY = np.uint64(int.from_bytes(b"link".ljust(8, b"\0"), "big"))
+
+
+def _dotted_quads(raw: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Whether each span ``raw[start:stop]`` is ``d.d.d.d``, each part 1 to 3 ASCII digits."""
+    width = stops - starts
+    padded = np.concatenate((raw, np.zeros(15, dtype=np.uint8)))
+    window = np.lib.stride_tricks.sliding_window_view(padded, 15)[starts]
+    inside = np.arange(15) < width[:, None]
+    digit = ((window - 48) < 10) & inside
+    dot = (window == 46) & inside
+    flanked = np.zeros_like(dot)  # a digit on either side
+    flanked[:, 1:-1] = digit[:, :-2] & digit[:, 2:]
+    four_digits = digit[:, 3:] & digit[:, 2:-1] & digit[:, 1:-2] & digit[:, :-3]
+    return (
+        (width <= 15)
+        & ((digit | dot) == inside).all(axis=1)
+        & (np.count_nonzero(dot, axis=1) == 3)
+        & (flanked | ~dot).all(axis=1)
+        & ~four_digits.any(axis=1)
+    )
+
+
+def _link_lines(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
+    """Classify the lines of a bare block (see :func:`_bare_text`) that ends in a newline.
+
+    A line is keyed when it is a record (token 0 is ``link``, token 1 is 2 or
+    more bytes ending in ``:``, every later token matches ``_MEMBER_RE``) and
+    each member name fits in 8 bytes.  Returns the key of every member of
+    the keyed records in file order, the arity of each keyed record, and, as
+    ``(line index, start, stop)``, each run of consecutive lines that are
+    neither keyed, blank nor ``#`` comments.
+    """
+    ends = np.flatnonzero(raw == 10)
+    word = raw != 32
+    word[ends] = False
+    bounds = np.flatnonzero(np.diff(word, prepend=False))  # start, stop, start, stop, ...
+    starts, stops = bounds[0::2], bounds[1::2]
+    # byte counts per token are summed in uint8 (an int64 sum casts every byte);
+    # they wrap past 255, but a member that fits is at most 24 bytes
+    colon = raw == 58
+    colons = np.add.reduceat(colon.view(np.uint8), starts, dtype=np.uint8)
+    colon_at = np.flatnonzero(colon)
+    nondigit = np.logical_and(word, (raw - 48) >= 10, out=word)
+    nondigits = np.add.reduceat(nondigit.view(np.uint8), starts, dtype=np.uint8)
+    del word, colon, nondigit
+
+    tok_end = np.searchsorted(starts, ends)  # tokens up to each line's end
+    count = np.diff(tok_end, prepend=0)
+    lines = np.flatnonzero(count)  # lines with a token
+    size = count[lines]
+    head = tok_end[lines] - size  # each such line's first token
+    member = np.ones(len(starts), dtype=bool)
+    member[head] = False
+    member[head[size >= 2] + 1] = False
+
+    # member grammar: an N and digits, then maybe a colon and 3 dots among digits
+    length = stops - starts
+    name_lengths = length.copy()
+    colon_tok = np.searchsorted(starts, colon_at, "right") - 1
+    name_lengths[colon_tok] = colon_at - starts[colon_tok]
+    fits = (
+        (length <= 24)
+        & (raw[starts] == 78)
+        & (name_lengths >= 2)
+        & (name_lengths <= 8)
+        & (colons <= 1)
+        & (nondigits == 1 + 4 * colons)
+    )
+    suffixed = np.flatnonzero(fits & member & (colons == 1))
+    suffix_starts = starts[suffixed] + name_lengths[suffixed] + 1
+    fits[suffixed] = _dotted_quads(raw, suffix_starts, stops[suffixed])
+    misfit = np.logical_or.reduceat(member & ~fits, head)
+
+    keyed = (size >= 3) & ~misfit
+    first = head[keyed]
+    keyed[keyed] = (
+        (length[first] == 4)
+        & (_name_keys(raw, starts[first], np.full(len(first), 4)) == _LINK_KEY)
+        & (length[first + 1] >= 2)
+        & (raw[stops[first + 1] - 1] == 58)
+    )
+    tokens = np.flatnonzero(member & np.repeat(keyed, size))
+    keys = _name_keys(raw, starts[tokens], name_lengths[tokens])
+
+    left = lines[(raw[starts[head]] != 35) & ~keyed]  # not keyed and not a comment
+    run_first = left[np.diff(left, prepend=-2) != 1]
+    run_last = left[np.diff(left, append=len(ends) + 1) != 1]
+    run_starts = np.where(run_first > 0, ends[run_first - 1] + 1, 0)
+    runs = list(zip(run_first.tolist(), run_starts.tolist(), ends[run_last].tolist()))
+    return keys, size[keyed] - 2, runs
+
+
+def _clique_pairs(members: np.ndarray, arity: np.ndarray, edge_list: EdgeList) -> list[np.ndarray]:
+    """Flat ``a, b, a, b, ...`` clique ids, one array per arity, of records whose member ids lie
+    end to end in ``members``.
+
+    The records of one arity form a matrix, sorted row-wise: a member equal
+    to its left neighbour is a self-repeat, counted in ``edge_list`` and left
+    out of the clique.
+    """
+    offsets = np.cumsum(arity) - arity
+    parts = []
+    for r in np.flatnonzero(np.bincount(arity)).tolist():  # np.unique would import numpy.ma
+        rows = np.sort(members[offsets[arity == r][:, None] + np.arange(r)], axis=1)
+        fresh = np.ones(rows.shape, dtype=bool)
+        np.not_equal(rows[:, 1:], rows[:, :-1], out=fresh[:, 1:])
+        edge_list.self_pairs_dropped += fresh.size - int(np.count_nonzero(fresh))
+        a, b = np.triu_indices(r, 1)
+        keep = fresh[:, a] & fresh[:, b]
+        parts.append(np.stack((rows[:, a][keep], rows[:, b][keep]), axis=1).ravel())
+    return parts
+
+
+def parse_links(stream: TextIO, strict: bool = False) -> EdgeList:
+    """Parse a links file (a text stream with ``.read()``) into a deduplicated :class:`EdgeList`.
+
+    The text is read in blocks of whole lines.  In a block that is ASCII with
+    no control byte but newline, numpy splits the tokens and checks the
+    record grammar; the members of each record whose names all fit in 8
+    bytes are kept as ``uint64`` keys, and at the end of the file one sort of
+    every key interns them, in name order, and each record becomes a clique.
+    Every other line goes through the per-line body, which interns through
+    the ``ids`` dict: each line of any other block, and each line the block
+    grammar rejects, malformed or with a member name over 8 bytes.
+
+    Malformed lines are counted and skipped; with ``strict`` they raise
+    :class:`ParseError` carrying the line number.  Counters and line numbers
+    are the same on both paths.
+    """
+    edge_list = EdgeList()
+    parts = []  # flat id pairs of the per-line lines
+    keyed, arities = [], []  # member keys and arity of the keyed records
+    line_no, rest = 1, ""
+    while True:
+        text = stream.read(_BLOCK_CHARS)
+        if text:
+            block = rest + text
+            cut = block.rfind("\n") + 1
+            block, rest = block[:cut], block[cut:]
+        elif rest:
+            block, rest = rest + "\n", ""  # the last line has no newline
+        else:
+            break
+        if not block:
+            continue
+        raw = _bare_text(block)
+        if raw is None:
+            parts.append(_link_records(block.split("\n"), line_no, edge_list, strict))
+        else:
+            keys, arity, runs = _link_lines(raw)
+            keyed.append(keys)
+            arities.append(arity)
+            for first, start, stop in runs:
+                lines = block[start:stop].split("\n")
+                parts.append(_link_records(lines, line_no + first, edge_list, strict))
+        line_no += block.count("\n")
+    if keyed:
+        members = _intern_keys(keyed, edge_list.ids)
+        parts += _clique_pairs(members, np.concatenate(arities), edge_list)
+    return _finalize(edge_list, parts)
+
+
+# ---------------------------------------------------------------------------
+# edge TSV
+# ---------------------------------------------------------------------------
+
+def _edge_records(
+    lines: Iterable[str], first_line: int, edge_list: EdgeList, strict: bool
+) -> np.ndarray:
+    """The per-line edge-record body: flat ``a, b, a, b, ...`` ids of the records in ``lines``.
+
+    Blank lines and ``#`` comments are skipped, and malformed lines counted
+    or, with ``strict``, raised as :class:`ParseError` numbered from
+    ``first_line``.
+    """
+    ids = edge_list.ids
+    pairs: list[int] = []
+    for line_no, raw in enumerate(lines, start=first_line):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            if strict:
+                raise ParseError(f"bad edge record {line!r}", line_no)
+            edge_list.malformed_lines += 1
+            continue
+        pairs += (ids.setdefault(parts[0], len(ids)), ids.setdefault(parts[1], len(ids)))
+    return np.array(pairs, dtype=np.int64)
+
+
+def _plain_records(block: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The ASCII bytes of ``block`` and the start and length of each name, if bare.
+
+    ``block`` ends in a newline.  Bare means that each line is an ``a<TAB>b``
+    record: ASCII with no control byte but one tab and the newline, a name on
+    each side of the tab, and no line that starts with ``#`` or a space or ends
+    with a space.  Stripping such a line changes nothing, so the names between
+    the separators are the per-line body's names.  Any other block gives ``None``.
+    """
+    try:
+        raw = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        return None
+    seps = np.flatnonzero(raw < 32)  # tab, newline, tab, newline, ... if bare
+    tabs, ends = seps[0::2], seps[1::2]
+    if len(tabs) != len(ends) or np.any(raw[tabs] != 9) or np.any(raw[ends] != 10):
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    first, last = raw[starts], raw[ends - 1]
+    if np.all((starts < tabs) & (tabs + 1 < ends)) and not np.any(
+        (first == 35) | (first == 32) | (last == 32)
+    ):
+        name_starts = np.concatenate(([0], seps[:-1] + 1))
+        return raw, name_starts, seps - name_starts
+    return None
+
+
+def parse_edges_tsv(stream: TextIO, strict: bool = False) -> EdgeList:
+    """Parse a canonical two-column edge TSV (``#`` comments allowed).
+
+    The text is read in blocks of whole lines, and the block selects its path:
+
+    - a block of bare records whose names all fit in 8 bytes is keyed: each
+      name becomes a ``uint64`` key, and one sort of every key at the end of
+      the file interns the keyed names, in name order;
+    - any other block, a bare one with a longer name included, goes through
+      the per-line body, which interns through the ``ids`` dict.
+
+    Counters and strict-mode line numbers are the same on both paths.  Only
+    the provisional ids differ: per-line names are numbered on first
+    mention, and the keyed names after them.
+    """
+    edge_list = EdgeList()
+    parts = []  # flat id pairs of the per-line blocks
+    keyed = []  # flat name-key pairs of the keyed blocks
+    line_no, rest = 1, ""
+    while True:
+        text = stream.read(_BLOCK_CHARS)
+        if text:
+            block = rest + text
+            cut = block.rfind("\n") + 1
+            block, rest = block[:cut], block[cut:]
+        elif rest:
+            block, rest = rest + "\n", ""  # the last line has no newline
+        else:
+            break
+        if not block:
+            continue
+        plain = _plain_records(block)
+        if plain and plain[2].max() <= 8:
+            keyed.append(_name_keys(*plain))
+        else:
+            parts.append(_edge_records(block.split("\n"), line_no, edge_list, strict))
+        line_no += block.count("\n")
+    if keyed:
+        parts.append(_intern_keys(keyed, edge_list.ids))
+    return _finalize(edge_list, parts)
 
 
 def parse_nodes_tsv(stream: Iterable[str], edge_list: EdgeList) -> EdgeList:
@@ -469,22 +668,14 @@ def parse_geo(stream: Iterable[str], strict: bool = False) -> GeoLabels:
 # label / graph joins
 # ---------------------------------------------------------------------------
 
-def level_tallies(labels: GeoLabels, names: Iterable[str]) -> tuple[int, int, int]:
-    """Counts of (unlabeled, country-only, country-and-region) over ``names``."""
-    none = country_only = both = 0
-    for name in names:
-        if name not in labels.country:
-            none += 1
-        elif name in labels.region:
-            both += 1
-        else:
-            country_only += 1
-    return none, country_only, both
-
-
-def unmatched_names(graph: Graph, labels: GeoLabels) -> list[str]:
-    """Labeled names that do not occur in the graph (reported, not fatal)."""
-    return sorted(name for name in labels.country if name not in graph.name_to_id)
+def label_coverage(graph: Graph, labels: GeoLabels) -> tuple[int, int, int, int]:
+    """Counts of the graph's (unlabeled, country-only, country-and-region) names,
+    and of labeled names that do not occur in the graph (reported, not fatal).
+    """
+    in_graph = graph.name_to_id.__contains__
+    matched = sum(map(in_graph, labels.country))
+    both = sum(map(in_graph, labels.region))  # region names are country names
+    return graph.n - matched, matched - both, both, len(labels.country) - matched
 
 
 def _groups(graph: Graph, keyed: Iterable[tuple[str, str]]) -> dict[str, np.ndarray]:

@@ -1,6 +1,9 @@
 import argparse
 import io
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -617,3 +620,21 @@ def test_synth_feeds_pipeline(tmp_path):
     )
     assert code == 0
     assert (tmp_path / cli.RESULTS_TSV).exists()
+
+
+def test_ingest_does_not_import_scipy_spatial(tmp_path):
+    """Loading pdist costs a process about 0.5 s; setup and ingest never need it."""
+    code = (
+        "import sys\n"
+        "from toposig import cli\n"
+        f"args = ['ingest', '--links', {str(FIXTURE_LINKS)!r}, '--out', {str(tmp_path)!r}]\n"
+        "assert cli.main(args) == 0\n"
+        "print('scipy.spatial' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -113,8 +113,8 @@ def oracle(tagged):
     return names, edges, (raw, self_pairs, raw - len(edges), malformed), first_bad
 
 
-def check_parser_against_oracle(parser, tagged):
-    text = "".join(line + "\n" for _, _, line in tagged)
+def check_parser_against_oracle(parser, tagged, final_newline=True):
+    text = "\n".join(line for _, _, line in tagged) + ("\n" if final_newline and tagged else "")
     names, edges, counters, first_bad = oracle(tagged)
     el = parser(io.StringIO(text))
     got = (el.raw_pair_count, el.self_pairs_dropped, el.duplicate_pairs_dropped, el.malformed_lines)
@@ -159,36 +159,80 @@ def test_edges_tsv_matches_oracle(tagged):
     check_parser_against_oracle(g.parse_edges_tsv, tagged)
 
 
+# names across the 8-byte key limit, and a router whose records all repeat it
+LINK_NAME = st.sampled_from(["N1", "N2", "N3", "N4", "N5", "N12345678", "N123456789", "N7"])
 LINK_MEMBER = st.tuples(
-    st.sampled_from(["N1", "N2", "N3", "N4", "N5", "N6"]),
+    LINK_NAME,
     st.one_of(
         st.just(""),
         st.tuples(*[st.integers(0, 255)] * 4).map(lambda q: ":" + ".".join(map(str, q))),
     ),
 )
-BAD_LINK = st.sampled_from(
-    ["garbage", "link N3 N4", "link L9:", "link L9: X1 N2", "link L9 N1 N2", "link L9: N1:1.2.3"]
-).map(lambda t: ("bad", None, t))
+LINK_SPACE = st.sampled_from([" ", "  ", "\t", " \t "])
+BAD_LINKS = [
+    "garbage", "link N3 N4", "link L9:", "link L9: X1 N2", "link L9 N1 N2", "link L9: N1:1.2.3",
+    # member grammar
+    "link L9: N1:1.2.3.4444", "link L9: N1:1..2.3", "link L9: N1:1.2.3.", "link L9: N:1.2.3.4",
+    "link L9: N1:", "link L9: n1", "link L9: N1a", "link L9: N1:1.2.3.4:5", "link L9: N1:1.2.3.4.5",
+    "link L9: N1:123.123.123.1234", "link L9: N:a.b:1.2.3.4",
+    # keywords and ids, and digits that are not ASCII
+    "lnk L9: N1 N2", "LINK L9: N1 N2", "links L9: N1 N2", "link L9 N1", "link : N1 N2",
+    "link L9: N\u0661 N1", "link L9: N1:\u0661.2.3.4 N2",
+]
+BAD_LINK = st.sampled_from(BAD_LINKS).map(lambda t: ("bad", None, t))
+LINK_SKIP = st.one_of(
+    SKIP, st.sampled_from(["  # indented", "\t#", "\r"]).map(lambda t: ("skip", None, t))
+)
 
 
 @st.composite
 def link_lines(draw):
     records = draw(st.lists(st.lists(LINK_MEMBER, min_size=1, max_size=5), min_size=1, max_size=6))
-    picks = draw(st.lists(st.one_of(st.integers(0, len(records) - 1), SKIP, BAD_LINK), max_size=20))
+    records.append([("N7", ""), ("N7", ":1.2.3.4")])  # one router, as its only record
+    picks = draw(st.lists(st.one_of(
+        st.tuples(st.integers(0, len(records) - 1), LINK_SPACE, st.sampled_from(["", " ", "\r"])),
+        LINK_SKIP,
+        BAD_LINK,
+    ), max_size=20))
     tagged = []
     for pick in picks:
-        if isinstance(pick, int):  # records repeat whenever an index is drawn twice
-            members = records[pick]
-            text = f"link L{pick}: " + " ".join(name + suffix for name, suffix in members)
-            pick = ("record", [name for name, _ in members], text)
+        if isinstance(pick[0], int):  # records repeat whenever an index is drawn twice
+            index, space, end = pick
+            members = records[index]
+            text = f"link L{index}:{space}" + space.join(name + suffix for name, suffix in members)
+            pick = ("record", [name for name, _ in members], text + end)
         tagged.append(pick)
     return tagged
 
 
-@given(link_lines())
+@given(link_lines(), st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_links_match_oracle(tagged):
-    check_parser_against_oracle(g.parse_links, tagged)
+def test_links_match_oracle(tagged, final_newline):
+    for block_chars in (16, 64, 1 << 20):  # reads cut through records at the first two
+        with mock.patch.object(g, "_BLOCK_CHARS", block_chars):
+            check_parser_against_oracle(g.parse_links, tagged, final_newline)
+            with mock.patch.object(g, "_bare_text", lambda block: None):  # every line per-line
+                check_parser_against_oracle(g.parse_links, tagged, final_newline)
+
+
+@pytest.mark.parametrize("bad", BAD_LINKS)
+def test_each_bad_link_line_is_malformed(bad):
+    text = f"link L1: N1 N2\n{bad}\nlink L2: N2 N3\n"
+    assert parse(text).malformed_lines == 1
+    with pytest.raises(g.ParseError) as exc:
+        parse(text, strict=True)
+    assert exc.value.line_no == 2
+
+
+@pytest.mark.parametrize("member", ["N\u0661", "N1:\u0661.2.3.4", "N1:1.2.3.\u0664", "N\uff11"])
+def test_member_digits_are_ascii(member):
+    text = f"link L1: N1 N2\nlink L2: {member} N1\n"
+    el = parse(text)
+    assert el.malformed_lines == 1
+    assert sorted(el.ids) == ["N1", "N2"]
+    with pytest.raises(g.ParseError) as exc:
+        parse(text, strict=True)
+    assert exc.value.line_no == 2
 
 
 # ---------------------------------------------------------------------------
@@ -481,17 +525,16 @@ def test_geo_region_without_country_rejected():
 
 
 def test_geo_level_tallies():
-    text = "N1\tUS\tMD\nN2\tUS\t\nN3\tFR\tIDF\n"
-    labels = g.parse_geo(io.StringIO(text))
-    names = ["N1", "N2", "N3", "N4", "N5"]
-    assert g.level_tallies(labels, names) == (2, 1, 2)
+    graph = g.build_graph(parse("link L1: N1 N2 N3 N4 N5\n"))
+    labels = g.parse_geo(io.StringIO("N1\tUS\tMD\nN2\tUS\t\nN3\tFR\tIDF\n"))
+    assert g.label_coverage(graph, labels)[:3] == (2, 1, 2)
 
 
 def test_geo_unmatched_names_reported():
     el = parse("link L1: N1 N2\n")
     graph = g.build_graph(el)
-    labels = g.parse_geo(io.StringIO("N1\tUS\t\nN99\tFR\t\n"))
-    assert g.unmatched_names(graph, labels) == ["N99"]
+    labels = g.parse_geo(io.StringIO("N1\tUS\tMD\nN99\tFR\tIDF\nN98\tDE\t\n"))
+    assert g.label_coverage(graph, labels) == (1, 0, 1, 2)
 
 
 def test_country_and_region_groups():
