@@ -3,9 +3,13 @@
 Stages: ingest -> features -> embed -> null -> test -> report, plus `synth`
 to fabricate labeled input graphs and `all` to run the whole chain.  Stages
 hand off the forms they compute: ``graph.bin`` (the binary adjacency cache)
-with the names in ``nodes.tsv``, and the float64 feature matrix in
-``features.npy``; ``edges.tsv`` and ``features.tsv`` are written for people
-and later stages never read them.  Every stage appends one line to
+with the names in ``nodes.tsv``; the labels, joined to the graph once, as
+each node's country and region code in ``label_codes.npy`` and the group keys
+those codes index in ``label_groups.tsv``; and the float64 feature matrix in
+``features.npy``.  ``features`` reads the graph, ``embed`` and ``null`` the
+features (and the codes under ``--labeled-only``), ``test`` the features and
+the codes.  ``edges.tsv``, ``labels.tsv`` and ``features.tsv`` are written for
+people and later stages never read them.  Every stage appends one line to
 ``run_manifest.tsv`` recording stage, version, seed, config and input/output
 digests; the wall-clock timestamp is isolated in the final column so two
 runs with identical config are byte-identical everywhere else.
@@ -41,7 +45,7 @@ from .embedding import (
     transform_all,
 )
 from .features import compute_all_features, write_features_tsv
-from .graph import ParseError
+from .graph import GEO_LEVELS, ParseError
 from .nullmodel import (
     DEFAULT_SET_SIZES,
     DEFAULT_SETS_PER_SIZE,
@@ -66,6 +70,8 @@ EDGES_TSV = "edges.tsv"
 NODES_TSV = "nodes.tsv"
 GRAPH_BIN = "graph.bin"
 LABELS_TSV = "labels.tsv"
+LABEL_CODES_NPY = "label_codes.npy"
+LABEL_GROUPS_TSV = "label_groups.tsv"
 FEATURES_TSV = "features.tsv"
 FEATURES_NPY = "features.npy"
 MODEL_FILE = "embedding_model.txt"
@@ -129,21 +135,47 @@ def _load_names(cfg: argparse.Namespace) -> list[str]:
     return names
 
 
-def _load_graph(cfg: argparse.Namespace, names: list[str] | None = None) -> gstore.Graph:
+def _load_graph(cfg: argparse.Namespace) -> gstore.Graph:
     graph_path = _require(cfg.out / GRAPH_BIN, "ingest")
-    if names is None:
-        names = _load_names(cfg)
-    return gstore.read_adjacency_cache(str(graph_path), names)
+    return gstore.read_adjacency_cache(str(graph_path), _load_names(cfg))
 
 
-def _load_labels(cfg: argparse.Namespace) -> gstore.GeoLabels:
-    labels_path = _require(cfg.out / LABELS_TSV, "ingest")
-    with open(labels_path, encoding="utf-8") as f:
-        return gstore.parse_geo(f, strict=cfg.strict)
+def _load_label_codes(
+    cfg: argparse.Namespace, n: int, inputs: list[Path]
+) -> tuple[np.ndarray, dict[str, list[str]], int]:
+    """Each node's country and region code, the group keys per level that they
+    index and the count of unmatched labeled names, checked against each other.
+    """
+    codes_path = _require(cfg.out / LABEL_CODES_NPY, "ingest")
+    table_path = _require(cfg.out / LABEL_GROUPS_TSV, "ingest")
+    inputs += [codes_path, table_path]
+    with open(table_path, encoding="utf-8", newline="") as f:
+        header, *lines = f.read().split("\n")  # keys may hold "\x85" or "\u2028"
+    prefix, _, unmatched = header.partition("=")
+    if prefix != "# unmatched" or not (unmatched.isascii() and unmatched.isdigit()):
+        raise ValueError(f"{table_path}: first line is not '# unmatched=<count>'")
+    if not lines or lines.pop() != "":
+        raise ValueError(f"{table_path}: last line is not newline-terminated")
+    tables: dict[str, list[str]] = {level: [] for level in GEO_LEVELS}
+    for line_no, line in enumerate(lines, start=2):
+        level, tab, key = line.partition("\t")
+        if level not in tables or not tab or not key:
+            raise ValueError(f"{table_path}: line {line_no} is not '<country|region><TAB><key>'")
+        tables[level].append(key)
+    codes = np.load(codes_path, allow_pickle=False)
+    if codes.dtype != np.int32 or codes.shape != (n, len(GEO_LEVELS)):
+        raise ValueError(
+            f"{codes_path}: {codes.dtype} array of shape {codes.shape}, expected int32"
+            f" of shape ({n}, {len(GEO_LEVELS)}) for the {n} names in {NODES_TSV}"
+        )
+    sizes = np.array([len(tables[level]) for level in GEO_LEVELS])
+    if np.any((codes < -1) | (codes >= sizes)):
+        raise ValueError(f"{codes_path}: codes outside [-1, table size) of {table_path.name}")
+    return codes, tables, int(unmatched)
 
 
-def _load_features(cfg: argparse.Namespace) -> tuple[list[str], np.ndarray]:
-    """Node names and their float64 feature rows, checked against each other."""
+def _load_features(cfg: argparse.Namespace) -> np.ndarray:
+    """The float64 feature rows, checked against the node names."""
     features_path = _require(cfg.out / FEATURES_NPY, "features")
     values = np.load(features_path, allow_pickle=False)
     names = _load_names(cfg)
@@ -152,31 +184,31 @@ def _load_features(cfg: argparse.Namespace) -> tuple[list[str], np.ndarray]:
             f"{features_path}: {values.dtype} array of shape {values.shape}, expected float64"
             f" of shape ({len(names)}, 4) for the {len(names)} names in {NODES_TSV}"
         )
-    return names, values
+    return values
 
 
-def _load_points(cfg: argparse.Namespace) -> tuple[list[str], np.ndarray]:
-    names, values = _load_features(cfg)
+def _load_points(cfg: argparse.Namespace) -> np.ndarray:
+    values = _load_features(cfg)
     model_path = _require(cfg.out / MODEL_FILE, "embed")
     with open(model_path, encoding="utf-8") as f:
         model = load_model(f)
-    return names, transform_all(model, values)
+    return transform_all(model, values)
 
 
-def _labeled_rows(
-    cfg: argparse.Namespace, names: list[str], rows: np.ndarray, inputs: list[Path]
-) -> np.ndarray:
-    """``rows`` cut to the geolocated nodes under ``--labeled-only``, which reads labels.tsv."""
+def _labeled_rows(cfg: argparse.Namespace, rows: np.ndarray, inputs: list[Path]) -> np.ndarray:
+    """``rows`` cut to the geolocated nodes under ``--labeled-only``."""
     if not cfg.labeled_only:
         return rows
-    labels = _load_labels(cfg)
-    inputs.append(cfg.out / LABELS_TSV)
-    return rows[[i for i, name in enumerate(names) if name in labels.country]]
+    codes = _load_label_codes(cfg, len(rows), inputs)[0]
+    return rows[codes[:, 0] >= 0]
 
 
 def _write_graph_artifacts(
     cfg: argparse.Namespace, graph: gstore.Graph, labels: gstore.GeoLabels | None
-) -> list[Path]:
+) -> tuple[list[Path], str]:
+    """Write the graph and the labels joined to it; return the paths written and
+    the label tallies for the manifest ("" without labels).
+    """
     edges_path = cfg.out / EDGES_TSV
     nodes_path = cfg.out / NODES_TSV
     graph_path = cfg.out / GRAPH_BIN
@@ -186,11 +218,28 @@ def _write_graph_artifacts(
         gstore.write_nodes_tsv(graph, f)
     gstore.write_adjacency_cache(graph, str(graph_path))
     outputs = [edges_path, nodes_path, graph_path]
-    if labels is not None:
-        outputs.append(cfg.out / LABELS_TSV)
-        with open(outputs[-1], "w", encoding="utf-8") as f:
-            gstore.write_geo_tsv(labels, f)
-    return outputs
+    if labels is None:
+        return outputs, ""
+    codes, countries, regions, unmatched = gstore.label_codes(graph, labels)
+    labels_path = cfg.out / LABELS_TSV
+    codes_path = cfg.out / LABEL_CODES_NPY
+    table_path = cfg.out / LABEL_GROUPS_TSV
+    with open(labels_path, "w", encoding="utf-8") as f:
+        gstore.write_geo_tsv(labels, f)
+    with open(codes_path, "wb") as f:
+        np.save(f, codes)
+    with open(table_path, "w", encoding="utf-8") as f:
+        f.write(f"# unmatched={unmatched}\n")
+        for level, table in zip(GEO_LEVELS, (countries, regions)):
+            f.writelines(f"{level}\t{key}\n" for key in table)
+    none = int(np.count_nonzero(codes[:, 0] < 0))
+    both = int(np.count_nonzero(codes[:, 1] >= 0))
+    tallies = (
+        f" geo_none={none} geo_country={graph.n - none - both} geo_region={both}"
+        f" geo_rejected={labels.rejected} geo_duplicates={labels.duplicates}"
+        f" geo_unmatched={unmatched}"
+    )
+    return outputs + [labels_path, codes_path, table_path], tallies
 
 
 # ---------------------------------------------------------------------------
@@ -221,15 +270,8 @@ def _stage_ingest(cfg: argparse.Namespace) -> None:
     if cfg.geo is not None:
         with open(cfg.geo, encoding="utf-8") as f:
             labels = gstore.parse_geo(f, strict=cfg.strict)
-    outputs = _write_graph_artifacts(cfg, graph, labels)
-    if labels is not None:
-        none, country_only, both, unmatched = gstore.label_coverage(graph, labels)
-        info += (
-            f" geo_none={none} geo_country={country_only} geo_region={both}"
-            f" geo_rejected={labels.rejected} geo_duplicates={labels.duplicates}"
-            f" geo_unmatched={unmatched}"
-        )
-    _append_manifest(cfg, "ingest", f"strict={int(cfg.strict)}", inputs, outputs, info)
+    outputs, tallies = _write_graph_artifacts(cfg, graph, labels)
+    _append_manifest(cfg, "ingest", f"strict={int(cfg.strict)}", inputs, outputs, info + tallies)
 
 
 def _stage_features(cfg: argparse.Namespace) -> None:
@@ -249,9 +291,9 @@ def _stage_features(cfg: argparse.Namespace) -> None:
 
 
 def _stage_embed(cfg: argparse.Namespace) -> None:
-    names, values = _load_features(cfg)
+    values = _load_features(cfg)
     inputs = [cfg.out / FEATURES_NPY, cfg.out / NODES_TSV]
-    model = fit_embedding(_labeled_rows(cfg, names, values, inputs), eig_tol=cfg.eig_tol)
+    model = fit_embedding(_labeled_rows(cfg, values, inputs), eig_tol=cfg.eig_tol)
     out_path = cfg.out / MODEL_FILE
     with open(out_path, "w", encoding="utf-8") as f:
         save_model(model, f)
@@ -267,9 +309,9 @@ def _stage_embed(cfg: argparse.Namespace) -> None:
 
 
 def _stage_null(cfg: argparse.Namespace) -> None:
-    names, points = _load_points(cfg)
+    points = _load_points(cfg)
     inputs = [cfg.out / FEATURES_NPY, cfg.out / NODES_TSV, cfg.out / MODEL_FILE]
-    points = _labeled_rows(cfg, names, points, inputs)
+    points = _labeled_rows(cfg, points, inputs)
     config = NullSamplingConfig(
         set_sizes=cfg.sizes,
         sets_per_size=cfg.sets,
@@ -295,17 +337,17 @@ def _stage_null(cfg: argparse.Namespace) -> None:
 
 
 def _stage_test(cfg: argparse.Namespace) -> None:
-    names, points = _load_points(cfg)
+    points = _load_points(cfg)
     null_path = _require(cfg.out / NULL_MODEL_TSV, "null")
     with open(null_path, encoding="utf-8") as f:
         null_model = read_null_model_tsv(f)
-    labels = _load_labels(cfg)
-    graph = _load_graph(cfg, names)
-    builders = {"country": gstore.country_groups, "region": gstore.region_groups}
-    levels = ("country", "region") if cfg.level == "both" else (cfg.level,)
-    memberships = {level: builders[level](graph, labels) for level in levels}
-    unmatched = gstore.label_coverage(graph, labels)[3]
-    del graph, names  # not needed while group pairs are sampled
+    inputs = [cfg.out / FEATURES_NPY, cfg.out / NODES_TSV, cfg.out / MODEL_FILE, null_path]
+    codes, tables, unmatched = _load_label_codes(cfg, len(points), inputs)
+    levels = GEO_LEVELS if cfg.level == "both" else (cfg.level,)
+    memberships = {
+        level: gstore.code_groups(codes[:, GEO_LEVELS.index(level)], tables[level])
+        for level in levels
+    }
     empty = [level for level in levels if not memberships[level]]
     if len(empty) == len(levels):
         raise ValueError(f"no {'- or '.join(empty)}-level groups found in labels")
@@ -348,15 +390,7 @@ def _stage_test(cfg: argparse.Namespace) -> None:
     )
     if empty:
         info += f" empty_levels={','.join(empty)}"
-    _append_manifest(
-        cfg,
-        "test",
-        desc,
-        [cfg.out / FEATURES_NPY, cfg.out / NODES_TSV, cfg.out / GRAPH_BIN, cfg.out / MODEL_FILE,
-         null_path, cfg.out / LABELS_TSV],
-        [out_path],
-        info,
-    )
+    _append_manifest(cfg, "test", desc, inputs, [out_path], info)
 
 
 def _stage_report(cfg: argparse.Namespace) -> None:
@@ -405,7 +439,7 @@ def _stage_synth(cfg: argparse.Namespace) -> None:
         )
         desc += f" random_groups={cfg.random_groups}"
 
-    outputs = _write_graph_artifacts(cfg, graph, labels)
+    outputs, _ = _write_graph_artifacts(cfg, graph, labels)
     _append_manifest(cfg, "synth", desc, [], outputs, f"n={graph.n} m={graph.m}")
 
 

@@ -27,6 +27,7 @@ line goes through a per-line body.  Both give the same graph and counters.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import re
@@ -49,9 +50,11 @@ __all__ = [
     "parse_geo",
     "build_graph",
     "graph_from_id_edges",
+    "GEO_LEVELS",
+    "label_codes",
+    "code_groups",
     "country_groups",
     "region_groups",
-    "label_coverage",
     "write_edges_tsv",
     "write_nodes_tsv",
     "write_geo_tsv",
@@ -123,7 +126,11 @@ class Graph:
     indices: np.ndarray
     degrees: np.ndarray
     names: tuple[str, ...]
-    name_to_id: dict[str, int] = field(repr=False)
+
+    @functools.cached_property
+    def name_to_id(self) -> dict[str, int]:
+        """Each name's id, built on first use: only the label join reads it."""
+        return dict(zip(self.names, range(self.n)))
 
     def neighbors(self, node: int) -> np.ndarray:
         """Sorted neighbor ids of ``node``."""
@@ -150,13 +157,17 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _ascending(names: Sequence[str]) -> bool:
+    """Whether ``names`` is strictly ascending: sorted, and so distinct."""
+    return all(map(operator.lt, names, itertools.islice(names, 1, None)))
+
+
 def _make_graph(names: Sequence[str], m: int, degrees: np.ndarray, indices: np.ndarray) -> Graph:
     """Final construction shared by every path that yields a :class:`Graph`."""
+    if not _ascending(names):
+        raise ValueError("node names are not distinct and in ascending order")
     indptr = np.zeros(len(names) + 1, dtype=np.int64)
     np.cumsum(degrees, out=indptr[1:])
-    name_to_id = {name: i for i, name in enumerate(names)}
-    if len(name_to_id) != len(names):
-        raise ValueError("node names are not distinct")
     return Graph(
         n=len(names),
         m=m,
@@ -164,15 +175,15 @@ def _make_graph(names: Sequence[str], m: int, degrees: np.ndarray, indices: np.n
         indices=_freeze(indices),
         degrees=_freeze(degrees),
         names=tuple(names),
-        name_to_id=name_to_id,
     )
 
 
 def graph_from_id_edges(names: Sequence[str], src: ArrayLike, dst: ArrayLike) -> Graph:
     """Assemble the adjacency structure on ``names`` (in id order) from id pairs.
 
-    Each unordered pair must appear once and join two distinct ids in
-    [0, len(names)); raises ``ValueError`` otherwise.
+    ``names`` must be strictly ascending, and each unordered pair must appear
+    once and join two distinct ids in [0, len(names)); raises ``ValueError``
+    otherwise.
     """
     n = len(names)
     src = np.asarray(src, dtype=np.int64)
@@ -211,7 +222,7 @@ def build_graph(edge_list: EdgeList) -> Graph:
     src, dst = edge_list.src, edge_list.dst
     # an all-keyed parse of a links file or edge TSV numbers in name order
     # already; only a parse that took the per-line body relabels
-    if not all(map(operator.lt, names, itertools.islice(names, 1, None))):
+    if not _ascending(names):
         by_name = sorted(range(len(names)), key=names.__getitem__)
         relabel = np.empty(len(names), dtype=np.int64)
         relabel[by_name] = np.arange(len(names), dtype=np.int64)
@@ -668,35 +679,64 @@ def parse_geo(stream: Iterable[str], strict: bool = False) -> GeoLabels:
 # label / graph joins
 # ---------------------------------------------------------------------------
 
-def label_coverage(graph: Graph, labels: GeoLabels) -> tuple[int, int, int, int]:
-    """Counts of the graph's (unlabeled, country-only, country-and-region) names,
-    and of labeled names that do not occur in the graph (reported, not fatal).
+GEO_LEVELS = ("country", "region")  # the code columns of label_codes, in order
+
+
+def _code_column(graph: Graph, keyed: Iterable[tuple[str, str]]) -> tuple[np.ndarray, list[str]]:
+    """Each node's code (-1 = none) in the sorted table of the group keys of its
+    ``(name, group key)`` pair, and that table; names not in the graph are left out.
     """
-    in_graph = graph.name_to_id.__contains__
-    matched = sum(map(in_graph, labels.country))
-    both = sum(map(in_graph, labels.region))  # region names are country names
-    return graph.n - matched, matched - both, both, len(labels.country) - matched
-
-
-def _groups(graph: Graph, keyed: Iterable[tuple[str, str]]) -> dict[str, np.ndarray]:
-    """Sorted node-id sets of the graph's names, from ``(name, group key)`` pairs."""
-    groups: dict[str, list[int]] = {}
+    get = graph.name_to_id.get
+    nodes, keys = [], []
     for name, key in keyed:
-        node = graph.name_to_id.get(name)
+        node = get(name)
         if node is not None:
-            groups.setdefault(key, []).append(node)
-    return {k: np.array(sorted(v), dtype=np.int64) for k, v in sorted(groups.items())}
+            nodes.append(node)
+            keys.append(key)
+    table = sorted(set(keys))
+    code = dict(zip(table, range(len(table))))
+    column = np.full(graph.n, -1, dtype=np.int32)
+    column[nodes] = np.fromiter(map(code.__getitem__, keys), np.int32, len(keys))
+    return column, table
+
+
+def label_codes(graph: Graph, labels: GeoLabels) -> tuple[np.ndarray, list[str], list[str], int]:
+    """Join ``labels`` to the graph's names, once.
+
+    Returns an (n, 2) ``int32`` array of each node's country and
+    ``country/region`` code in id order (-1 = none), the sorted country and
+    region key tables those codes index (only groups with a node in the
+    graph), and the count of labeled names not in the graph (reported, not
+    fatal).
+    """
+    codes = np.empty((graph.n, len(GEO_LEVELS)), dtype=np.int32)
+    codes[:, 0], countries = _code_column(graph, labels.country.items())
+    keyed = ((name, f"{labels.country[name]}/{region}") for name, region in labels.region.items())
+    codes[:, 1], regions = _code_column(graph, keyed)
+    unmatched = len(labels.country) - int(np.count_nonzero(codes[:, 0] >= 0))
+    return codes, countries, regions, unmatched
+
+
+def code_groups(column: np.ndarray, table: Sequence[str]) -> dict[str, np.ndarray]:
+    """Sorted node-id sets keyed by ``table``, from each node's code in it (-1 = none).
+
+    One stable sort puts the nodes of each code together, in id order.
+    """
+    order = np.argsort(column, kind="stable")
+    sizes = np.bincount(column + 1, minlength=len(table) + 1)
+    return dict(zip(table, np.split(order, np.cumsum(sizes[:-1]))[1:]))
 
 
 def country_groups(graph: Graph, labels: GeoLabels) -> dict[str, np.ndarray]:
     """Node-id sets keyed by country code."""
-    return _groups(graph, labels.country.items())
+    codes, countries, _, _ = label_codes(graph, labels)
+    return code_groups(codes[:, 0], countries)
 
 
 def region_groups(graph: Graph, labels: GeoLabels) -> dict[str, np.ndarray]:
     """Node-id sets keyed by ``country/region``."""
-    keyed = ((name, f"{labels.country[name]}/{region}") for name, region in labels.region.items())
-    return _groups(graph, keyed)
+    codes, _, regions, _ = label_codes(graph, labels)
+    return code_groups(codes[:, 1], regions)
 
 
 # ---------------------------------------------------------------------------
@@ -756,7 +796,8 @@ def read_adjacency_cache(path: str, names: Sequence[str]) -> Graph:
 
     Raises ``ValueError`` for a file that is not a cache, whose length does
     not match its header, whose degrees do not sum to 2m, whose neighbor ids
-    fall outside [0, n), or whose node count differs from ``len(names)``.
+    fall outside [0, n), or whose node count differs from ``len(names)``, and
+    for ``names`` that are not strictly ascending.
     """
     with open(path, "rb") as f:
         data = f.read()

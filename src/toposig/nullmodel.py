@@ -250,10 +250,8 @@ def summarize(results: Sequence[GroupTestResult]) -> SignificanceSummary:
     if not results:
         raise ValueError("no results to summarize")
     z = np.array([r.z for r in results])
-    counts = np.zeros(2 * _HIST_CLAMP, dtype=np.int64)
     bins = np.clip(np.floor(z).astype(np.int64), -_HIST_CLAMP, _HIST_CLAMP - 1) + _HIST_CLAMP
-    for b in bins:
-        counts[b] += 1
+    counts = np.bincount(bins, minlength=2 * _HIST_CLAMP)
     histogram = tuple(
         (lo, lo + 1, int(counts[lo + _HIST_CLAMP])) for lo in range(-_HIST_CLAMP, _HIST_CLAMP)
     )

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,7 +33,10 @@ CORE_ARTIFACTS = (
     cli.RESULTS_TSV,
     cli.SUMMARY_TSV,
 )
-INGEST_ARTIFACTS = (cli.EDGES_TSV, cli.NODES_TSV, cli.GRAPH_BIN, cli.LABELS_TSV, cli.MANIFEST)
+INGEST_ARTIFACTS = (
+    cli.EDGES_TSV, cli.NODES_TSV, cli.GRAPH_BIN, cli.LABELS_TSV, cli.LABEL_CODES_NPY,
+    cli.LABEL_GROUPS_TSV, cli.MANIFEST,
+)
 
 
 def run(args):
@@ -205,7 +209,46 @@ def test_missing_labels_for_test_stage_exits_2(tmp_path):
     assert run(["features", "--out", tmp_path]) == 0
     assert run(["embed", "--out", tmp_path]) == 0
     assert run(["null", "--out", tmp_path, "--sizes", "10,20,50", "--sets", "10"]) == 0
-    assert run(["test", "--out", tmp_path]) == 2  # no labels.tsv
+    assert run(["test", "--out", tmp_path]) == 2  # no label codes
+
+
+def resave_codes(out, change):
+    path = out / cli.LABEL_CODES_NPY
+    np.save(path, change(np.load(path)))
+
+
+def set_code(codes, value):
+    codes[0, 0] = value
+    return codes
+
+
+def append_table_line(out, line):
+    with open(out / cli.LABEL_GROUPS_TSV, "a", encoding="utf-8") as f:
+        f.write(line)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda out: resave_codes(out, lambda c: c.astype(np.int64)), "expected int32"),
+    (lambda out: resave_codes(out, lambda c: c[:-1]), "expected int32 of shape (200, 2)"),
+    (lambda out: resave_codes(out, lambda c: c[:, :1].copy()), "expected int32 of shape (200, 2)"),
+    (lambda out: resave_codes(out, lambda c: set_code(c, 6)), "codes outside"),
+    (lambda out: resave_codes(out, lambda c: set_code(c, -2)), "codes outside"),
+    (lambda out: append_table_line(out, "city\tX\n"), "line 14 is not"),
+    (lambda out: append_table_line(out, "country\n"), "line 14 is not"),
+    (lambda out: append_table_line(out, "country\tX"), "not newline-terminated"),
+    (lambda out: (out / cli.LABEL_GROUPS_TSV).write_text("country\tX\n"), "first line"),
+    (lambda out: (out / cli.LABEL_CODES_NPY).unlink(), "produced by the 'ingest' stage"),
+    (lambda out: (out / cli.LABEL_GROUPS_TSV).unlink(), "produced by the 'ingest' stage"),
+], ids=["dtype", "rows", "columns", "code-past-table", "code-below-none", "bad-level",
+        "no-key", "no-newline", "no-header", "missing-codes", "missing-table"])
+def test_malformed_label_artifacts_exit_2(tmp_path, capsys, corrupt, message):
+    # the fixture's table holds 6 countries and 6 regions, on lines 2 to 13
+    run_stages(tmp_path, "ingest", "features", "embed", "null")
+    corrupt(tmp_path)
+    assert run(["test"] + fixture_args(tmp_path)[1:]) == 2
+    assert message in capsys.readouterr().err
+    assert run(["embed", "--labeled-only", "--out", tmp_path]) == 2
+    assert not (tmp_path / cli.RESULTS_TSV).exists()
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +430,16 @@ def null_samples_text(points):
     return out.getvalue()
 
 
+def label_codes_of(out):
+    """``label_codes.npy`` and ``label_groups.tsv`` of ``out`` as a name -> key dict per level."""
+    names = cli._load_names(parsed_args("test", out))
+    codes, tables, _ = cli._load_label_codes(parsed_args("test", out), len(names), [])
+    return [
+        {name: tables[level][code] for name, code in zip(names, codes[:, column]) if code >= 0}
+        for column, level in enumerate(gstore.GEO_LEVELS)
+    ]
+
+
 def test_labeled_only_fits_and_samples_the_labeled_rows(tmp_path):
     geo = tmp_path / "half.geo"
     lines = FIXTURE_GEO.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -407,7 +460,8 @@ def test_labeled_only_fits_and_samples_the_labeled_rows(tmp_path):
     assert (out / cli.NULL_SAMPLES_TSV).read_text(encoding="utf-8") == null_samples_text(points)
     for stage in ("embed", "null"):
         desc, inputs, _ = manifest_fields(out, stage)
-        assert "labeled_only=1" in desc and f"{cli.LABELS_TSV}:" in inputs
+        assert "labeled_only=1" in desc and f"{cli.LABEL_CODES_NPY}:" in inputs
+        assert f"{cli.LABEL_GROUPS_TSV}:" in inputs and f"{cli.LABELS_TSV}:" not in inputs
 
 
 def test_eig_tol_drops_small_components(tmp_path):
@@ -491,8 +545,8 @@ def test_geo_name_with_edge_whitespace_meets_its_node(tmp_path):
     ingest_line = (out / cli.MANIFEST).read_text(encoding="utf-8").splitlines()[0]
     info = ingest_line.split("\t")[6].split()
     assert "geo_country=2" in info and "geo_unmatched=0" in info
-    # labels.tsv keeps the name, so the test stage reads back the same label
-    assert cli._load_labels(parsed_args("test", out)).country == {"x ": "US", "c": "US"}
+    # the label codes join the name as the graph keeps it
+    assert label_codes_of(out) == [{"x ": "US", "c": "US"}, {}]
     for stage in (["features"], ["embed"], ["null", "--sizes", "2,3,4", "--sets", "20"], ["test"]):
         assert run([*stage, "--out", out]) == 0
     rows = [line.split("\t") for line in (out / cli.RESULTS_TSV).read_text().splitlines()
@@ -512,8 +566,7 @@ def test_ingest_reports_duplicate_geo_records(tmp_path):
     assert "geo_duplicates=1" in info
     # the last record wins, region and all
     assert "geo_country=1" in info and "geo_region=0" in info
-    labels = cli._load_labels(parsed_args("test", out))
-    assert (labels.country, labels.region) == ({"N1": "FR"}, {})
+    assert label_codes_of(out) == [{"N1": "FR"}, {}]
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +592,32 @@ def test_features_stage_sees_the_ingested_graph(tmp_path):
     assert (graph.n, graph.m) == (6, 5)
     assert "#a" in graph.names and "x " in graph.names
     assert np.load(tmp_path / cli.FEATURES_NPY).shape == (6, 4)
+
+
+def test_later_stages_read_no_tsv_and_no_graph(tmp_path):
+    full, isolated = tmp_path / "full", tmp_path / "isolated"
+    for out in (full, isolated):
+        run_stages(out, "ingest", "features")
+    for name in (cli.LABELS_TSV, cli.EDGES_TSV, cli.FEATURES_TSV, cli.GRAPH_BIN):
+        (isolated / name).unlink()
+    later = (["embed", "--labeled-only"], ["null", "--labeled-only"], ["test"])
+    for out in (full, isolated):
+        with mock.patch.object(gstore, "parse_geo", side_effect=AssertionError("geo re-parsed")):
+            for stage, *flags in later:
+                assert run([stage] + fixture_args(out)[1:] + flags) == 0, stage
+    for name in (cli.MODEL_FILE, cli.NULL_SAMPLES_TSV, cli.NULL_MODEL_TSV, cli.RESULTS_TSV):
+        assert (isolated / name).read_bytes() == (full / name).read_bytes(), name
+
+
+def test_no_stage_after_ingest_lists_a_people_artifact_as_input(tmp_path):
+    assert run(fixture_args(tmp_path) + ["--labeled-only"]) == 0
+    lines = [line.split("\t") for line in (tmp_path / cli.MANIFEST).read_text().splitlines()]
+    assert [fields[0] for fields in lines] == list(cli.ALL_CHAIN)
+    for fields in lines[1:]:
+        inputs = {item.split(":")[0] for item in fields[4].split(";")}
+        assert not inputs & {cli.LABELS_TSV, cli.EDGES_TSV, cli.FEATURES_TSV}, fields[0]
+        if fields[0] == "test":
+            assert cli.GRAPH_BIN not in inputs
 
 
 # names may hold "#", spaces, "\x85" and "\u2028"; ingest strips each line's

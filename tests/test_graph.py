@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toposig import graph as g
@@ -524,17 +524,30 @@ def test_geo_region_without_country_rejected():
     assert labels.country == {"N2": "US"}
 
 
+def level_tallies(codes):
+    """Counts of (unlabeled, country-only, country-and-region) nodes."""
+    none = int(np.sum(codes[:, 0] < 0))
+    both = int(np.sum(codes[:, 1] >= 0))
+    return none, len(codes) - none - both, both
+
+
 def test_geo_level_tallies():
     graph = g.build_graph(parse("link L1: N1 N2 N3 N4 N5\n"))
     labels = g.parse_geo(io.StringIO("N1\tUS\tMD\nN2\tUS\t\nN3\tFR\tIDF\n"))
-    assert g.label_coverage(graph, labels)[:3] == (2, 1, 2)
+    codes, countries, regions, unmatched = g.label_codes(graph, labels)
+    assert level_tallies(codes) == (2, 1, 2)
+    assert (countries, regions, unmatched) == (["FR", "US"], ["FR/IDF", "US/MD"], 0)
+    assert codes.tolist() == [[1, 1], [1, -1], [0, 0], [-1, -1], [-1, -1]]
 
 
 def test_geo_unmatched_names_reported():
     el = parse("link L1: N1 N2\n")
     graph = g.build_graph(el)
     labels = g.parse_geo(io.StringIO("N1\tUS\tMD\nN99\tFR\tIDF\nN98\tDE\t\n"))
-    assert g.label_coverage(graph, labels) == (1, 0, 1, 2)
+    codes, countries, regions, unmatched = g.label_codes(graph, labels)
+    assert level_tallies(codes) == (1, 0, 1) and unmatched == 2
+    # the tables hold only groups with a node in the graph
+    assert (countries, regions) == (["US"], ["US/MD"])
 
 
 def test_country_and_region_groups():
@@ -546,6 +559,52 @@ def test_country_and_region_groups():
     assert len(cg["US"]) == 3
     rg = g.region_groups(graph, labels)
     assert set(rg) == {"US/MD", "US/VA"}
+
+
+def dict_groups(graph, keyed):
+    """Sorted node-id sets of the graph's names from ``(name, group key)`` pairs,
+    built with a dict: the reference for ``label_codes`` + ``code_groups``.
+    """
+    groups = {}
+    for name, key in keyed:
+        node = graph.name_to_id.get(name)
+        if node is not None:
+            groups.setdefault(key, []).append(node)
+    return {k: np.array(sorted(v), dtype=np.int64) for k, v in sorted(groups.items())}
+
+
+GRAPH_NAMES = [f"N{i}" for i in range(8)]
+LABEL_RECORDS = st.dictionaries(
+    st.sampled_from(GRAPH_NAMES + ["X1", "X2"]),  # X1, X2 are not in the graph
+    st.tuples(st.sampled_from(["US", "FR", "DE"]), st.sampled_from(["", "MD", "VA"])),
+    max_size=10,
+)
+
+
+# unmatched names, countries without a region, and an empty region level at once
+@example({"X1": ("US", "MD"), "N1": ("FR", ""), "N5": ("US", "")})
+@given(LABEL_RECORDS)
+@settings(max_examples=100, deadline=None)
+def test_label_codes_groups_match_dict_groups(records):
+    graph = g.graph_from_id_edges(GRAPH_NAMES, [0, 1, 2], [1, 2, 7])
+    labels = g.GeoLabels(
+        country={name: country for name, (country, _) in records.items()},
+        region={name: region for name, (_, region) in records.items() if region},
+    )
+    codes, countries, regions, unmatched = g.label_codes(graph, labels)
+    assert codes.dtype == np.int32 and codes.shape == (graph.n, 2)
+    assert unmatched == sum(name not in graph.name_to_id for name in records)
+    region_keyed = [(name, f"{labels.country[name]}/{r}") for name, r in labels.region.items()]
+    for column, table, keyed, library in (
+        (0, countries, labels.country.items(), g.country_groups(graph, labels)),
+        (1, regions, region_keyed, g.region_groups(graph, labels)),
+    ):
+        expected = dict_groups(graph, keyed)
+        assert table == list(expected)
+        for got in (g.code_groups(codes[:, column], table), library):
+            assert list(got) == list(expected)
+            for key, nodes in got.items():
+                assert nodes.dtype == np.int64 and np.array_equal(nodes, expected[key])
 
 
 def test_geo_round_trip():
@@ -568,6 +627,7 @@ def test_adjacency_cache_round_trip(tmp_path):
     again = g.read_adjacency_cache(str(path), graph.names)
     assert again.equals(graph)
     assert np.array_equal(again.degrees, graph.degrees)
+    assert "name_to_id" not in vars(again)  # built on first use only
     assert again.name_to_id == graph.name_to_id
     assert not again.indices.flags.writeable
 
@@ -603,3 +663,5 @@ def test_adjacency_cache_rejects_inconsistent_files(tmp_path):
         g.read_adjacency_cache(str(path), graph.names[:-1])
     with pytest.raises(ValueError, match="distinct"):
         g.read_adjacency_cache(str(path), graph.names[:-1] + graph.names[:1])
+    with pytest.raises(ValueError, match="distinct"):  # distinct, but out of order
+        g.read_adjacency_cache(str(path), graph.names[::-1])
