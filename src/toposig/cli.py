@@ -127,12 +127,8 @@ def _require(path: Path, producer: str) -> Path:
 def _load_names(cfg: argparse.Namespace) -> list[str]:
     """Node names in id order, exactly as ``write_nodes_tsv`` wrote them."""
     path = _require(cfg.out / NODES_TSV, "ingest")
-    # split on "\n" alone: names may hold "#", edge whitespace, "\x85" or "\u2028"
     with open(path, encoding="utf-8", newline="") as f:
-        names = f.read().split("\n")
-    if names.pop() != "":
-        raise ValueError(f"{path}: last line is not newline-terminated")
-    return names
+        return gstore.read_nodes_tsv(f)
 
 
 def _load_graph(cfg: argparse.Namespace) -> gstore.Graph:
@@ -219,6 +215,9 @@ def _write_graph_artifacts(
     gstore.write_adjacency_cache(graph, str(graph_path))
     outputs = [edges_path, nodes_path, graph_path]
     if labels is None:
+        # a label handoff left by an earlier run would be scored against this graph
+        for name in (LABELS_TSV, LABEL_CODES_NPY, LABEL_GROUPS_TSV):
+            (cfg.out / name).unlink(missing_ok=True)
         return outputs, ""
     codes, countries, regions, unmatched = gstore.label_codes(graph, labels)
     labels_path = cfg.out / LABELS_TSV
@@ -253,7 +252,9 @@ def _stage_ingest(cfg: argparse.Namespace) -> None:
         source, parse = cfg.edges, gstore.parse_edges_tsv
     else:
         raise FileNotFoundError("missing input: pass --links or --edges to ingest")
-    inputs = [_require(path, "input") for path in (source, cfg.geo) if path is not None]
+    inputs = [path for path in (source, cfg.geo) if path is not None]
+    if missing := [path for path in inputs if not path.exists()]:
+        raise FileNotFoundError(f"missing input file {missing[0]}")
     with open(source, encoding="utf-8") as f:
         edge_list = parse(f, strict=cfg.strict)
     graph = gstore.build_graph(edge_list)

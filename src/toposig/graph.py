@@ -15,14 +15,17 @@ clique-expanded: a record naming r distinct routers contributes all C(r, 2)
 unordered pairs.  Self-pairs and duplicate pairs are dropped with counters.
 
 Canonical edge TSV: ``name_a<TAB>name_b`` with ``name_a < name_b``, rows
-sorted.  Node list TSV: one name per line, sorted (carries isolated nodes
-that the edge TSV cannot).  Geo TSV: ``name<TAB>country<TAB>region`` with
-region optionally empty.
+sorted.  Node list TSV: each name verbatim on its own newline-terminated
+line, sorted (carries isolated nodes that the edge TSV cannot).  Geo TSV:
+``name<TAB>country<TAB>region`` with region optionally empty.
 
-The links file and the edge TSV are read in blocks of whole lines.  Lines
-that numpy can check in bulk keep their names of at most 8 bytes as
-``uint64`` keys, interned by one sort at the end of the file; every other
-line goes through a per-line body.  Both give the same graph and counters.
+The links file and the edge TSV are read through one block reader,
+:func:`_blocks`, which yields whole lines.  Lines that numpy can check in
+bulk keep their names of at most 8 bytes as ``uint64`` keys, interned by one
+sort at the end of the file; every other line goes through its format's
+per-line body.  Both give the same graph and counters.  The node list has
+one reader, :func:`read_nodes_tsv`, the exact inverse of
+:func:`write_nodes_tsv`.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import re
 import struct
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -47,6 +50,7 @@ __all__ = [
     "parse_links",
     "parse_edges_tsv",
     "parse_nodes_tsv",
+    "read_nodes_tsv",
     "parse_geo",
     "build_graph",
     "graph_from_id_edges",
@@ -91,12 +95,13 @@ class EdgeList:
         self.duplicate_pairs_dropped = 0
         self.malformed_lines = 0
 
-    def finalize(self, pairs: np.ndarray | array) -> None:
-        """Keep each distinct pair of the flat ``a, b, a, b, ...`` int64 id array once.
+    def finalize(self, parts: list[np.ndarray]) -> EdgeList:
+        """Keep each distinct pair of the flat ``a, b, a, b, ...`` int64 id arrays ``parts`` once.
 
-        Self-pairs are dropped and counted.
+        Self-pairs are dropped and counted; a lone non-empty part is not copied.
         """
-        flat = np.asarray(pairs, dtype=np.int64)
+        parts = [part for part in parts if len(part)]
+        flat = parts[0] if len(parts) == 1 else np.concatenate([np.empty(0, np.int64), *parts])
         a, b = flat[0::2], flat[1::2]
         keep = a != b
         self.self_pairs_dropped += len(keep) - int(np.count_nonzero(keep))
@@ -109,6 +114,7 @@ class EdgeList:
         self.raw_pair_count = len(a)
         self.duplicate_pairs_dropped = len(a) - len(keys)
         self.src, self.dst = np.divmod(keys, width)
+        return self
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,12 +243,25 @@ def build_graph(edge_list: EdgeList) -> Graph:
 
 # characters read per block of a links file or edge TSV.  A block's tokens are
 # all alive at once; at 8 MB they left a fragmented heap (ingest peak 894
-# against 640 MB at 1 MB on 1M nodes / 5M edges) and parsed no faster.  Each
-# parser writes the read loop out: read through a shared generator or iterator
-# class, the `all` peak RSS on 100k nodes / 500k edges read 143-147 MB in some
-# runs against 128-131 MB inline (malloc's adaptive mmap threshold: with a
-# fixed one every form read 125-127 MB).
+# against 640 MB at 1 MB on 1M nodes / 5M edges) and parsed no faster.
 _BLOCK_CHARS = 1 << 20
+
+
+def _blocks(stream: TextIO) -> Iterator[tuple[str, int]]:
+    """Each block of whole lines of ``stream``, with the number of its first line.
+
+    Every block ends in a newline; one is added after a last line that lacks it.
+    """
+    line_no, rest = 1, ""
+    while text := stream.read(_BLOCK_CHARS):
+        block = rest + text
+        cut = block.rfind("\n") + 1
+        block, rest = block[:cut], block[cut:]
+        if block:
+            yield block, line_no
+            line_no += block.count("\n")
+    if rest:
+        yield rest + "\n", line_no
 
 
 def _name_keys(raw: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -285,17 +304,6 @@ def _intern_keys(keyed: list[np.ndarray], ids: dict[str, int]) -> np.ndarray:
         return key_ids
     remap = np.fromiter((ids.setdefault(name, len(ids)) for name in names), np.int64, len(names))
     return remap[key_ids]
-
-
-def _finalize(edge_list: EdgeList, parts: list[np.ndarray]) -> EdgeList:
-    """Finalize ``edge_list`` on the flat id pairs of ``parts``;
-    a lone non-empty part is not copied.
-    """
-    parts = [part for part in parts if len(part)]
-    if len(parts) != 1:
-        parts = [np.concatenate([np.empty(0, dtype=np.int64), *parts])]
-    edge_list.finalize(parts.pop())
-    return edge_list
 
 
 # ---------------------------------------------------------------------------
@@ -488,34 +496,20 @@ def parse_links(stream: TextIO, strict: bool = False) -> EdgeList:
     edge_list = EdgeList()
     parts = []  # flat id pairs of the per-line lines
     keyed, arities = [], []  # member keys and arity of the keyed records
-    line_no, rest = 1, ""
-    while True:
-        text = stream.read(_BLOCK_CHARS)
-        if text:
-            block = rest + text
-            cut = block.rfind("\n") + 1
-            block, rest = block[:cut], block[cut:]
-        elif rest:
-            block, rest = rest + "\n", ""  # the last line has no newline
-        else:
-            break
-        if not block:
-            continue
+    for block, line_no in _blocks(stream):
         raw = _bare_text(block)
-        if raw is None:
-            parts.append(_link_records(block.split("\n"), line_no, edge_list, strict))
-        else:
+        runs = [(0, 0, len(block))]  # not bare: the whole block is one per-line run
+        if raw is not None:
             keys, arity, runs = _link_lines(raw)
             keyed.append(keys)
             arities.append(arity)
-            for first, start, stop in runs:
-                lines = block[start:stop].split("\n")
-                parts.append(_link_records(lines, line_no + first, edge_list, strict))
-        line_no += block.count("\n")
+        for first, start, stop in runs:
+            lines = block[start:stop].split("\n")
+            parts.append(_link_records(lines, line_no + first, edge_list, strict))
     if keyed:
         members = _intern_keys(keyed, edge_list.ids)
         parts += _clique_pairs(members, np.concatenate(arities), edge_list)
-    return _finalize(edge_list, parts)
+    return edge_list.finalize(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -592,37 +586,22 @@ def parse_edges_tsv(stream: TextIO, strict: bool = False) -> EdgeList:
     edge_list = EdgeList()
     parts = []  # flat id pairs of the per-line blocks
     keyed = []  # flat name-key pairs of the keyed blocks
-    line_no, rest = 1, ""
-    while True:
-        text = stream.read(_BLOCK_CHARS)
-        if text:
-            block = rest + text
-            cut = block.rfind("\n") + 1
-            block, rest = block[:cut], block[cut:]
-        elif rest:
-            block, rest = rest + "\n", ""  # the last line has no newline
-        else:
-            break
-        if not block:
-            continue
+    for block, line_no in _blocks(stream):
         plain = _plain_records(block)
         if plain and plain[2].max() <= 8:
             keyed.append(_name_keys(*plain))
         else:
             parts.append(_edge_records(block.split("\n"), line_no, edge_list, strict))
-        line_no += block.count("\n")
     if keyed:
         parts.append(_intern_keys(keyed, edge_list.ids))
-    return _finalize(edge_list, parts)
+    return edge_list.finalize(parts)
 
 
-def parse_nodes_tsv(stream: Iterable[str], edge_list: EdgeList) -> EdgeList:
-    """Add the names of a node-list TSV (one name per line) to ``edge_list``."""
+def parse_nodes_tsv(stream: TextIO, edge_list: EdgeList) -> EdgeList:
+    """Add the names of a node-list TSV (see :func:`read_nodes_tsv`) to ``edge_list``."""
     ids = edge_list.ids
-    for raw in stream:
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            ids.setdefault(line, len(ids))
+    for name in read_nodes_tsv(stream):
+        ids.setdefault(name, len(ids))
     return edge_list
 
 
@@ -767,6 +746,21 @@ def write_edges_tsv(graph: Graph, out: TextIO) -> None:
 
 def write_nodes_tsv(graph: Graph, out: TextIO) -> None:
     out.writelines(f"{name}\n" for name in graph.names)
+
+
+def read_nodes_tsv(stream: TextIO) -> list[str]:
+    """The names of a node list, exactly as :func:`write_nodes_tsv` wrote them.
+
+    Lines split at ``"\\n"`` alone and nothing is stripped or skipped: names
+    may hold ``#``, edge whitespace, ``"\\x85"`` or ``"\\u2028"``.  Raises
+    ``ValueError``, naming the stream's file, when the last line is not
+    newline-terminated.
+    """
+    names = stream.read().split("\n")
+    if names.pop() != "":
+        name = getattr(stream, "name", "node list")
+        raise ValueError(f"{name}: last line is not newline-terminated")
+    return names
 
 
 def write_geo_tsv(labels: GeoLabels, out: TextIO) -> None:

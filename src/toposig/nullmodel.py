@@ -292,7 +292,11 @@ def read_null_model_tsv(lines: Iterable[str]) -> NullModel:
             raise ValueError(
                 f"null model row has {len(fields)} fields, expected 4: mu_r, a, alpha, residual"
             )
-        return NullModel(*map(float, fields))
+        model = NullModel(*map(float, fields))
+        for name, value in vars(model).items():
+            if not math.isfinite(value) or (name == "a" and value <= 0.0):
+                raise ValueError(f"null model field {name} is {value}: each must be finite, a > 0")
+        return model
     raise ValueError("empty null model file")
 
 

@@ -99,10 +99,13 @@ def test_flags_a_stage_does_not_take_exit_2(tmp_path, args):
     assert not (tmp_path / "run").exists()
 
 
-def test_missing_geo_file_exits_2(tmp_path):
-    out = tmp_path / "run"
-    code = run(["ingest", "--links", FIXTURE_LINKS, "--geo", tmp_path / "nope.tsv", "--out", out])
-    assert code == 2
+@pytest.mark.parametrize("flag", ["--edges", "--links", "--geo"], ids=["edges", "links", "geo"])
+def test_missing_input_file_exits_2(tmp_path, capsys, flag):
+    out, missing = tmp_path / "run", tmp_path / "nope.tsv"
+    source = "--links" if flag == "--geo" else flag
+    paths = {source: FIXTURE_LINKS, "--geo": FIXTURE_GEO, flag: missing}
+    assert run(["ingest", "--out", out, *(arg for pair in paths.items() for arg in pair)]) == 2
+    assert f"missing input file {missing}" in capsys.readouterr().err
     assert not [name for name in INGEST_ARTIFACTS if (out / name).exists()]
 
 
@@ -170,6 +173,17 @@ def test_truncated_model_files_exit_2(tmp_path, capsys):
     assert "expected 4" in capsys.readouterr().err
 
 
+def test_non_finite_null_model_exits_2(tmp_path, capsys):
+    run_stages(tmp_path, "ingest", "features", "embed", "null")
+    null_model = tmp_path / cli.NULL_MODEL_TSV
+    header, row = null_model.read_text().splitlines()
+    rest = row.split("\t", 1)[1]
+    null_model.write_text(f"{header}\nnan\t{rest}\n")
+    assert run(["test"] + fixture_args(tmp_path)[1:]) == 2
+    assert "null model field mu_r is nan" in capsys.readouterr().err
+    assert not (tmp_path / cli.RESULTS_TSV).exists()
+
+
 def test_pair_budget_below_one_exits_2(tmp_path, capsys):
     assert run(fixture_args(tmp_path) + ["--pair-budget", "0"]) == 2
     assert "pair budget" in capsys.readouterr().err
@@ -210,6 +224,18 @@ def test_missing_labels_for_test_stage_exits_2(tmp_path):
     assert run(["embed", "--out", tmp_path]) == 0
     assert run(["null", "--out", tmp_path, "--sizes", "10,20,50", "--sets", "10"]) == 0
     assert run(["test", "--out", tmp_path]) == 2  # no label codes
+
+
+def test_ingest_without_geo_removes_an_earlier_label_handoff(tmp_path, capsys):
+    run_stages(tmp_path, "ingest")
+    assert run(["ingest", "--links", FIXTURE_LINKS, "--out", tmp_path]) == 0
+    assert not [name for name in (cli.LABELS_TSV, cli.LABEL_CODES_NPY, cli.LABEL_GROUPS_TSV)
+                if (tmp_path / name).exists()]
+    run_stages(tmp_path, "features", "embed", "null")
+    assert run(["test"] + fixture_args(tmp_path)[1:]) == 2
+    err = capsys.readouterr().err
+    assert cli.LABEL_CODES_NPY in err and "'ingest' stage" in err
+    assert not (tmp_path / cli.RESULTS_TSV).exists()
 
 
 def resave_codes(out, change):
@@ -635,6 +661,21 @@ def test_handoff_property_over_awkward_names(pairs):
     assume(gstore.build_graph(parse_edges_tsv(io.StringIO(text))).n >= 2)
     with tempfile.TemporaryDirectory() as tmp:
         check_handoff(Path(tmp), text)
+
+
+@given(st.lists(st.text(ANY, min_size=1, max_size=4), min_size=1, max_size=12, unique=True))
+@settings(max_examples=40, deadline=None)
+def test_node_list_round_trip_over_awkward_names(names):
+    graph = gstore.graph_from_id_edges(sorted(names), [], [])
+    text = io.StringIO()
+    gstore.write_nodes_tsv(graph, text)
+    assert gstore.read_nodes_tsv(io.StringIO(text.getvalue())) == list(graph.names)
+    edge_list = gstore.parse_nodes_tsv(io.StringIO(text.getvalue()), gstore.EdgeList())
+    assert list(edge_list.ids) == list(graph.names)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = parsed_args("features", tmp)
+        cli._write_graph_artifacts(cfg, graph, None)
+        assert cli._load_names(cfg) == list(graph.names)
 
 
 # ---------------------------------------------------------------------------

@@ -257,8 +257,7 @@ def per_line_edges(text):
             el.self_pairs_dropped += 1
         else:
             pairs += (a, b)
-    el.finalize(np.array(pairs, dtype=np.int64))
-    return el
+    return el.finalize([np.array(pairs, dtype=np.int64)])
 
 
 def edge_list_state(el):

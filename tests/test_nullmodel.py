@@ -337,6 +337,19 @@ def test_null_model_tsv_row_of_wrong_width_names_the_fields(row):
         nm.read_null_model_tsv(io.StringIO(f"# mu_r\ta\talpha\tresidual\n{row}\n"))
 
 
+@pytest.mark.parametrize("row, field", [
+    ("nan\t2\t0.5\t0", "mu_r"),
+    ("1\tinf\t0.5\t0", "a"),
+    ("1\t2\t-inf\t0", "alpha"),
+    ("1\t2\t0.5\tnan", "fit_residual"),
+    ("1\t0\t0.5\t0", "a"),
+    ("1\t-2\t0.5\t0", "a"),
+], ids=["mu_r-nan", "a-inf", "alpha-inf", "residual-nan", "a-zero", "a-negative"])
+def test_null_model_tsv_rejects_unusable_fields(row, field):
+    with pytest.raises(ValueError, match=f"null model field {field} is"):
+        nm.read_null_model_tsv(io.StringIO(f"# mu_r\ta\talpha\tresidual\n{row}\n"))
+
+
 def test_results_tsv_sorted_by_z():
     results = [make_result(z) for z in (3.0, -5.0, 0.0)]
     out = io.StringIO()
