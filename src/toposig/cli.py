@@ -5,11 +5,13 @@ to fabricate labeled input graphs and `all` to run the whole chain.  Stages
 hand off the forms they compute: ``graph.bin`` (the binary adjacency cache)
 with the names in ``nodes.tsv``; the labels, joined to the graph once, as
 each node's country and region code in ``label_codes.npy`` and the group keys
-those codes index in ``label_groups.tsv``; and the float64 feature matrix in
-``features.npy``.  ``features`` reads the graph, ``embed`` and ``null`` the
-features (and the codes under ``--labeled-only``), ``test`` the features and
-the codes.  ``edges.tsv``, ``labels.tsv`` and ``features.tsv`` are written for
-people and later stages never read them.  Every stage appends one line to
+those codes index in ``label_groups.tsv``; the float64 feature matrix in
+``features.npy``; and every node's whitened point in ``points.npy``.
+``features`` reads the graph, ``embed`` the features, ``null`` the points
+(both also the codes under ``--labeled-only``), ``test`` the points and the
+codes.  ``edges.tsv``, ``labels.tsv``, ``features.tsv`` and
+``embedding_model.txt`` are written for people and later stages never read
+them.  Every stage appends one line to
 ``run_manifest.tsv`` recording stage, version, seed, config and input/output
 digests; the wall-clock timestamp is isolated in the final column so two
 runs with identical config are byte-identical everywhere else.
@@ -40,11 +42,10 @@ from .embedding import (
     DEFAULT_PAIR_BUDGET,
     DegenerateFeaturesError,
     fit_embedding,
-    load_model,
     save_model,
     transform_all,
 )
-from .features import compute_all_features, write_features_tsv
+from .features import FEATURE_COLUMNS, compute_all_features, write_features_tsv
 from .graph import GEO_LEVELS, ParseError
 from .nullmodel import (
     DEFAULT_SET_SIZES,
@@ -75,6 +76,9 @@ LABEL_GROUPS_TSV = "label_groups.tsv"
 FEATURES_TSV = "features.tsv"
 FEATURES_NPY = "features.npy"
 MODEL_FILE = "embedding_model.txt"
+POINTS_NPY = "points.npy"
+FEATURE_WIDTHS = range(len(FEATURE_COLUMNS), len(FEATURE_COLUMNS) + 1)
+POINT_WIDTHS = range(1, len(FEATURE_COLUMNS) + 1)  # the retained components
 NULL_SAMPLES_TSV = "null_samples.tsv"
 NULL_MODEL_TSV = "null_model.tsv"
 RESULTS_TSV = "results.tsv"
@@ -115,7 +119,7 @@ def _append_manifest(
 
 
 def _require(path: Path, producer: str) -> Path:
-    if not path.exists():
+    if not path.is_file():
         raise FileNotFoundError(f"missing {path} (produced by the '{producer}' stage)")
     return path
 
@@ -136,13 +140,24 @@ def _load_graph(cfg: argparse.Namespace) -> gstore.Graph:
     return gstore.read_adjacency_cache(str(graph_path), _load_names(cfg))
 
 
+def _load_npy(path: Path, producer: str) -> np.ndarray:
+    """The array in a ``.npy`` handoff; a missing, empty or cut file exits 2."""
+    if _require(path, producer).stat().st_size == 0:
+        raise ValueError(f"{path}: empty file")
+    try:
+        return np.load(path, allow_pickle=False)
+    except ValueError as exc:  # numpy's message does not name the file
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_label_codes(
     cfg: argparse.Namespace, n: int, inputs: list[Path]
 ) -> tuple[np.ndarray, dict[str, list[str]], int]:
     """Each node's country and region code, the group keys per level that they
     index and the count of unmatched labeled names, checked against each other.
     """
-    codes_path = _require(cfg.out / LABEL_CODES_NPY, "ingest")
+    codes_path = cfg.out / LABEL_CODES_NPY
+    codes = _load_npy(codes_path, "ingest")
     table_path = _require(cfg.out / LABEL_GROUPS_TSV, "ingest")
     inputs += [codes_path, table_path]
     with open(table_path, encoding="utf-8", newline="") as f:
@@ -158,7 +173,6 @@ def _load_label_codes(
         if level not in tables or not tab or not key:
             raise ValueError(f"{table_path}: line {line_no} is not '<country|region><TAB><key>'")
         tables[level].append(key)
-    codes = np.load(codes_path, allow_pickle=False)
     if codes.dtype != np.int32 or codes.shape != (n, len(GEO_LEVELS)):
         raise ValueError(
             f"{codes_path}: {codes.dtype} array of shape {codes.shape}, expected int32"
@@ -170,25 +184,18 @@ def _load_label_codes(
     return codes, tables, int(unmatched)
 
 
-def _load_features(cfg: argparse.Namespace) -> np.ndarray:
-    """The float64 feature rows, checked against the node names."""
-    features_path = _require(cfg.out / FEATURES_NPY, "features")
-    values = np.load(features_path, allow_pickle=False)
-    names = _load_names(cfg)
-    if values.dtype != np.float64 or values.shape != (len(names), 4):
+def _load_rows(cfg: argparse.Namespace, name: str, producer: str, widths: range) -> np.ndarray:
+    """A float64 array of one row per node name and a column count in ``widths``."""
+    path = cfg.out / name
+    values = _load_npy(path, producer)
+    n = len(_load_names(cfg))
+    if values.dtype != np.float64 or values.shape not in [(n, cols) for cols in widths]:
+        cols = widths[0] if len(widths) == 1 else f"{widths[0]}..{widths[-1]}"
         raise ValueError(
-            f"{features_path}: {values.dtype} array of shape {values.shape}, expected float64"
-            f" of shape ({len(names)}, 4) for the {len(names)} names in {NODES_TSV}"
+            f"{path}: {values.dtype} array of shape {values.shape}, expected float64"
+            f" of shape ({n}, {cols}) for the {n} names in {NODES_TSV}"
         )
     return values
-
-
-def _load_points(cfg: argparse.Namespace) -> np.ndarray:
-    values = _load_features(cfg)
-    model_path = _require(cfg.out / MODEL_FILE, "embed")
-    with open(model_path, encoding="utf-8") as f:
-        model = load_model(f)
-    return transform_all(model, values)
 
 
 def _labeled_rows(cfg: argparse.Namespace, rows: np.ndarray, inputs: list[Path]) -> np.ndarray:
@@ -253,7 +260,7 @@ def _stage_ingest(cfg: argparse.Namespace) -> None:
     else:
         raise FileNotFoundError("missing input: pass --links or --edges to ingest")
     inputs = [path for path in (source, cfg.geo) if path is not None]
-    if missing := [path for path in inputs if not path.exists()]:
+    if missing := [path for path in inputs if not path.is_file()]:
         raise FileNotFoundError(f"missing input file {missing[0]}")
     with open(source, encoding="utf-8") as f:
         edge_list = parse(f, strict=cfg.strict)
@@ -292,26 +299,29 @@ def _stage_features(cfg: argparse.Namespace) -> None:
 
 
 def _stage_embed(cfg: argparse.Namespace) -> None:
-    values = _load_features(cfg)
+    values = _load_rows(cfg, FEATURES_NPY, "features", FEATURE_WIDTHS)
     inputs = [cfg.out / FEATURES_NPY, cfg.out / NODES_TSV]
     model = fit_embedding(_labeled_rows(cfg, values, inputs), eig_tol=cfg.eig_tol)
-    out_path = cfg.out / MODEL_FILE
-    with open(out_path, "w", encoding="utf-8") as f:
+    model_path = cfg.out / MODEL_FILE
+    points_path = cfg.out / POINTS_NPY
+    with open(model_path, "w", encoding="utf-8") as f:
         save_model(model, f)
+    with open(points_path, "wb") as f:
+        np.save(f, transform_all(model, values))  # every row, also those left out of the fit
     eigs = " ".join(f"{v:.6g}" for v in model.eigenvalues)
     _append_manifest(
         cfg,
         "embed",
         f"eig_tol={cfg.eig_tol:.9g} labeled_only={int(cfg.labeled_only)}",
         inputs,
-        [out_path],
+        [model_path, points_path],
         f"retained={model.retained} eigenvalues=[{eigs}]",
     )
 
 
 def _stage_null(cfg: argparse.Namespace) -> None:
-    points = _load_points(cfg)
-    inputs = [cfg.out / FEATURES_NPY, cfg.out / NODES_TSV, cfg.out / MODEL_FILE]
+    points = _load_rows(cfg, POINTS_NPY, "embed", POINT_WIDTHS)
+    inputs = [cfg.out / POINTS_NPY, cfg.out / NODES_TSV]
     points = _labeled_rows(cfg, points, inputs)
     config = NullSamplingConfig(
         set_sizes=cfg.sizes,
@@ -338,11 +348,11 @@ def _stage_null(cfg: argparse.Namespace) -> None:
 
 
 def _stage_test(cfg: argparse.Namespace) -> None:
-    points = _load_points(cfg)
+    points = _load_rows(cfg, POINTS_NPY, "embed", POINT_WIDTHS)
     null_path = _require(cfg.out / NULL_MODEL_TSV, "null")
     with open(null_path, encoding="utf-8") as f:
         null_model = read_null_model_tsv(f)
-    inputs = [cfg.out / FEATURES_NPY, cfg.out / NODES_TSV, cfg.out / MODEL_FILE, null_path]
+    inputs = [cfg.out / POINTS_NPY, cfg.out / NODES_TSV, null_path]
     codes, tables, unmatched = _load_label_codes(cfg, len(points), inputs)
     levels = GEO_LEVELS if cfg.level == "both" else (cfg.level,)
     memberships = {

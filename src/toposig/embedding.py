@@ -29,7 +29,6 @@ __all__ = [
     "mean_pairwise_distance",
     "pair_sample_distances",
     "save_model",
-    "load_model",
 ]
 
 DEFAULT_EIG_TOL = 1e-12
@@ -57,11 +56,6 @@ class EmbeddingModel:
         return len(self.mean)
 
 
-def _build_whitening(eigenvalues: np.ndarray, eigenvectors: np.ndarray, retained: int) -> np.ndarray:
-    # fixed C layout so fitted and reloaded models multiply bit-identically
-    return np.ascontiguousarray((eigenvectors[:, :retained] / np.sqrt(eigenvalues[:retained])).T)
-
-
 def fit_embedding(table: FeatureTable | np.ndarray, eig_tol: float = DEFAULT_EIG_TOL) -> EmbeddingModel:
     """Fit the whitened component space on the rows of a feature table."""
     if not 0.0 <= eig_tol < 1.0:
@@ -84,6 +78,10 @@ def fit_embedding(table: FeatureTable | np.ndarray, eig_tol: float = DEFAULT_EIG
     pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(d)]
     eigenvectors = vectors * np.where(pivots < 0, -1.0, 1.0)
     retained = int(np.sum(eigenvalues > eig_tol * eigenvalues[0]))
+    scaled = eigenvectors[:, :retained] / np.sqrt(eigenvalues[:retained])
+    # a fixed C layout, so the products in ``transform_all`` do not depend on
+    # the memory layout ``eigh`` returned its vectors in
+    whitening = np.ascontiguousarray(scaled.T)
     return EmbeddingModel(
         mean=mean,
         covariance=covariance,
@@ -91,7 +89,7 @@ def fit_embedding(table: FeatureTable | np.ndarray, eig_tol: float = DEFAULT_EIG
         eigenvectors=eigenvectors,
         retained=retained,
         eig_tol=eig_tol,
-        whitening=_build_whitening(eigenvalues, eigenvectors, retained),
+        whitening=whitening,
     )
 
 
@@ -148,12 +146,18 @@ def pair_sample_distances(
     j = rng.integers(0, n - 1, size=pair_budget, dtype=np.int32)
     j += j >= i  # skip the self-pair: j is uniform over the other n - 1 points
     out = np.empty(pair_budget, dtype=np.float64)
-    chunk = 1 << 16  # a chunk's gathers stay in cache
+    chunk = min(1 << 16, pair_budget)  # a chunk's gathers stay in cache
+    first, second = np.empty((2, chunk, points.shape[1]))
     for start in range(0, pair_budget, chunk):
         sl = slice(start, min(start + chunk, pair_budget))
-        diff = np.take(points, i[sl], axis=0)
-        diff -= np.take(points, j[sl], axis=0)
-        out[sl] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        a, b = first[: sl.stop - start], second[: sl.stop - start]
+        # every index is in range, so "clip" clips nothing; it spares the
+        # temporary that the default "raise" mode gathers ``out=`` through
+        np.take(points, i[sl], axis=0, out=a, mode="clip")
+        np.take(points, j[sl], axis=0, out=b, mode="clip")
+        a -= b
+        np.einsum("ij,ij->i", a, a, out=out[sl])
+    np.sqrt(out, out=out)
     return out, False
 
 
@@ -173,7 +177,7 @@ def mean_pairwise_distance(
 
 
 # ---------------------------------------------------------------------------
-# model file (17 significant digits -> lossless reload)
+# model file (for people; 17 significant digits)
 # ---------------------------------------------------------------------------
 
 _MODEL_HEADER = "toposig-embedding-v1"
@@ -195,44 +199,3 @@ def save_model(model: EmbeddingModel, out: TextIO) -> None:
     out.write(f"eigenvalues\t{_fmt_row(model.eigenvalues)}\n")
     for row in model.eigenvectors:
         out.write(f"eigenvectors\t{_fmt_row(row)}\n")
-
-
-def load_model(lines: Iterable[str]) -> EmbeddingModel:
-    it = iter(lines)
-    header = next(it, "").strip()
-    if header != _MODEL_HEADER:
-        raise ValueError(f"not an embedding model file (header {header!r})")
-    fields: dict[str, list[list[float]]] = {}
-    dim = retained = None
-    for raw in it:
-        line = raw.strip()
-        if not line:
-            continue
-        key, _, rest = line.partition("\t")
-        if key == "dim":
-            dim = int(rest)
-        elif key == "retained":
-            retained = int(rest)
-        else:
-            fields.setdefault(key, []).append([float(v) for v in rest.split("\t")])
-    missing = [key for key, value in (("dim", dim), ("retained", retained)) if value is None]
-    missing += [key for key in ("eig_tol", "mean", "cov", "eigenvalues", "eigenvectors")
-                if key not in fields]
-    if missing:
-        raise ValueError(f"model file missing {', '.join(missing)}")
-    eig_tol = fields["eig_tol"][0][0]
-    mean = np.array(fields["mean"][0])
-    covariance = np.array(fields["cov"])
-    eigenvalues = np.array(fields["eigenvalues"][0])
-    eigenvectors = np.array(fields["eigenvectors"])
-    if covariance.shape != (dim, dim) or eigenvectors.shape != (dim, dim) or len(mean) != dim:
-        raise ValueError("model file has inconsistent shapes")
-    return EmbeddingModel(
-        mean=mean,
-        covariance=covariance,
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
-        retained=retained,
-        eig_tol=eig_tol,
-        whitening=_build_whitening(eigenvalues, eigenvectors, retained),
-    )

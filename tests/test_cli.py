@@ -28,6 +28,7 @@ CORE_ARTIFACTS = (
     cli.EDGES_TSV,
     cli.FEATURES_TSV,
     cli.MODEL_FILE,
+    cli.POINTS_NPY,
     cli.NULL_SAMPLES_TSV,
     cli.NULL_MODEL_TSV,
     cli.RESULTS_TSV,
@@ -68,7 +69,7 @@ def fixture_args(out, seed=7):
 def test_test_before_null_exits_2(tmp_path, capsys):
     assert run(["test", "--out", tmp_path]) == 2
     err = capsys.readouterr().err
-    assert "features.npy" in err
+    assert f"missing {tmp_path / cli.POINTS_NPY} (produced by the 'embed' stage)" in err
 
 
 def test_ingest_without_input_exits_2(tmp_path):
@@ -99,9 +100,13 @@ def test_flags_a_stage_does_not_take_exit_2(tmp_path, args):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("flag", ["--edges", "--links", "--geo"], ids=["edges", "links", "geo"])
-def test_missing_input_file_exits_2(tmp_path, capsys, flag):
-    out, missing = tmp_path / "run", tmp_path / "nope.tsv"
+@pytest.mark.parametrize("flag, name", [
+    ("--edges", "nope.tsv"), ("--links", "nope.tsv"), ("--geo", "nope.tsv"), ("--edges", "dir"),
+], ids=["edges", "links", "geo", "edges-directory"])
+def test_missing_input_file_exits_2(tmp_path, capsys, flag, name):
+    out, missing = tmp_path / "run", tmp_path / name
+    if name == "dir":
+        missing.mkdir()
     source = "--links" if flag == "--geo" else flag
     paths = {source: FIXTURE_LINKS, "--geo": FIXTURE_GEO, flag: missing}
     assert run(["ingest", "--out", out, *(arg for pair in paths.items() for arg in pair)]) == 2
@@ -157,15 +162,13 @@ def test_corrupt_graph_artifacts_exit_2(tmp_path, capsys):
 
 def test_truncated_model_files_exit_2(tmp_path, capsys):
     assert run(fixture_args(tmp_path)) == 0
-    model, null_model = tmp_path / cli.MODEL_FILE, tmp_path / cli.NULL_MODEL_TSV
-    good_model = model.read_text()
-    model.write_text("".join(
-        line for line in good_model.splitlines(keepends=True) if not line.startswith("mean\t")
-    ))
+    points, null_model = tmp_path / cli.POINTS_NPY, tmp_path / cli.NULL_MODEL_TSV
+    good_points = points.read_bytes()
+    points.write_bytes(good_points[:-8])
     assert run(["null"] + fixture_args(tmp_path)[1:]) == 2
-    assert "missing mean" in capsys.readouterr().err
+    assert f"toposig: {points}: " in capsys.readouterr().err  # numpy's message follows
 
-    model.write_text(good_model)
+    points.write_bytes(good_points)
     header, row = null_model.read_text().splitlines()
     short_row = row.rsplit("\t", 1)[0]
     null_model.write_text(f"{header}\n{short_row}\n")
@@ -182,6 +185,22 @@ def test_non_finite_null_model_exits_2(tmp_path, capsys):
     assert run(["test"] + fixture_args(tmp_path)[1:]) == 2
     assert "null model field mu_r is nan" in capsys.readouterr().err
     assert not (tmp_path / cli.RESULTS_TSV).exists()
+
+
+@pytest.mark.parametrize("name, stage", [
+    (cli.FEATURES_NPY, "embed"), (cli.POINTS_NPY, "null"), (cli.LABEL_CODES_NPY, "test"),
+])
+def test_empty_or_directory_npy_handoff_exits_2(tmp_path, capsys, name, stage):
+    run_stages(tmp_path, "ingest", "features", "embed", "null")
+    path = tmp_path / name
+    path.unlink()
+    path.mkdir()
+    assert run([stage] + fixture_args(tmp_path)[1:]) == 2
+    assert f"missing {path} (produced by" in capsys.readouterr().err
+    path.rmdir()
+    path.write_bytes(b"")
+    assert run([stage] + fixture_args(tmp_path)[1:]) == 2
+    assert f"{path}: empty file" in capsys.readouterr().err
 
 
 def test_pair_budget_below_one_exits_2(tmp_path, capsys):
@@ -466,20 +485,27 @@ def label_codes_of(out):
     ]
 
 
-def test_labeled_only_fits_and_samples_the_labeled_rows(tmp_path):
+def half_labeled_args(tmp_path):
+    """``fixture_args`` with a geo file that labels every other node; the labeled ids."""
     geo = tmp_path / "half.geo"
     lines = FIXTURE_GEO.read_text(encoding="utf-8").splitlines(keepends=True)
     geo.write_text("".join(lines[::2]), encoding="utf-8")  # header and every other node
-    out = tmp_path / "run"
-    args = fixture_args(out)
+    args = fixture_args(tmp_path / "run")
     args[args.index(FIXTURE_GEO)] = geo
-    assert run(args + ["--labeled-only"]) == 0
-
-    graph, values = library_features()
+    graph, _ = library_features()
     with open(geo, encoding="utf-8") as f:
         labels = parse_geo(f)
     keep = [i for i, name in enumerate(graph.names) if name in labels.country]
     assert len(keep) == 100
+    return args, keep
+
+
+def test_labeled_only_fits_and_samples_the_labeled_rows(tmp_path):
+    args, keep = half_labeled_args(tmp_path)
+    out = tmp_path / "run"
+    assert run(args + ["--labeled-only"]) == 0
+
+    _, values = library_features()
     model = em.fit_embedding(values[keep])
     assert (out / cli.MODEL_FILE).read_text(encoding="utf-8") == model_text(model)
     points = em.transform_all(model, values)[keep]
@@ -498,6 +524,22 @@ def test_eig_tol_drops_small_components(tmp_path):
     _, values = library_features()
     expected = model_text(em.fit_embedding(values, eig_tol=1e-4))
     assert (tmp_path / cli.MODEL_FILE).read_text(encoding="utf-8") == expected
+
+
+@pytest.mark.parametrize("flags, width", [
+    ([], 4), (["--eig-tol", "1e-4"], 3), (["--labeled-only"], 4),
+], ids=["default", "eig-tol", "labeled-only"])
+def test_points_are_every_row_in_the_fitted_space(tmp_path, flags, width):
+    args, keep = half_labeled_args(tmp_path)
+    for stage in ("ingest", "features", "embed"):
+        assert run([stage] + args[1:] + flags) == 0, stage
+    _, values = library_features()
+    rows = values[keep] if "--labeled-only" in flags else values
+    eig_tol = float(flags[1]) if "--eig-tol" in flags else em.DEFAULT_EIG_TOL
+    expected = em.transform_all(em.fit_embedding(rows, eig_tol=eig_tol), values)
+    points = np.load(tmp_path / "run" / cli.POINTS_NPY)
+    assert points.dtype == np.float64 and points.shape == (200, width)
+    assert points.tobytes() == expected.tobytes()
 
 
 def test_min_group_size_skips_small_groups(tmp_path):
@@ -624,15 +666,48 @@ def test_later_stages_read_no_tsv_and_no_graph(tmp_path):
     full, isolated = tmp_path / "full", tmp_path / "isolated"
     for out in (full, isolated):
         run_stages(out, "ingest", "features")
-    for name in (cli.LABELS_TSV, cli.EDGES_TSV, cli.FEATURES_TSV, cli.GRAPH_BIN):
-        (isolated / name).unlink()
+    # in ``isolated`` each stage runs without the files it should not read
+    unread = {
+        "embed": (cli.LABELS_TSV, cli.EDGES_TSV, cli.FEATURES_TSV, cli.GRAPH_BIN),
+        "null": (cli.FEATURES_NPY, cli.MODEL_FILE),
+    }
     later = (["embed", "--labeled-only"], ["null", "--labeled-only"], ["test"])
-    for out in (full, isolated):
-        with mock.patch.object(gstore, "parse_geo", side_effect=AssertionError("geo re-parsed")):
-            for stage, *flags in later:
+    with mock.patch.object(gstore, "parse_geo", side_effect=AssertionError("geo re-parsed")):
+        for stage, *flags in later:
+            for name in unread.get(stage, ()):
+                assert (isolated / name).read_bytes() == (full / name).read_bytes(), name
+                (isolated / name).unlink()
+            for out in (full, isolated):
                 assert run([stage] + fixture_args(out)[1:] + flags) == 0, stage
-    for name in (cli.MODEL_FILE, cli.NULL_SAMPLES_TSV, cli.NULL_MODEL_TSV, cli.RESULTS_TSV):
+    for name in (cli.POINTS_NPY, cli.NULL_SAMPLES_TSV, cli.NULL_MODEL_TSV, cli.RESULTS_TSV):
         assert (isolated / name).read_bytes() == (full / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("flags", [[], ["--labeled-only"]], ids=["all-rows", "labeled-only"])
+def test_manifest_lists_the_files_each_stage_reads(tmp_path, flags):
+    real_open, real_run_stage = open, cli.run_stage
+    opened, read = [], {}
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, Path)) and not set(mode) & set("wax+"):
+            opened.append(Path(file).name)
+        return real_open(file, mode, *args, **kwargs)
+
+    def recording_run_stage(stage, cfg):
+        opened.clear()
+        code = real_run_stage(stage, cfg)
+        read[stage] = sorted(opened)
+        return code
+
+    with mock.patch.object(cli, "_digest", return_value="-"), \
+            mock.patch.object(cli, "run_stage", recording_run_stage), \
+            mock.patch("builtins.open", recording_open):
+        assert run(fixture_args(tmp_path) + flags) == 0
+    assert list(read) == list(cli.ALL_CHAIN)
+    for line in (tmp_path / cli.MANIFEST).read_text().splitlines():
+        stage, inputs = line.split("\t")[0], line.split("\t")[4]
+        listed = sorted(item.rsplit(":", 1)[0] for item in inputs.split(";"))
+        assert read[stage] == listed, stage
 
 
 def test_no_stage_after_ingest_lists_a_people_artifact_as_input(tmp_path):
