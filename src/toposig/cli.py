@@ -7,21 +7,22 @@ with the names in ``nodes.tsv``; the labels, joined to the graph once, as
 each node's country and region code in ``label_codes.npy`` and the group keys
 those codes index in ``label_groups.tsv``; the float64 feature matrix in
 ``features.npy``; and every node's whitened point in ``points.npy``.
-``features`` reads the graph, ``embed`` the features, ``null`` the points
-(both also the codes under ``--labeled-only``), ``test`` the points and the
-codes.  ``edges.tsv``, ``labels.tsv``, ``features.tsv`` and
-``embedding_model.txt`` are written for people and later stages never read
-them.  Every stage appends one line to
-``run_manifest.tsv`` recording stage, version, seed, config and input/output
-digests; the wall-clock timestamp is isolated in the final column so two
-runs with identical config are byte-identical everywhere else.
+``features`` reads the graph and is the only later stage that reads node
+names.  ``embed`` reads the features, ``null`` the points (both also the
+codes under ``--labeled-only``) and ``test`` the points and the codes; each
+checks its rows against the line count of ``nodes.tsv``.  ``edges.tsv``,
+``labels.tsv``, ``features.tsv`` and ``embedding_model.txt`` are written for
+people and later stages never read them.  ``run_stage`` appends each stage's
+line to ``run_manifest.tsv``: stage, version, seed, config, digests of the
+handoffs the stage opened and of its outputs, and the timestamp, alone in the
+final column so that identical runs match byte for byte elsewhere.
 
 Exit codes: 0 ok, 2 missing input/artifact, bad config or too-small input
-(among them argparse usage errors such as an unknown flag or both
-``--links`` and ``--edges``, a non-finite ``--fix-alpha``, an ``--eig-tol``
-outside [0, 1) and a ``test`` run that leaves no group to score), 3 parse
-error in strict mode, 4 numerical degeneracy.  A failed ``ingest`` writes
-no artifact.
+(among them argparse usage errors such as an unknown flag, a negative
+``--seed`` or both ``--links`` and ``--edges``, a non-finite ``--fix-alpha``,
+an ``--eig-tol`` outside [0, 1) and a ``test`` run that leaves no group to
+score), 3 parse error in strict mode, 4 numerical degeneracy.  A failed
+``ingest`` writes no artifact.
 """
 
 from __future__ import annotations
@@ -99,16 +100,12 @@ def _digest(path: Path) -> str:
 
 
 def _append_manifest(
-    cfg: argparse.Namespace,
-    stage: str,
-    config_desc: str,
-    inputs: list[Path],
-    outputs: list[Path],
-    info: str,
+    cfg: argparse.Namespace, stage: str, inputs: list[Path], result: tuple[str, list[Path], str]
 ) -> None:
     def fmt(paths: list[Path]) -> str:
         return ";".join(f"{p.name}:{_digest(p)}" for p in paths) or "-"
 
+    config_desc, outputs, info = result
     timestamp = datetime.now(timezone.utc).isoformat()
     line = "\t".join(
         [stage, __version__, str(cfg.seed), config_desc or "-", fmt(inputs), fmt(outputs),
@@ -118,9 +115,11 @@ def _append_manifest(
         f.write(line + "\n")
 
 
-def _require(path: Path, producer: str) -> Path:
+def _require(path: Path, producer: str, inputs: list[Path]) -> Path:
+    """``path``, recorded in ``inputs`` (the stage's manifest inputs) once it is a file."""
     if not path.is_file():
         raise FileNotFoundError(f"missing {path} (produced by the '{producer}' stage)")
+    inputs.append(path)
     return path
 
 
@@ -128,21 +127,15 @@ def _require(path: Path, producer: str) -> Path:
 # shared loading
 # ---------------------------------------------------------------------------
 
-def _load_names(cfg: argparse.Namespace) -> list[str]:
-    """Node names in id order, exactly as ``write_nodes_tsv`` wrote them."""
-    path = _require(cfg.out / NODES_TSV, "ingest")
-    with open(path, encoding="utf-8", newline="") as f:
-        return gstore.read_nodes_tsv(f)
+def _load_graph(cfg: argparse.Namespace, inputs: list[Path]) -> gstore.Graph:
+    graph_path = _require(cfg.out / GRAPH_BIN, "ingest", inputs)
+    with open(_require(cfg.out / NODES_TSV, "ingest", inputs), encoding="utf-8", newline="") as f:
+        return gstore.read_adjacency_cache(str(graph_path), gstore.read_nodes_tsv(f))
 
 
-def _load_graph(cfg: argparse.Namespace) -> gstore.Graph:
-    graph_path = _require(cfg.out / GRAPH_BIN, "ingest")
-    return gstore.read_adjacency_cache(str(graph_path), _load_names(cfg))
-
-
-def _load_npy(path: Path, producer: str) -> np.ndarray:
+def _load_npy(path: Path, producer: str, inputs: list[Path]) -> np.ndarray:
     """The array in a ``.npy`` handoff; a missing, empty or cut file exits 2."""
-    if _require(path, producer).stat().st_size == 0:
+    if _require(path, producer, inputs).stat().st_size == 0:
         raise ValueError(f"{path}: empty file")
     try:
         return np.load(path, allow_pickle=False)
@@ -157,9 +150,8 @@ def _load_label_codes(
     index and the count of unmatched labeled names, checked against each other.
     """
     codes_path = cfg.out / LABEL_CODES_NPY
-    codes = _load_npy(codes_path, "ingest")
-    table_path = _require(cfg.out / LABEL_GROUPS_TSV, "ingest")
-    inputs += [codes_path, table_path]
+    codes = _load_npy(codes_path, "ingest", inputs)
+    table_path = _require(cfg.out / LABEL_GROUPS_TSV, "ingest", inputs)
     with open(table_path, encoding="utf-8", newline="") as f:
         header, *lines = f.read().split("\n")  # keys may hold "\x85" or "\u2028"
     prefix, _, unmatched = header.partition("=")
@@ -184,11 +176,14 @@ def _load_label_codes(
     return codes, tables, int(unmatched)
 
 
-def _load_rows(cfg: argparse.Namespace, name: str, producer: str, widths: range) -> np.ndarray:
+def _load_rows(
+    cfg: argparse.Namespace, name: str, producer: str, widths: range, inputs: list[Path]
+) -> np.ndarray:
     """A float64 array of one row per node name and a column count in ``widths``."""
     path = cfg.out / name
-    values = _load_npy(path, producer)
-    n = len(_load_names(cfg))
+    values = _load_npy(path, producer, inputs)
+    with open(_require(cfg.out / NODES_TSV, "ingest", inputs), encoding="utf-8", newline="") as f:
+        n = gstore.count_nodes_tsv(f)
     if values.dtype != np.float64 or values.shape not in [(n, cols) for cols in widths]:
         cols = widths[0] if len(widths) == 1 else f"{widths[0]}..{widths[-1]}"
         raise ValueError(
@@ -252,14 +247,14 @@ def _write_graph_artifacts(
 # stages
 # ---------------------------------------------------------------------------
 
-def _stage_ingest(cfg: argparse.Namespace) -> None:
+def _stage_ingest(cfg: argparse.Namespace, inputs: list[Path]) -> tuple[str, list[Path], str]:
     if cfg.links is not None:
         source, parse = cfg.links, gstore.parse_links
     elif cfg.edges is not None:
         source, parse = cfg.edges, gstore.parse_edges_tsv
     else:
         raise FileNotFoundError("missing input: pass --links or --edges to ingest")
-    inputs = [path for path in (source, cfg.geo) if path is not None]
+    inputs += [path for path in (source, cfg.geo) if path is not None]
     if missing := [path for path in inputs if not path.is_file()]:
         raise FileNotFoundError(f"missing input file {missing[0]}")
     with open(source, encoding="utf-8") as f:
@@ -279,11 +274,11 @@ def _stage_ingest(cfg: argparse.Namespace) -> None:
         with open(cfg.geo, encoding="utf-8") as f:
             labels = gstore.parse_geo(f, strict=cfg.strict)
     outputs, tallies = _write_graph_artifacts(cfg, graph, labels)
-    _append_manifest(cfg, "ingest", f"strict={int(cfg.strict)}", inputs, outputs, info + tallies)
+    return f"strict={int(cfg.strict)}", outputs, info + tallies
 
 
-def _stage_features(cfg: argparse.Namespace) -> None:
-    graph = _load_graph(cfg)
+def _stage_features(cfg: argparse.Namespace, inputs: list[Path]) -> tuple[str, list[Path], str]:
+    graph = _load_graph(cfg, inputs)
     table = compute_all_features(graph)
     tsv_path = cfg.out / FEATURES_TSV
     npy_path = cfg.out / FEATURES_NPY
@@ -292,15 +287,11 @@ def _stage_features(cfg: argparse.Namespace) -> None:
     with open(npy_path, "wb") as f:
         np.save(f, table.values)
     info = f"mean_degree={table.stats.mean_degree:.9g} degree_std={table.stats.degree_std:.9g}"
-    _append_manifest(
-        cfg, "features", "-", [cfg.out / GRAPH_BIN, cfg.out / NODES_TSV], [tsv_path, npy_path],
-        info,
-    )
+    return "-", [tsv_path, npy_path], info
 
 
-def _stage_embed(cfg: argparse.Namespace) -> None:
-    values = _load_rows(cfg, FEATURES_NPY, "features", FEATURE_WIDTHS)
-    inputs = [cfg.out / FEATURES_NPY, cfg.out / NODES_TSV]
+def _stage_embed(cfg: argparse.Namespace, inputs: list[Path]) -> tuple[str, list[Path], str]:
+    values = _load_rows(cfg, FEATURES_NPY, "features", FEATURE_WIDTHS, inputs)
     model = fit_embedding(_labeled_rows(cfg, values, inputs), eig_tol=cfg.eig_tol)
     model_path = cfg.out / MODEL_FILE
     points_path = cfg.out / POINTS_NPY
@@ -309,20 +300,12 @@ def _stage_embed(cfg: argparse.Namespace) -> None:
     with open(points_path, "wb") as f:
         np.save(f, transform_all(model, values))  # every row, also those left out of the fit
     eigs = " ".join(f"{v:.6g}" for v in model.eigenvalues)
-    _append_manifest(
-        cfg,
-        "embed",
-        f"eig_tol={cfg.eig_tol:.9g} labeled_only={int(cfg.labeled_only)}",
-        inputs,
-        [model_path, points_path],
-        f"retained={model.retained} eigenvalues=[{eigs}]",
-    )
+    desc = f"eig_tol={cfg.eig_tol:.9g} labeled_only={int(cfg.labeled_only)}"
+    return desc, [model_path, points_path], f"retained={model.retained} eigenvalues=[{eigs}]"
 
 
-def _stage_null(cfg: argparse.Namespace) -> None:
-    points = _load_rows(cfg, POINTS_NPY, "embed", POINT_WIDTHS)
-    inputs = [cfg.out / POINTS_NPY, cfg.out / NODES_TSV]
-    points = _labeled_rows(cfg, points, inputs)
+def _stage_null(cfg: argparse.Namespace, inputs: list[Path]) -> tuple[str, list[Path], str]:
+    points = _labeled_rows(cfg, _load_rows(cfg, POINTS_NPY, "embed", POINT_WIDTHS, inputs), inputs)
     config = NullSamplingConfig(
         set_sizes=cfg.sizes,
         sets_per_size=cfg.sets,
@@ -344,15 +327,13 @@ def _stage_null(cfg: argparse.Namespace) -> None:
         f" labeled_only={int(cfg.labeled_only)}"
     )
     info = f"mu_r={model.mu_r:.9g} a={model.a:.9g} alpha={model.alpha:.9g}"
-    _append_manifest(cfg, "null", desc, inputs, [samples_path, model_path], info)
+    return desc, [samples_path, model_path], info
 
 
-def _stage_test(cfg: argparse.Namespace) -> None:
-    points = _load_rows(cfg, POINTS_NPY, "embed", POINT_WIDTHS)
-    null_path = _require(cfg.out / NULL_MODEL_TSV, "null")
-    with open(null_path, encoding="utf-8") as f:
+def _stage_test(cfg: argparse.Namespace, inputs: list[Path]) -> tuple[str, list[Path], str]:
+    points = _load_rows(cfg, POINTS_NPY, "embed", POINT_WIDTHS, inputs)
+    with open(_require(cfg.out / NULL_MODEL_TSV, "null", inputs), encoding="utf-8") as f:
         null_model = read_null_model_tsv(f)
-    inputs = [cfg.out / POINTS_NPY, cfg.out / NODES_TSV, null_path]
     codes, tables, unmatched = _load_label_codes(cfg, len(points), inputs)
     levels = GEO_LEVELS if cfg.level == "both" else (cfg.level,)
     memberships = {
@@ -391,22 +372,18 @@ def _stage_test(cfg: argparse.Namespace) -> None:
     out_path = cfg.out / RESULTS_TSV
     with open(out_path, "w", encoding="utf-8") as f:
         write_results_tsv(results, f)
-    desc = (
-        f"level={cfg.level} min_group_size={cfg.min_group_size}"
-        f" pair_budget={cfg.pair_budget}"
-    )
+    desc = f"level={cfg.level} min_group_size={cfg.min_group_size} pair_budget={cfg.pair_budget}"
     info = (
         f"groups={len(results)} skipped={len(skipped_total)} unmatched_names={unmatched}"
         f" sampled={len(se_fracs)} pair_se_frac={max(se_fracs, default=0.0):.3g}"
     )
     if empty:
         info += f" empty_levels={','.join(empty)}"
-    _append_manifest(cfg, "test", desc, inputs, [out_path], info)
+    return desc, [out_path], info
 
 
-def _stage_report(cfg: argparse.Namespace) -> None:
-    results_path = _require(cfg.out / RESULTS_TSV, "test")
-    with open(results_path, encoding="utf-8") as f:
+def _stage_report(cfg: argparse.Namespace, inputs: list[Path]) -> tuple[str, list[Path], str]:
+    with open(_require(cfg.out / RESULTS_TSV, "test", inputs), encoding="utf-8") as f:
         results = read_results_tsv(f)
     summary = summarize(results)
     out_path = cfg.out / SUMMARY_TSV
@@ -421,10 +398,12 @@ def _stage_report(cfg: argparse.Namespace) -> None:
         f"groups={summary.n_groups} significant={summary.n_significant}"
         f" low={summary.n_low} high={summary.n_high}"
     )
-    _append_manifest(cfg, "report", "-", [results_path], [out_path], info)
+    return "-", [out_path], info
 
 
-def _stage_synth(cfg: argparse.Namespace) -> None:
+def _stage_synth(cfg: argparse.Namespace, inputs: list[Path]) -> tuple[str, list[Path], str]:
+    if cfg.random_groups and cfg.model == "gravity":
+        raise ValueError("--random-groups applies to --model er and ba only")
     labels = None
     if cfg.model == "er":
         graph = synthmod.gen_er(cfg.n, cfg.p, cfg.seed)
@@ -444,14 +423,14 @@ def _stage_synth(cfg: argparse.Namespace) -> None:
     else:
         raise ValueError(f"unknown synth model {cfg.model!r}")
 
-    if labels is None and cfg.random_groups > 0:
+    if cfg.random_groups:
         labels = synthmod.random_group_labels(
             graph, cfg.random_groups, cfg.group_sizes, cfg.seed
         )
         desc += f" random_groups={cfg.random_groups}"
 
     outputs, _ = _write_graph_artifacts(cfg, graph, labels)
-    _append_manifest(cfg, "synth", desc, [], outputs, f"n={graph.n} m={graph.m}")
+    return desc, outputs, f"n={graph.n} m={graph.m}"
 
 
 _STAGE_FUNCS = {
@@ -466,11 +445,13 @@ _STAGE_FUNCS = {
 
 
 def run_stage(stage: str, cfg: argparse.Namespace) -> int:
-    """Run a single stage; raises on failure (main maps to exit codes)."""
+    """Run one stage and append its manifest line; raises on failure (main maps to exit codes)."""
     if stage not in _STAGE_FUNCS:
         raise ValueError(f"unknown stage {stage!r}")
     cfg.out.mkdir(parents=True, exist_ok=True)
-    _STAGE_FUNCS[stage](cfg)
+    inputs: list[Path] = []
+    result = _STAGE_FUNCS[stage](cfg, inputs)  # config, outputs and info
+    _append_manifest(cfg, stage, inputs, result)
     return 0
 
 
@@ -489,6 +470,12 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok)
 
 
+def _non_negative_int(text: str) -> int:
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _int_pair(text: str) -> tuple[int, int]:
     parts = _int_list(text)
     if len(parts) != 2:
@@ -505,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     base = argparse.ArgumentParser(add_help=False)
     base.add_argument("--out", type=Path, required=True, help="artifact directory")
-    base.add_argument("--seed", type=int, default=0)
+    base.add_argument("--seed", type=_non_negative_int, default=0)
 
     common = argparse.ArgumentParser(add_help=False, parents=[base])
     source = common.add_mutually_exclusive_group()
@@ -530,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict the stage's node set to geolocated nodes",
     )
 
-    for stage in ("ingest", "features", "embed", "null", "test", "report", "all"):
+    for stage in (*ALL_CHAIN, "all"):
         sub.add_parser(stage, parents=[common])
 
     synth = sub.add_parser("synth", parents=[base])
@@ -542,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--beta", type=float, default=4.0)
     synth.add_argument("--stubs", type=_int_list, default=(1, 2, 3, 4, 5))
     synth.add_argument(
-        "--random-groups", type=int, default=0, help="attach N random label groups (er/ba)"
+        "--random-groups", type=_non_negative_int, default=0, help="N random label groups (er/ba)"
     )
     synth.add_argument("--group-sizes", type=_int_pair, default=(50, 500))
     return parser

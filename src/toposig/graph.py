@@ -23,9 +23,9 @@ The links file and the edge TSV are read through one block reader,
 :func:`_blocks`, which yields whole lines.  Lines that numpy can check in
 bulk keep their names of at most 8 bytes as ``uint64`` keys, interned by one
 sort at the end of the file; every other line goes through its format's
-per-line body.  Both give the same graph and counters.  The node list has
-one reader, :func:`read_nodes_tsv`, the exact inverse of
-:func:`write_nodes_tsv`.
+per-line body.  Both give the same graph and counters.  The node list is
+read by :func:`read_nodes_tsv`, the exact inverse of :func:`write_nodes_tsv`,
+and counted under the same check by :func:`count_nodes_tsv`.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ __all__ = [
     "parse_edges_tsv",
     "parse_nodes_tsv",
     "read_nodes_tsv",
+    "count_nodes_tsv",
     "parse_geo",
     "build_graph",
     "graph_from_id_edges",
@@ -756,11 +757,22 @@ def read_nodes_tsv(stream: TextIO) -> list[str]:
     ``ValueError``, naming the stream's file, when the last line is not
     newline-terminated.
     """
-    names = stream.read().split("\n")
-    if names.pop() != "":
+    names = _node_list_text(stream).split("\n")
+    names.pop()
+    return names
+
+
+def count_nodes_tsv(stream: TextIO) -> int:
+    """The number of names :func:`read_nodes_tsv` would return, without building them."""
+    return _node_list_text(stream).count("\n")
+
+
+def _node_list_text(stream: TextIO) -> str:
+    text = stream.read()
+    if text and not text.endswith("\n"):
         name = getattr(stream, "name", "node list")
         raise ValueError(f"{name}: last line is not newline-terminated")
-    return names
+    return text
 
 
 def write_geo_tsv(labels: GeoLabels, out: TextIO) -> None:

@@ -91,6 +91,19 @@ def test_links_and_edges_together_exit_2_and_write_nothing(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args", [
+    ["all", "--links", FIXTURE_LINKS, "--geo", FIXTURE_GEO, "--seed", "-1"],
+    ["ingest", "--links", FIXTURE_LINKS, "--seed", "-1"],
+    ["synth", "--model", "er", "--n", 50, "--seed", "-1"],
+    ["synth", "--model", "er", "--n", 50, "--random-groups", "-3"],
+], ids=["all-seed", "ingest-seed", "synth-seed", "synth-random-groups"])
+def test_negative_count_exits_2_and_writes_nothing(tmp_path, capsys, args):
+    assert usage_error_code(args + ["--out", tmp_path / "run"]) == 2
+    flag, value = args[-2:]
+    assert f"{flag}: must be a non-negative integer, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("args", [
     ["null", "--pooled-std"],
     ["synth", "--geo", "x"],
     ["synth", "--level", "region"],
@@ -158,6 +171,13 @@ def test_corrupt_graph_artifacts_exit_2(tmp_path, capsys):
     nodes.write_bytes(good_nodes[: good_nodes.rindex(b"\n", 0, -1) + 1])
     assert run(["embed", "--out", tmp_path]) == 2  # features.npy rows != names
     assert "expected float64" in capsys.readouterr().err
+
+    nodes.write_bytes(good_nodes)
+    assert run(["embed", "--out", tmp_path]) == 0
+    nodes.write_bytes(good_nodes[:-1])
+    for stage in ("embed", "null", "test"):
+        assert run([stage, "--out", tmp_path]) == 2, stage
+        assert f"{nodes}: last line is not newline-terminated" in capsys.readouterr().err
 
 
 def test_truncated_model_files_exit_2(tmp_path, capsys):
@@ -477,7 +497,8 @@ def null_samples_text(points):
 
 def label_codes_of(out):
     """``label_codes.npy`` and ``label_groups.tsv`` of ``out`` as a name -> key dict per level."""
-    names = cli._load_names(parsed_args("test", out))
+    with open(out / cli.NODES_TSV, encoding="utf-8", newline="") as f:
+        names = gstore.read_nodes_tsv(f)
     codes, tables, _ = cli._load_label_codes(parsed_args("test", out), len(names), [])
     return [
         {name: tables[level][code] for name, code in zip(names, codes[:, column]) if code >= 0}
@@ -599,7 +620,9 @@ def test_every_option_of_all_is_read_by_its_chain(tmp_path):
 def test_every_option_of_synth_is_read_by_synth(tmp_path):
     runs = [["synth", "--model", model, "--n", 300, "--groups", 4, "--random-groups", 3,
              "--group-sizes", "10,20", "--out", tmp_path / model]
-            for model in ("er", "ba", "gravity")]
+            for model in ("er", "ba")]
+    runs.append(["synth", "--model", "gravity", "--n", 300, "--groups", 4,
+                 "--out", tmp_path / "gravity"])
     assert options_unread("synth", runs) == []
 
 
@@ -648,7 +671,7 @@ def check_handoff(out, edges_text):
     reference = gstore.build_graph(parse_edges_tsv(io.StringIO(edges_text)))
     assert run(["ingest", "--edges", edges, "--out", out]) == 0
     assert run(["features", "--out", out]) == 0
-    loaded = cli._load_graph(parsed_args("features", out))
+    loaded = cli._load_graph(parsed_args("features", out), [])
     assert loaded.equals(reference)
     values = np.load(out / cli.FEATURES_NPY)
     assert np.array_equal(values, compute_all_features(reference).values)
@@ -671,10 +694,11 @@ def test_later_stages_read_no_tsv_and_no_graph(tmp_path):
         "embed": (cli.LABELS_TSV, cli.EDGES_TSV, cli.FEATURES_TSV, cli.GRAPH_BIN),
         "null": (cli.FEATURES_NPY, cli.MODEL_FILE),
     }
-    later = (["embed", "--labeled-only"], ["null", "--labeled-only"], ["test"])
-    with mock.patch.object(gstore, "parse_geo", side_effect=AssertionError("geo re-parsed")):
+    later = (["embed", "--labeled-only"], ["null"], ["null", "--labeled-only"], ["test"])
+    with mock.patch.object(gstore, "parse_geo", side_effect=AssertionError("geo re-parsed")), \
+            mock.patch.object(gstore, "read_nodes_tsv", side_effect=AssertionError("names read")):
         for stage, *flags in later:
-            for name in unread.get(stage, ()):
+            for name in unread.pop(stage, ()):
                 assert (isolated / name).read_bytes() == (full / name).read_bytes(), name
                 (isolated / name).unlink()
             for out in (full, isolated):
@@ -708,6 +732,22 @@ def test_manifest_lists_the_files_each_stage_reads(tmp_path, flags):
         stage, inputs = line.split("\t")[0], line.split("\t")[4]
         listed = sorted(item.rsplit(":", 1)[0] for item in inputs.split(";"))
         assert read[stage] == listed, stage
+
+
+def test_a_stage_appends_one_manifest_line_and_a_failed_stage_none(tmp_path, capsys):
+    manifest = tmp_path / cli.MANIFEST
+    lines = []
+    for stage in ("ingest", "features", "embed", "null", "test"):
+        run_stages(tmp_path, stage)
+        *earlier, last = manifest.read_text().splitlines()
+        assert earlier == lines and last.startswith(f"{stage}\t"), stage
+        lines.append(last)
+    assert run(["test"] + fixture_args(tmp_path)[1:] + ["--min-group-size", "10000"]) == 2
+    graph_bin = tmp_path / cli.GRAPH_BIN
+    graph_bin.write_bytes(graph_bin.read_bytes()[:-8])
+    assert run(["features", "--out", tmp_path]) == 2
+    assert "do not hold" in capsys.readouterr().err
+    assert manifest.read_text().splitlines() == lines
 
 
 def test_no_stage_after_ingest_lists_a_people_artifact_as_input(tmp_path):
@@ -750,7 +790,7 @@ def test_node_list_round_trip_over_awkward_names(names):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = parsed_args("features", tmp)
         cli._write_graph_artifacts(cfg, graph, None)
-        assert cli._load_names(cfg) == list(graph.names)
+        assert cli._load_graph(cfg, []).names == graph.names
 
 
 # ---------------------------------------------------------------------------
@@ -797,6 +837,14 @@ def test_synth_er_with_random_groups(tmp_path):
     with open(tmp_path / cli.LABELS_TSV) as f:
         labels = parse_geo(f)
     assert len(set(labels.country.values())) == 5
+
+
+def test_synth_gravity_with_random_groups_exits_2(tmp_path, capsys):
+    code = run(["synth", "--model", "gravity", "--n", 50, "--groups", 5, "--random-groups", 3,
+                "--out", tmp_path])
+    assert code == 2
+    assert "--random-groups applies to --model er and ba only" in capsys.readouterr().err
+    assert not (tmp_path / cli.EDGES_TSV).exists() and not (tmp_path / cli.MANIFEST).exists()
 
 
 def test_synth_ba_has_no_labels(tmp_path):
