@@ -2,19 +2,19 @@
 
 Stages: ingest -> features -> embed -> null -> test -> report, plus `synth`
 to fabricate labeled input graphs and `all` to run the whole chain.  Stages
-hand off the forms they compute: ``graph.bin`` (the binary adjacency cache)
-with the names in ``nodes.tsv``; the labels, joined to the graph once, as
-each node's country and region code in ``label_codes.npy`` and the group keys
-those codes index in ``label_groups.tsv``; the float64 feature matrix in
-``features.npy``; and every node's whitened point in ``points.npy``.
-``features`` reads the graph and is the only later stage that reads node
-names.  ``embed`` reads the features, ``null`` the points (both also the
-codes under ``--labeled-only``) and ``test`` the points and the codes; each
-checks its rows against the line count of ``nodes.tsv``.  ``edges.tsv``,
-``labels.tsv``, ``features.tsv`` and ``embedding_model.txt`` are written for
-people and later stages never read them.  ``run_stage`` appends each stage's
-line to ``run_manifest.tsv``: stage, version, seed, config, digests of the
-handoffs the stage opened and of its outputs, and the timestamp, alone in the
+hand off the forms they compute, each ``.npy`` read by ``_load_npy``: the CSR
+graph as ``degrees.npy`` and ``neighbors.npy`` with the names in
+``nodes.tsv``; each node's country and region code in ``label_codes.npy``
+and the group keys they index in ``label_groups.tsv``; the float64 features
+in ``features.npy``; and every node's whitened point in ``points.npy``.
+``features`` is the only later stage that opens ``nodes.tsv``.  ``embed``
+reads the features, ``null`` the points (both also the codes under
+``--labeled-only``) and ``test`` the points and the codes; each checks its
+rows against the length of ``degrees.npy``.  ``edges.tsv``, ``labels.tsv``,
+``features.tsv`` and ``embedding_model.txt`` are written for people and later
+stages never read them.  ``run_stage`` appends each stage's line to
+``run_manifest.tsv``: stage, version, seed, config, digests of the inputs as
+the stage opened them and of its outputs, and the timestamp, alone in the
 final column so that identical runs match byte for byte elsewhere.
 
 Exit codes: 0 ok, 2 missing input/artifact, bad config or too-small input
@@ -22,7 +22,7 @@ Exit codes: 0 ok, 2 missing input/artifact, bad config or too-small input
 ``--seed`` or both ``--links`` and ``--edges``, a non-finite ``--fix-alpha``,
 an ``--eig-tol`` outside [0, 1) and a ``test`` run that leaves no group to
 score), 3 parse error in strict mode, 4 numerical degeneracy.  A failed
-``ingest`` writes no artifact.
+``ingest`` or ``synth`` writes no artifact and creates no ``--out``.
 """
 
 from __future__ import annotations
@@ -70,7 +70,8 @@ ALL_CHAIN = ("ingest", "features", "embed", "null", "test", "report")
 
 EDGES_TSV = "edges.tsv"
 NODES_TSV = "nodes.tsv"
-GRAPH_BIN = "graph.bin"
+DEGREES_NPY = "degrees.npy"
+NEIGHBORS_NPY = "neighbors.npy"
 LABELS_TSV = "labels.tsv"
 LABEL_CODES_NPY = "label_codes.npy"
 LABEL_GROUPS_TSV = "label_groups.tsv"
@@ -99,27 +100,28 @@ def _digest(path: Path) -> str:
     return sha.hexdigest()[:12]
 
 
-def _append_manifest(
-    cfg: argparse.Namespace, stage: str, inputs: list[Path], result: tuple[str, list[Path], str]
-) -> None:
-    def fmt(paths: list[Path]) -> str:
-        return ";".join(f"{p.name}:{_digest(p)}" for p in paths) or "-"
+def _entry(path: Path) -> str:
+    return f"{path.name}:{_digest(path)}"
 
+
+def _append_manifest(
+    cfg: argparse.Namespace, stage: str, inputs: list[str], result: tuple[str, list[Path], str]
+) -> None:
     config_desc, outputs, info = result
     timestamp = datetime.now(timezone.utc).isoformat()
     line = "\t".join(
-        [stage, __version__, str(cfg.seed), config_desc or "-", fmt(inputs), fmt(outputs),
-         info or "-", timestamp]
+        [stage, __version__, str(cfg.seed), config_desc or "-", ";".join(inputs) or "-",
+         ";".join(map(_entry, outputs)) or "-", info or "-", timestamp]
     )
     with open(cfg.out / MANIFEST, "a", encoding="utf-8") as f:
         f.write(line + "\n")
 
 
-def _require(path: Path, producer: str, inputs: list[Path]) -> Path:
-    """``path``, recorded in ``inputs`` (the stage's manifest inputs) once it is a file."""
+def _require(path: Path, producer: str, inputs: list[str]) -> Path:
+    """``path``, hashed into ``inputs`` (the stage's manifest inputs) once it is a file."""
     if not path.is_file():
         raise FileNotFoundError(f"missing {path} (produced by the '{producer}' stage)")
-    inputs.append(path)
+    inputs.append(_entry(path))
     return path
 
 
@@ -127,13 +129,18 @@ def _require(path: Path, producer: str, inputs: list[Path]) -> Path:
 # shared loading
 # ---------------------------------------------------------------------------
 
-def _load_graph(cfg: argparse.Namespace, inputs: list[Path]) -> gstore.Graph:
-    graph_path = _require(cfg.out / GRAPH_BIN, "ingest", inputs)
+def _load_graph(cfg: argparse.Namespace, inputs: list[str]) -> gstore.Graph:
+    degrees = _load_npy(cfg.out / DEGREES_NPY, "ingest", inputs)
+    neighbors = _load_npy(cfg.out / NEIGHBORS_NPY, "ingest", inputs)
     with open(_require(cfg.out / NODES_TSV, "ingest", inputs), encoding="utf-8", newline="") as f:
-        return gstore.read_adjacency_cache(str(graph_path), gstore.read_nodes_tsv(f))
+        names = gstore.read_nodes_tsv(f)
+    try:
+        return gstore.graph_from_csr(names, degrees, neighbors)
+    except ValueError as exc:
+        raise ValueError(f"{cfg.out / DEGREES_NPY}, {NEIGHBORS_NPY}, {NODES_TSV}: {exc}") from None
 
 
-def _load_npy(path: Path, producer: str, inputs: list[Path]) -> np.ndarray:
+def _load_npy(path: Path, producer: str, inputs: list[str]) -> np.ndarray:
     """The array in a ``.npy`` handoff; a missing, empty or cut file exits 2."""
     if _require(path, producer, inputs).stat().st_size == 0:
         raise ValueError(f"{path}: empty file")
@@ -144,7 +151,7 @@ def _load_npy(path: Path, producer: str, inputs: list[Path]) -> np.ndarray:
 
 
 def _load_label_codes(
-    cfg: argparse.Namespace, n: int, inputs: list[Path]
+    cfg: argparse.Namespace, n: int, inputs: list[str]
 ) -> tuple[np.ndarray, dict[str, list[str]], int]:
     """Each node's country and region code, the group keys per level that they
     index and the count of unmatched labeled names, checked against each other.
@@ -168,7 +175,7 @@ def _load_label_codes(
     if codes.dtype != np.int32 or codes.shape != (n, len(GEO_LEVELS)):
         raise ValueError(
             f"{codes_path}: {codes.dtype} array of shape {codes.shape}, expected int32"
-            f" of shape ({n}, {len(GEO_LEVELS)}) for the {n} names in {NODES_TSV}"
+            f" of shape ({n}, {len(GEO_LEVELS)}) for the {n} nodes in {DEGREES_NPY}"
         )
     sizes = np.array([len(tables[level]) for level in GEO_LEVELS])
     if np.any((codes < -1) | (codes >= sizes)):
@@ -177,23 +184,24 @@ def _load_label_codes(
 
 
 def _load_rows(
-    cfg: argparse.Namespace, name: str, producer: str, widths: range, inputs: list[Path]
+    cfg: argparse.Namespace, name: str, producer: str, widths: range, inputs: list[str]
 ) -> np.ndarray:
-    """A float64 array of one row per node name and a column count in ``widths``."""
+    """A float64 array of one row per node and a column count in ``widths``."""
     path = cfg.out / name
     values = _load_npy(path, producer, inputs)
-    with open(_require(cfg.out / NODES_TSV, "ingest", inputs), encoding="utf-8", newline="") as f:
-        n = gstore.count_nodes_tsv(f)
+    if (degrees := _load_npy(cfg.out / DEGREES_NPY, "ingest", inputs)).ndim != 1:
+        raise ValueError(f"{cfg.out / DEGREES_NPY}: {degrees.ndim}-d array, expected 1-d")
+    n = len(degrees)
     if values.dtype != np.float64 or values.shape not in [(n, cols) for cols in widths]:
         cols = widths[0] if len(widths) == 1 else f"{widths[0]}..{widths[-1]}"
         raise ValueError(
             f"{path}: {values.dtype} array of shape {values.shape}, expected float64"
-            f" of shape ({n}, {cols}) for the {n} names in {NODES_TSV}"
+            f" of shape ({n}, {cols}) for the {n} nodes in {DEGREES_NPY}"
         )
     return values
 
 
-def _labeled_rows(cfg: argparse.Namespace, rows: np.ndarray, inputs: list[Path]) -> np.ndarray:
+def _labeled_rows(cfg: argparse.Namespace, rows: np.ndarray, inputs: list[str]) -> np.ndarray:
     """``rows`` cut to the geolocated nodes under ``--labeled-only``."""
     if not cfg.labeled_only:
         return rows
@@ -204,18 +212,20 @@ def _labeled_rows(cfg: argparse.Namespace, rows: np.ndarray, inputs: list[Path])
 def _write_graph_artifacts(
     cfg: argparse.Namespace, graph: gstore.Graph, labels: gstore.GeoLabels | None
 ) -> tuple[list[Path], str]:
-    """Write the graph and the labels joined to it; return the paths written and
-    the label tallies for the manifest ("" without labels).
+    """Create ``--out`` and write the graph and the labels joined to it; return
+    the paths written and the label tallies for the manifest ("" without labels).
     """
-    edges_path = cfg.out / EDGES_TSV
-    nodes_path = cfg.out / NODES_TSV
-    graph_path = cfg.out / GRAPH_BIN
-    with open(edges_path, "w", encoding="utf-8") as f:
+    try:
+        cfg.out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ValueError(f"--out {cfg.out} is not a directory") from None
+    outputs = [cfg.out / name for name in (EDGES_TSV, NODES_TSV, DEGREES_NPY, NEIGHBORS_NPY)]
+    with open(outputs[0], "w", encoding="utf-8") as f:
         gstore.write_edges_tsv(graph, f)
-    with open(nodes_path, "w", encoding="utf-8") as f:
+    with open(outputs[1], "w", encoding="utf-8") as f:
         gstore.write_nodes_tsv(graph, f)
-    gstore.write_adjacency_cache(graph, str(graph_path))
-    outputs = [edges_path, nodes_path, graph_path]
+    np.save(outputs[2], graph.degrees)
+    np.save(outputs[3], graph.indices)
     if labels is None:
         # a label handoff left by an earlier run would be scored against this graph
         for name in (LABELS_TSV, LABEL_CODES_NPY, LABEL_GROUPS_TSV):
@@ -227,8 +237,7 @@ def _write_graph_artifacts(
     table_path = cfg.out / LABEL_GROUPS_TSV
     with open(labels_path, "w", encoding="utf-8") as f:
         gstore.write_geo_tsv(labels, f)
-    with open(codes_path, "wb") as f:
-        np.save(f, codes)
+    np.save(codes_path, codes)
     with open(table_path, "w", encoding="utf-8") as f:
         f.write(f"# unmatched={unmatched}\n")
         for level, table in zip(GEO_LEVELS, (countries, regions)):
@@ -247,16 +256,17 @@ def _write_graph_artifacts(
 # stages
 # ---------------------------------------------------------------------------
 
-def _stage_ingest(cfg: argparse.Namespace, inputs: list[Path]) -> tuple[str, list[Path], str]:
+def _stage_ingest(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list[Path], str]:
     if cfg.links is not None:
         source, parse = cfg.links, gstore.parse_links
     elif cfg.edges is not None:
         source, parse = cfg.edges, gstore.parse_edges_tsv
     else:
         raise FileNotFoundError("missing input: pass --links or --edges to ingest")
-    inputs += [path for path in (source, cfg.geo) if path is not None]
-    if missing := [path for path in inputs if not path.is_file()]:
+    sources = [path for path in (source, cfg.geo) if path is not None]
+    if missing := [path for path in sources if not path.is_file()]:
         raise FileNotFoundError(f"missing input file {missing[0]}")
+    inputs += map(_entry, sources)  # before parsing: --out may hold a source it rewrites
     with open(source, encoding="utf-8") as f:
         edge_list = parse(f, strict=cfg.strict)
     graph = gstore.build_graph(edge_list)
@@ -277,7 +287,7 @@ def _stage_ingest(cfg: argparse.Namespace, inputs: list[Path]) -> tuple[str, lis
     return f"strict={int(cfg.strict)}", outputs, info + tallies
 
 
-def _stage_features(cfg: argparse.Namespace, inputs: list[Path]) -> tuple[str, list[Path], str]:
+def _stage_features(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list[Path], str]:
     graph = _load_graph(cfg, inputs)
     table = compute_all_features(graph)
     tsv_path = cfg.out / FEATURES_TSV
@@ -290,7 +300,7 @@ def _stage_features(cfg: argparse.Namespace, inputs: list[Path]) -> tuple[str, l
     return "-", [tsv_path, npy_path], info
 
 
-def _stage_embed(cfg: argparse.Namespace, inputs: list[Path]) -> tuple[str, list[Path], str]:
+def _stage_embed(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list[Path], str]:
     values = _load_rows(cfg, FEATURES_NPY, "features", FEATURE_WIDTHS, inputs)
     model = fit_embedding(_labeled_rows(cfg, values, inputs), eig_tol=cfg.eig_tol)
     model_path = cfg.out / MODEL_FILE
@@ -304,7 +314,7 @@ def _stage_embed(cfg: argparse.Namespace, inputs: list[Path]) -> tuple[str, list
     return desc, [model_path, points_path], f"retained={model.retained} eigenvalues=[{eigs}]"
 
 
-def _stage_null(cfg: argparse.Namespace, inputs: list[Path]) -> tuple[str, list[Path], str]:
+def _stage_null(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list[Path], str]:
     points = _labeled_rows(cfg, _load_rows(cfg, POINTS_NPY, "embed", POINT_WIDTHS, inputs), inputs)
     config = NullSamplingConfig(
         set_sizes=cfg.sizes,
@@ -330,7 +340,7 @@ def _stage_null(cfg: argparse.Namespace, inputs: list[Path]) -> tuple[str, list[
     return desc, [samples_path, model_path], info
 
 
-def _stage_test(cfg: argparse.Namespace, inputs: list[Path]) -> tuple[str, list[Path], str]:
+def _stage_test(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list[Path], str]:
     points = _load_rows(cfg, POINTS_NPY, "embed", POINT_WIDTHS, inputs)
     with open(_require(cfg.out / NULL_MODEL_TSV, "null", inputs), encoding="utf-8") as f:
         null_model = read_null_model_tsv(f)
@@ -382,7 +392,7 @@ def _stage_test(cfg: argparse.Namespace, inputs: list[Path]) -> tuple[str, list[
     return desc, [out_path], info
 
 
-def _stage_report(cfg: argparse.Namespace, inputs: list[Path]) -> tuple[str, list[Path], str]:
+def _stage_report(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list[Path], str]:
     with open(_require(cfg.out / RESULTS_TSV, "test", inputs), encoding="utf-8") as f:
         results = read_results_tsv(f)
     summary = summarize(results)
@@ -401,7 +411,7 @@ def _stage_report(cfg: argparse.Namespace, inputs: list[Path]) -> tuple[str, lis
     return "-", [out_path], info
 
 
-def _stage_synth(cfg: argparse.Namespace, inputs: list[Path]) -> tuple[str, list[Path], str]:
+def _stage_synth(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list[Path], str]:
     if cfg.random_groups and cfg.model == "gravity":
         raise ValueError("--random-groups applies to --model er and ba only")
     labels = None
@@ -448,8 +458,7 @@ def run_stage(stage: str, cfg: argparse.Namespace) -> int:
     """Run one stage and append its manifest line; raises on failure (main maps to exit codes)."""
     if stage not in _STAGE_FUNCS:
         raise ValueError(f"unknown stage {stage!r}")
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    inputs: list[Path] = []
+    inputs: list[str] = []
     result = _STAGE_FUNCS[stage](cfg, inputs)  # config, outputs and info
     _append_manifest(cfg, stage, inputs, result)
     return 0

@@ -25,7 +25,7 @@ bulk keep their names of at most 8 bytes as ``uint64`` keys, interned by one
 sort at the end of the file; every other line goes through its format's
 per-line body.  Both give the same graph and counters.  The node list is
 read by :func:`read_nodes_tsv`, the exact inverse of :func:`write_nodes_tsv`,
-and counted under the same check by :func:`count_nodes_tsv`.
+and saved CSR arrays come back as a graph through :func:`graph_from_csr`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import functools
 import itertools
 import operator
 import re
-import struct
 from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -51,10 +50,10 @@ __all__ = [
     "parse_edges_tsv",
     "parse_nodes_tsv",
     "read_nodes_tsv",
-    "count_nodes_tsv",
     "parse_geo",
     "build_graph",
     "graph_from_id_edges",
+    "graph_from_csr",
     "GEO_LEVELS",
     "label_codes",
     "code_groups",
@@ -63,8 +62,6 @@ __all__ = [
     "write_edges_tsv",
     "write_nodes_tsv",
     "write_geo_tsv",
-    "write_adjacency_cache",
-    "read_adjacency_cache",
 ]
 
 _MEMBER_RE = re.compile(r"^N\d+(?::\d{1,3}(?:\.\d{1,3}){3})?$", re.ASCII)
@@ -215,6 +212,29 @@ def graph_from_id_edges(names: Sequence[str], src: ArrayLike, dst: ArrayLike) ->
     degrees = np.bincount(keys // n, minlength=n).astype(np.int64)
     keys %= n  # in place: each key becomes its column, the CSR neighbor ids
     return _make_graph(names, m, degrees, keys)
+
+
+def graph_from_csr(names: Sequence[str], degrees: np.ndarray, indices: np.ndarray) -> Graph:
+    """The graph on ``names`` (in id order) from its CSR degrees and row-major neighbor ids.
+
+    Raises ``ValueError`` unless both arrays are 1-d int64, ``degrees`` holds
+    one degree in [0, len(names)) per name and sums to the neighbor count,
+    which is even, every neighbor id is in [0, len(names)), and ``names`` is
+    strictly ascending.
+    """
+    for label, arr in (("degrees", degrees), ("neighbor ids", indices)):
+        if arr.dtype != np.int64 or arr.ndim != 1:
+            raise ValueError(f"{label}: {arr.dtype} array of shape {arr.shape}, expected 1-d int64")
+    n, total = len(names), len(indices)
+    if len(degrees) != n:
+        raise ValueError(f"{len(degrees)} degrees for {n} names")
+    if n and not 0 <= int(degrees.min()) <= int(degrees.max()) < n:  # so the sum cannot wrap
+        raise ValueError(f"degrees outside [0, {n})")
+    if int(degrees.sum()) != total or total % 2:
+        raise ValueError(f"degrees sum to {int(degrees.sum())} for {total} neighbor ids (2m)")
+    if total and not 0 <= int(indices.min()) <= int(indices.max()) < n:
+        raise ValueError(f"neighbor ids outside [0, {n})")
+    return _make_graph(names, total // 2, degrees, indices)
 
 
 def build_graph(edge_list: EdgeList) -> Graph:
@@ -757,68 +777,16 @@ def read_nodes_tsv(stream: TextIO) -> list[str]:
     ``ValueError``, naming the stream's file, when the last line is not
     newline-terminated.
     """
-    names = _node_list_text(stream).split("\n")
-    names.pop()
-    return names
-
-
-def count_nodes_tsv(stream: TextIO) -> int:
-    """The number of names :func:`read_nodes_tsv` would return, without building them."""
-    return _node_list_text(stream).count("\n")
-
-
-def _node_list_text(stream: TextIO) -> str:
     text = stream.read()
     if text and not text.endswith("\n"):
         name = getattr(stream, "name", "node list")
         raise ValueError(f"{name}: last line is not newline-terminated")
-    return text
+    names = text.split("\n")
+    names.pop()
+    return names
 
 
 def write_geo_tsv(labels: GeoLabels, out: TextIO) -> None:
     """Emit labels sorted by node name, region column possibly empty."""
     for name in sorted(labels.country):
         out.write(f"{name}\t{labels.country[name]}\t{labels.region.get(name, '')}\n")
-
-
-# ---------------------------------------------------------------------------
-# binary adjacency cache
-# ---------------------------------------------------------------------------
-
-_CACHE_MAGIC = b"TSADJ\x00\x00\x01"
-
-
-def write_adjacency_cache(graph: Graph, path: str) -> None:
-    """Write the versioned binary adjacency cache (bit-exact per input)."""
-    with open(path, "wb") as f:
-        f.write(_CACHE_MAGIC)
-        f.write(struct.pack("<qq", graph.n, graph.m))
-        f.write(graph.degrees.astype("<i8").tobytes())
-        f.write(graph.indices.astype("<i8").tobytes())
-
-
-def read_adjacency_cache(path: str, names: Sequence[str]) -> Graph:
-    """Rebuild the graph from the cache and its node names, in id order.
-
-    Raises ``ValueError`` for a file that is not a cache, whose length does
-    not match its header, whose degrees do not sum to 2m, whose neighbor ids
-    fall outside [0, n), or whose node count differs from ``len(names)``, and
-    for ``names`` that are not strictly ascending.
-    """
-    with open(path, "rb") as f:
-        data = f.read()
-    header = len(_CACHE_MAGIC) + 16
-    if data[: len(_CACHE_MAGIC)] != _CACHE_MAGIC or len(data) < header:
-        raise ValueError(f"{path}: not an adjacency cache (bad header)")
-    n, m = struct.unpack_from("<qq", data, len(_CACHE_MAGIC))
-    if n < 0 or m < 0 or len(data) != header + 8 * n + 16 * m:
-        raise ValueError(f"{path}: {len(data)} bytes do not hold n={n} m={m}")
-    degrees = np.frombuffer(data, dtype="<i8", count=n, offset=header)
-    indices = np.frombuffer(data, dtype="<i8", count=2 * m, offset=header + 8 * n)
-    if int(degrees.sum()) != 2 * m:
-        raise ValueError(f"{path}: degrees sum to {int(degrees.sum())}, expected 2m={2 * m}")
-    if m and not 0 <= int(indices.min()) <= int(indices.max()) < n:
-        raise ValueError(f"{path}: neighbor ids outside [0, {n})")
-    if n != len(names):
-        raise ValueError(f"{path}: holds n={n} nodes but {len(names)} names were given")
-    return _make_graph(names, m, degrees, indices)

@@ -35,8 +35,8 @@ CORE_ARTIFACTS = (
     cli.SUMMARY_TSV,
 )
 INGEST_ARTIFACTS = (
-    cli.EDGES_TSV, cli.NODES_TSV, cli.GRAPH_BIN, cli.LABELS_TSV, cli.LABEL_CODES_NPY,
-    cli.LABEL_GROUPS_TSV, cli.MANIFEST,
+    cli.EDGES_TSV, cli.NODES_TSV, cli.DEGREES_NPY, cli.NEIGHBORS_NPY, cli.LABELS_TSV,
+    cli.LABEL_CODES_NPY, cli.LABEL_GROUPS_TSV, cli.MANIFEST,
 )
 
 
@@ -127,6 +127,29 @@ def test_missing_input_file_exits_2(tmp_path, capsys, flag, name):
     assert not [name for name in INGEST_ARTIFACTS if (out / name).exists()]
 
 
+@pytest.mark.parametrize("args, message", [
+    (["synth", "--model", "er", "--n", "-5"], "need n >= 2"),
+    (["ingest", "--edges", "nope.tsv"], "missing input file"),
+    (["features"], "produced by the 'ingest' stage"),
+], ids=["synth-bad-n", "ingest-missing-edges", "features-fresh-out"])
+def test_a_failed_stage_creates_no_out(tmp_path, capsys, monkeypatch, args, message):
+    monkeypatch.chdir(tmp_path)
+    assert run(args + ["--out", tmp_path / "run"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["synth", "--model", "er", "--n", 50], ["ingest", "--links", FIXTURE_LINKS],
+], ids=["synth", "ingest"])
+def test_out_naming_a_file_exits_2(tmp_path, capsys, args):
+    out = tmp_path / "run"
+    out.write_text("not a directory\n")
+    assert run(args + ["--out", out]) == 2
+    assert f"--out {out} is not a directory" in capsys.readouterr().err
+    assert out.read_text() == "not a directory\n"
+
+
 def test_strict_geo_parse_failure_exits_3_and_writes_nothing(tmp_path, capsys):
     geo = tmp_path / "bad.geo"
     geo.write_text("N000\tC0\nnot a record\n", encoding="utf-8")
@@ -154,30 +177,40 @@ def test_degenerate_features_exit_4(tmp_path):
 
 def test_corrupt_graph_artifacts_exit_2(tmp_path, capsys):
     assert run(["ingest", "--links", FIXTURE_LINKS, "--out", tmp_path]) == 0
-    graph_bin, nodes = tmp_path / cli.GRAPH_BIN, tmp_path / cli.NODES_TSV
-    good_bin, good_nodes = graph_bin.read_bytes(), nodes.read_bytes()
+    degrees, neighbors = tmp_path / cli.DEGREES_NPY, tmp_path / cli.NEIGHBORS_NPY
+    nodes = tmp_path / cli.NODES_TSV
+    good = {path: path.read_bytes() for path in (degrees, neighbors, nodes)}
 
-    graph_bin.write_bytes(good_bin[:-8])
-    assert run(["features", "--out", tmp_path]) == 2
-    assert "do not hold" in capsys.readouterr().err
+    def features_fails(path, data, message):
+        path.write_bytes(data)
+        assert run(["features", "--out", tmp_path]) == 2, message
+        err = capsys.readouterr().err
+        assert path.name in err and message in err, err
+        path.write_bytes(good[path])
 
-    graph_bin.write_bytes(good_bin)
-    nodes.write_bytes(good_nodes + b"N999\n")
-    assert run(["features", "--out", tmp_path]) == 2
-    assert "names" in capsys.readouterr().err
+    def saved(array):
+        data = io.BytesIO()
+        np.save(data, array)
+        return data.getvalue()
 
-    nodes.write_bytes(good_nodes)
-    assert run(["features", "--out", tmp_path]) == 0
-    nodes.write_bytes(good_nodes[: good_nodes.rindex(b"\n", 0, -1) + 1])
-    assert run(["embed", "--out", tmp_path]) == 2  # features.npy rows != names
-    assert "expected float64" in capsys.readouterr().err
+    features_fails(degrees, good[degrees][:-8], f"{degrees}: ")  # numpy's message follows
+    features_fails(neighbors, good[neighbors][:-8], f"{neighbors}: ")
+    features_fails(neighbors, saved(np.load(neighbors).astype(np.float64)), "float64 array")
+    negative = np.load(degrees)
+    negative[:2] = [negative[0] + negative[1] + 1, -1]  # same sum, one degree below 0
+    features_fails(degrees, saved(negative), "degrees outside")
+    features_fails(nodes, good[nodes] + b"N999\n", "names")
+    features_fails(nodes, good[nodes][:-1], "last line is not newline-terminated")
 
-    nodes.write_bytes(good_nodes)
-    assert run(["embed", "--out", tmp_path]) == 0
-    nodes.write_bytes(good_nodes[:-1])
+    run_stages(tmp_path, "features", "embed", "null")
+    np.save(degrees, np.load(degrees)[:-1])
+    for stage in ("embed", "null", "test"):  # rows of features.npy or points.npy != n
+        assert run([stage] + fixture_args(tmp_path)[1:]) == 2, stage
+        assert f"for the 199 nodes in {cli.DEGREES_NPY}" in capsys.readouterr().err
+    np.save(degrees, np.int64(200))
     for stage in ("embed", "null", "test"):
-        assert run([stage, "--out", tmp_path]) == 2, stage
-        assert f"{nodes}: last line is not newline-terminated" in capsys.readouterr().err
+        assert run([stage] + fixture_args(tmp_path)[1:]) == 2, stage
+        assert f"{degrees}: 0-d array, expected 1-d" in capsys.readouterr().err
 
 
 def test_truncated_model_files_exit_2(tmp_path, capsys):
@@ -691,7 +724,9 @@ def test_later_stages_read_no_tsv_and_no_graph(tmp_path):
         run_stages(out, "ingest", "features")
     # in ``isolated`` each stage runs without the files it should not read
     unread = {
-        "embed": (cli.LABELS_TSV, cli.EDGES_TSV, cli.FEATURES_TSV, cli.GRAPH_BIN),
+        "embed": (
+            cli.LABELS_TSV, cli.EDGES_TSV, cli.FEATURES_TSV, cli.NEIGHBORS_NPY, cli.NODES_TSV
+        ),
         "null": (cli.FEATURES_NPY, cli.MODEL_FILE),
     }
     later = (["embed", "--labeled-only"], ["null"], ["null", "--labeled-only"], ["test"])
@@ -734,6 +769,16 @@ def test_manifest_lists_the_files_each_stage_reads(tmp_path, flags):
         assert read[stage] == listed, stage
 
 
+def test_manifest_records_the_digest_of_the_bytes_read(tmp_path):
+    edges = tmp_path / cli.EDGES_TSV
+    edges.write_text("# a comment\na\tb\nb\tc\nc\td\nd\te\n", encoding="utf-8")
+    parsed = cli._digest(edges)
+    assert run(["ingest", "--edges", edges, "--out", tmp_path]) == 0
+    assert cli._digest(edges) != parsed  # rewritten in place, without the comment
+    inputs = (tmp_path / cli.MANIFEST).read_text(encoding="utf-8").split("\t")[4]
+    assert inputs == f"{cli.EDGES_TSV}:{parsed}"
+
+
 def test_a_stage_appends_one_manifest_line_and_a_failed_stage_none(tmp_path, capsys):
     manifest = tmp_path / cli.MANIFEST
     lines = []
@@ -743,10 +788,10 @@ def test_a_stage_appends_one_manifest_line_and_a_failed_stage_none(tmp_path, cap
         assert earlier == lines and last.startswith(f"{stage}\t"), stage
         lines.append(last)
     assert run(["test"] + fixture_args(tmp_path)[1:] + ["--min-group-size", "10000"]) == 2
-    graph_bin = tmp_path / cli.GRAPH_BIN
-    graph_bin.write_bytes(graph_bin.read_bytes()[:-8])
+    neighbors = tmp_path / cli.NEIGHBORS_NPY
+    neighbors.write_bytes(neighbors.read_bytes()[:-8])
     assert run(["features", "--out", tmp_path]) == 2
-    assert "do not hold" in capsys.readouterr().err
+    assert f"{neighbors}: " in capsys.readouterr().err
     assert manifest.read_text().splitlines() == lines
 
 
@@ -757,8 +802,8 @@ def test_no_stage_after_ingest_lists_a_people_artifact_as_input(tmp_path):
     for fields in lines[1:]:
         inputs = {item.split(":")[0] for item in fields[4].split(";")}
         assert not inputs & {cli.LABELS_TSV, cli.EDGES_TSV, cli.FEATURES_TSV}, fields[0]
-        if fields[0] == "test":
-            assert cli.GRAPH_BIN not in inputs
+        if fields[0] != "features":  # the row count comes from degrees.npy
+            assert not inputs & {cli.NEIGHBORS_NPY, cli.NODES_TSV}, fields[0]
 
 
 # names may hold "#", spaces, "\x85" and "\u2028"; ingest strips each line's

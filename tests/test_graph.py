@@ -615,52 +615,70 @@ def test_geo_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# binary adjacency cache
+# CSR arrays
 # ---------------------------------------------------------------------------
 
-def test_adjacency_cache_round_trip(tmp_path):
-    el = parse("link L1: N1 N2 N3\nlink L2: N3 N4\n")
-    graph = g.build_graph(el)
-    path = tmp_path / "adj.bin"
-    g.write_adjacency_cache(graph, str(path))
-    again = g.read_adjacency_cache(str(path), graph.names)
-    assert again.equals(graph)
+def csr_arrays(text="link L1: N1 N2 N3\nlink L2: N3 N4\n"):
+    """A small graph and writable copies of its degrees and neighbor ids."""
+    graph = g.build_graph(parse(text))
+    return graph, graph.degrees.copy(), graph.indices.copy()
+
+
+def test_csr_graph_round_trip_through_npy(tmp_path):
+    graph, *arrays = csr_arrays()
+    loaded = []
+    for name, arr in zip(("degrees", "neighbors"), arrays):
+        path = tmp_path / f"{name}.npy"
+        np.save(path, arr)
+        again = path.read_bytes()
+        np.save(path, arr)
+        assert path.read_bytes() == again
+        assert again.endswith(arr.astype("<i8").tobytes())  # the payload follows the header
+        loaded.append(np.load(path, allow_pickle=False))
+    again = g.graph_from_csr(graph.names, *loaded)
+    assert again.equals(graph) and again.m == graph.m == 4
     assert np.array_equal(again.degrees, graph.degrees)
     assert "name_to_id" not in vars(again)  # built on first use only
     assert again.name_to_id == graph.name_to_id
-    assert not again.indices.flags.writeable
-
-    path2 = tmp_path / "adj2.bin"
-    g.write_adjacency_cache(graph, str(path2))
-    assert path.read_bytes() == path2.read_bytes()
+    assert not again.indices.flags.writeable and not again.degrees.flags.writeable
+    empty = g.graph_from_csr(["a", "b"], np.zeros(2, np.int64), np.empty(0, np.int64))
+    assert (empty.n, empty.m) == (2, 0)
 
 
-def test_adjacency_cache_rejects_other_files(tmp_path):
-    path = tmp_path / "bogus.bin"
-    path.write_bytes(b"not a cache at all")
-    with pytest.raises(ValueError):
-        g.read_adjacency_cache(str(path), [])
+def test_csr_graph_rejects_other_arrays():
+    graph, degrees, indices = csr_arrays()
+    with pytest.raises(ValueError, match="degrees: int32 array of shape"):
+        g.graph_from_csr(graph.names, degrees.astype(np.int32), indices)
+    with pytest.raises(ValueError, match="neighbor ids: float64 array of shape"):
+        g.graph_from_csr(graph.names, degrees, indices.astype(np.float64))
+    with pytest.raises(ValueError, match=r"neighbor ids: int64 array of shape \(4, 2\)"):
+        g.graph_from_csr(graph.names, degrees, indices.reshape(4, 2))
+    with pytest.raises(ValueError, match=r"degrees: int64 array of shape \(2, 2\)"):
+        g.graph_from_csr(graph.names, degrees.reshape(2, 2), indices)
+    with pytest.raises(ValueError, match="4 degrees for 3 names"):
+        g.graph_from_csr(graph.names[:-1], degrees, indices)
+    with pytest.raises(ValueError, match="3 degrees for 4 names"):
+        g.graph_from_csr(graph.names, degrees[:-1], indices)
 
 
-def test_adjacency_cache_rejects_inconsistent_files(tmp_path):
-    graph = g.build_graph(parse("link L1: N1 N2 N3\nlink L2: N3 N4\n"))
-    path = tmp_path / "adj.bin"
-    g.write_adjacency_cache(graph, str(path))
-    data = path.read_bytes()
-    with pytest.raises(ValueError, match="bytes do not hold"):
-        path.write_bytes(data[:-8])
-        g.read_adjacency_cache(str(path), graph.names)
-    with pytest.raises(ValueError, match="degrees sum"):
-        # first degree 2 -> 3: same length, inconsistent with m
-        path.write_bytes(data[:24] + (3).to_bytes(8, "little") + data[32:])
-        g.read_adjacency_cache(str(path), graph.names)
-    with pytest.raises(ValueError, match="outside"):
-        path.write_bytes(data[:-8] + (4).to_bytes(8, "little"))
-        g.read_adjacency_cache(str(path), graph.names)
-    path.write_bytes(data)
-    with pytest.raises(ValueError, match="names"):
-        g.read_adjacency_cache(str(path), graph.names[:-1])
+def test_csr_graph_rejects_inconsistent_arrays():
+    graph, degrees, indices = csr_arrays()
+    assert degrees.tolist() == [2, 2, 3, 1]
+    with pytest.raises(ValueError, match=r"degrees outside \[0, 4\)"):
+        # same sum, one degree below 0: np.repeat would reject it with no file named
+        g.graph_from_csr(graph.names, np.array([3, -1, 3, 3]), indices)
+    with pytest.raises(ValueError, match="degrees sum to 9 for 8"):
+        g.graph_from_csr(graph.names, np.array([3, 2, 3, 1]), indices)
+    with pytest.raises(ValueError, match="degrees sum to 7 for 7"):  # 2m is even
+        g.graph_from_csr(graph.names, np.array([2, 2, 3, 0]), indices[:-1])
+    indices[-1] = 4
+    with pytest.raises(ValueError, match=r"neighbor ids outside \[0, 4\)"):
+        g.graph_from_csr(graph.names, degrees, indices)
+    indices[-1] = -1
+    with pytest.raises(ValueError, match=r"neighbor ids outside \[0, 4\)"):
+        g.graph_from_csr(graph.names, degrees, indices)
+    _, degrees, indices = csr_arrays()
     with pytest.raises(ValueError, match="distinct"):
-        g.read_adjacency_cache(str(path), graph.names[:-1] + graph.names[:1])
+        g.graph_from_csr(graph.names[:-1] + graph.names[:1], degrees, indices)
     with pytest.raises(ValueError, match="distinct"):  # distinct, but out of order
-        g.read_adjacency_cache(str(path), graph.names[::-1])
+        g.graph_from_csr(graph.names[::-1], degrees, indices)
