@@ -10,6 +10,7 @@ counts are heterogeneous or the distance exponent is large.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -139,46 +140,103 @@ def _quadrant(position: np.ndarray) -> str:
     return f"Q{2 * int(position[1] >= 0.5) + int(position[0] >= 0.5)}"
 
 
+# a round whose live weight is below this share of its arrival's total draws
+# from weights divided by that total, as Generator.choice does: there a node
+# whose share rounds to 0 is never drawn, which raw block sums cannot tell
+_UNDERFLOW_SHARE = 2.0**-900
+
+
+def _block_size(n: int, n_groups: int) -> int:
+    """Node ids per block, about sqrt(n G / 32), at least 64 and at most n.
+
+    A round costs i G / B table entries for the block weights (one
+    matrix-vector product) and B slots per draw (several numpy passes); the
+    32 weighs an entry against a slot, so the table stays O(sqrt(n G)).
+    """
+    return min(n, max(64, math.isqrt(n * n_groups // 32)))
+
+
+def _choice_round(x: np.ndarray, weights: np.ndarray, total: float) -> list[int] | None:
+    """One round of ``Generator.choice`` as numpy runs it: inverse CDF of weights / total.
+
+    None when every share rounds to 0, so no node can be drawn.
+    """
+    cdf = np.cumsum(weights / total)
+    if not cdf[-1] > 0.0:
+        return None
+    cdf /= cdf[-1]
+    return cdf.searchsorted(x, side="right").tolist()
+
+
 def _gravity_edges(params: GravityParams) -> tuple[np.ndarray, np.ndarray]:
     """(target, arrival) ids of every gravity edge, in draw order.
 
-    Each arrival's targets are ``Generator.choice(i, m_i, replace=False,
-    p=probs)`` inlined step for step (numpy 2.x), so they consume the same
-    random stream and come out in the same order; inlining skips choice's
-    per-call validation and copy of ``probs``, and reuses two buffers.
+    Each arrival's targets are those of ``Generator.choice(i, m_i,
+    replace=False, p=probs)`` (numpy 2.x): the same uniforms, round by round,
+    each found by inverse CDF.  The search is two-level: a uniform picks a
+    block of node ids by the block weights ``mass[:nb] @ decay[g]``, then a
+    node inside that block, so an arrival costs O(i G / B + m_i B), not O(i).
+    A round left with under ``_UNDERFLOW_SHARE`` of the arrival's weight runs
+    ``choice``'s own pass instead (``_choice_round``).
     """
     n, n_groups = params.n, params.groups
     rng = np.random.default_rng(params.seed)
     group_of = np.arange(n, dtype=np.int64) % n_groups
     decay = params.decay()
     m_of = np.minimum(np.array(params.stubs, dtype=np.int64)[group_of], np.arange(n))
+    size = _block_size(n, n_groups)
+    mass = np.zeros((-(-n // size), n_groups))  # live weight by block and group: exact integers
+    cell = mass.ravel()  # a view: node j's cell is (j // size) * n_groups + j % n_groups
+    kp1 = [1.0] * n  # degree + 1
+    live = np.zeros(n)  # kp1 of each node the arrival may still draw, else 0
+    live[0] = cell[0] = 1.0
+    cum = np.zeros(mass.shape[0] + 1)  # cum[b + 1]: weight of blocks 0..b
     targets = np.empty(int(m_of.sum()), dtype=np.int64)
-    kp1 = np.ones(n)  # degree + 1
-    p_buf = np.empty(n)
-    cdf_buf = np.empty(n)
     pos = 0
+    m_list = m_of.tolist()
     for i in range(1, n):
-        m_i = int(m_of[i])
-        p = decay[i % n_groups].take(group_of[:i], out=p_buf[:i])
-        p *= kp1[:i]
-        total = p.sum()
-        if not math.isfinite(total):
-            raise ValueError(f"gravity weights sum to {total} at arrival {i}; lower beta")
-        p /= total
+        m_i = m_list[i]
+        row = decay[i % n_groups]
+        nb = (i - 1) // size + 1
         found: list[int] = []
+        total = 0.0
         while len(found) < m_i:
             x = rng.random(m_i - len(found))
-            if found:
-                p[found] = 0.0
-            cdf = np.cumsum(p, out=cdf_buf[:i])
-            if not cdf[-1] > 0.0:
-                raise ValueError(f"fewer than {m_i} targets with nonzero weight at arrival {i}")
-            cdf /= cdf[-1]
-            found.extend(dict.fromkeys(cdf.searchsorted(x, side="right").tolist()))
+            (mass[:nb] @ row).cumsum(out=cum[1 : nb + 1])
+            left = float(cum[nb])
+            if not found:
+                total = left
+                if not math.isfinite(total):
+                    raise ValueError(f"gravity weights sum to {total} at arrival {i}; lower beta")
+            if left / total < _UNDERFLOW_SHARE:
+                drawn = _choice_round(x, live[:i] * row.take(group_of[:i]), total)
+                if drawn is None:
+                    raise ValueError(f"fewer than {m_i} targets with nonzero weight at arrival {i}")
+            else:
+                bounds = cum[: nb + 1].tolist()
+                drawn = []
+                for xt in (x * left).tolist():  # x < 1, so xt < left: a block with weight
+                    b = bisect.bisect_right(bounds, xt) - 1
+                    start, stop = b * size, (b + 1) * size
+                    slot = (live[start:stop] * row.take(group_of[start:stop])).cumsum()
+                    s = int(slot.searchsorted(xt - bounds[b], side="right"))
+                    if s == len(slot):  # rounding stepped past the block's last live node
+                        s = int(slot.searchsorted(slot[-1]))
+                    drawn.append(start + s)
+            new = list(dict.fromkeys(drawn))
+            found += new
+            if len(found) < m_i:  # another round: the drawn leave the search
+                for j in new:
+                    cell[j // size * n_groups + j % n_groups] -= live[j]
+                    live[j] = 0.0
         targets[pos : pos + m_i] = found
         pos += m_i
-        kp1[found] += 1.0
+        for j in found:
+            kp1[j] += 1.0
         kp1[i] += m_i
+        for j in found + [i]:  # into the search at the new weight
+            cell[j // size * n_groups + j % n_groups] += kp1[j] - live[j]
+            live[j] = kp1[j]
     return targets, np.repeat(np.arange(n, dtype=np.int64), m_of)
 
 
@@ -189,8 +247,9 @@ def gen_spatial_gravity(params: GravityParams) -> tuple[Graph, GeoLabels]:
     earlier nodes j by successive sampling with probability proportional to
     (k_j + 1) * (d(g_i, g_j) + floor)^(-beta), where d is the Euclidean
     distance between the group positions.  The draw is numpy's weighted
-    sampling without replacement on the same random stream as
-    ``Generator.choice``, so a seed gives the same graph as a ``choice`` loop.
+    sampling without replacement: the same uniforms, rounds and inverse-CDF
+    picks as ``Generator.choice``, found by a blocked search
+    (``_gravity_edges``), so a seed gives the same graph as a ``choice`` loop.
     """
     n, n_groups = params.n, params.groups
     graph = graph_from_id_edges(_padded_names(n), *_gravity_edges(params))

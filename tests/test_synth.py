@@ -228,6 +228,9 @@ def test_gravity_too_few_targets_with_weight_raises():
         (150, 4, 3.0, (7, 1, 12, 4), 2),  # stubs exceed the early arrival counts
         (600, 20, 4.0, (1, 2, 3, 4, 5), 3),  # the synth preset's shape
         (60, 3, 8.0, (5,), 0),  # strong decay: first rounds often repeat a target
+        (700, 7, 3.0, (1, 4, 2), 4),  # 11 blocks of 64 ids; 7 groups do not divide 64
+        (300, 300, 2.0, (1, 3), 6),  # every node its own group
+        (40, 2, 145.0, (3,), 3),  # later rounds fall below 2**-900 of the total and still draw
     ],
 )
 def test_gravity_keeps_the_choice_stream(monkeypatch, n, groups, beta, stubs, seed):
@@ -258,6 +261,52 @@ def test_gravity_keeps_the_choice_stream(monkeypatch, n, groups, beta, stubs, se
     graph, _ = synth.gen_spatial_gravity(params)
     src, dst = graph.edge_id_pairs()
     assert sorted(zip(src.tolist(), dst.tolist())) == sorted(zip(*expected))
+
+
+def test_gravity_block_table_grows_like_the_root_of_n_times_groups():
+    assert 700 // synth._block_size(700, 7) >= 10  # the 11-block case above
+    for n, groups in [(2, 2), (700, 7), (300, 300), (20_000, 20), (20_000, 5_000), (10**6, 10**6)]:
+        size = synth._block_size(n, groups)
+        assert 1 <= size <= n
+        # the block weights cost blocks x groups per round, the slot search size per draw
+        assert -(-n // size) * groups + size <= 8 * math.isqrt(n * groups) + 4096
+
+
+def test_gravity_choice_pass_runs_only_in_underflow_rounds(monkeypatch):
+    shares = []
+    choice_round = synth._choice_round
+
+    def spy(x, weights, total):
+        shares.append(weights.sum() / total)
+        return choice_round(x, weights, total)
+
+    monkeypatch.setattr(synth, "_choice_round", spy)
+    preset = synth.make_gravity_params(n=600, groups=20, beta=4.0, stubs=(1, 2, 3, 4, 5), seed=3)
+    synth._gravity_edges(preset)
+    assert shares == []
+    synth._gravity_edges(synth.make_gravity_params(n=40, groups=2, beta=145.0, stubs=(3,), seed=3))
+    assert shares and all(0.0 < share < 2.0**-900 for share in shares)
+
+
+@pytest.mark.parametrize("top", [False, True])
+def test_gravity_extreme_uniforms_take_the_first_or_last_weighted_nodes(monkeypatch, top):
+    # rounding near the top of a block may step a search past its last live
+    # node; it must come back to a node with weight, as choice's CDF does
+    params = synth.make_gravity_params(n=2000, groups=3, beta=2.0, stubs=(1, 4, 9), seed=0)
+    x = 1.0 - 2.0**-53 if top else 0.0
+
+    class ExtremeRng:
+        def __init__(self, seed):
+            pass
+
+        def random(self, size):
+            return np.full(size, x)
+
+    monkeypatch.setattr(np.random, "default_rng", ExtremeRng)
+    targets, arrivals = synth._gravity_edges(params)
+    rank = np.arange(len(arrivals)) - arrivals.searchsorted(arrivals)  # draw number in its arrival
+    # every round draws one node: the highest live id, or the lowest
+    np.testing.assert_array_equal(targets, arrivals - 1 - rank if top else rank)
 
 
 def _successive_sampling_law(params):
