@@ -19,11 +19,12 @@ sorted.  Node list TSV: each name verbatim on its own newline-terminated
 line, sorted (carries isolated nodes that the edge TSV cannot).  Geo TSV:
 ``name<TAB>country<TAB>region`` with region optionally empty.
 
-The links file and the edge TSV are read through one block reader,
-:func:`_blocks`, which yields whole lines.  Lines that numpy can check in
-bulk keep their names of at most 8 bytes as ``uint64`` keys, interned by one
-sort at the end of the file; every other line goes through its format's
-per-line body.  Both give the same graph and counters.  The node list is
+The links file and the edge TSV are read through one block loop,
+:func:`_read_blocks`: each line of an ASCII block that numpy checks as a
+record keeps its names of at most 8 bytes as ``uint64`` keys, interned by
+one sort at the end of the file; every other line, and each line of a block
+that is not ASCII, goes through its format's per-line body.  Both give the
+same graph and counters.  The node list is
 read by :func:`read_nodes_tsv`, the exact inverse of :func:`write_nodes_tsv`,
 and saved CSR arrays come back as a graph through :func:`graph_from_csr`.
 """
@@ -36,7 +37,7 @@ import operator
 import re
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -268,21 +269,50 @@ def build_graph(edge_list: EdgeList) -> Graph:
 _BLOCK_CHARS = 1 << 20
 
 
-def _blocks(stream: TextIO) -> Iterator[tuple[str, int]]:
-    """Each block of whole lines of ``stream``, with the number of its first line.
+def _ascii_bytes(block: str) -> np.ndarray | None:
+    """The bytes of ``block`` if it is ASCII, else ``None``."""
+    return np.frombuffer(block.encode("ascii"), dtype=np.uint8) if block.isascii() else None
 
-    Every block ends in a newline; one is added after a last line that lacks it.
+
+def _read_blocks(stream: TextIO, lines_of, records, edge_list: EdgeList, strict: bool) -> tuple:
+    """Read ``stream`` in blocks of whole lines; return per-line id pairs, key ids and extras.
+
+    ``lines_of`` takes an ASCII block's bytes, which end in a newline, and
+    returns its keys, any extra arrays, and the runs (see :func:`_runs`) of
+    the lines it leaves to the per-line body ``records``; a block that is
+    not ASCII is one run.  The keys of the whole file are interned last.
     """
+    parts, keyed, extras = [], [], []
     line_no, rest = 1, ""
-    while text := stream.read(_BLOCK_CHARS):
+    while text := stream.read(_BLOCK_CHARS) or rest and "\n":  # ends a last line that lacks one
         block = rest + text
         cut = block.rfind("\n") + 1
         block, rest = block[:cut], block[cut:]
-        if block:
-            yield block, line_no
-            line_no += block.count("\n")
-    if rest:
-        yield rest + "\n", line_no
+        if not block:  # no whole line yet
+            continue
+        raw = _ascii_bytes(block)
+        runs = [(0, 0, len(block))]
+        if raw is not None:
+            keys, *extra, runs = lines_of(raw)
+            keyed.append(keys)
+            extras += extra
+        for first, start, stop in runs:
+            parts.append(records(block[start:stop].split("\n"), line_no + first, edge_list, strict))
+        line_no += block.count("\n")
+    return parts, _intern_keys(keyed, edge_list.ids) if keyed else np.empty(0, np.int64), extras
+
+
+def _runs(left: np.ndarray, ends: np.ndarray) -> list[tuple[int, int, int]]:
+    """Each run of consecutive line indices in ``left`` as ``(first line, start, stop)``, where
+    ``ends`` holds each line's newline offset and the run's text is ``block[start:stop]``."""
+    run_first = left[np.diff(left, prepend=-2) != 1]
+    run_last = left[np.diff(left, append=len(ends) + 1) != 1]
+    run_starts = np.where(run_first > 0, ends[run_first - 1] + 1, 0)
+    return list(zip(run_first.tolist(), run_starts.tolist(), ends[run_last].tolist()))
+
+
+# _KEEP[k] keeps the first k bytes of a big-endian 8-byte word
+_KEEP = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)], dtype=np.uint64)
 
 
 def _name_keys(raw: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -293,9 +323,10 @@ def _name_keys(raw: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.n
     names share a key.
     """
     padded = np.concatenate((raw, np.zeros(7, dtype=np.uint8)))
-    words = np.lib.stride_tricks.sliding_window_view(padded, 8)[starts].view(">u8").ravel()
-    shift = (8 * (8 - lengths)).astype(np.uint64)  # drop the bytes after the name
-    return (words >> shift) << shift
+    words = np.ndarray(len(raw), ">u8", padded, strides=(1,))  # the 8 bytes at each offset
+    keys = words[starts].astype(np.uint64)
+    keys &= _KEEP[lengths]  # drop the bytes after the name
+    return keys
 
 
 def _intern_keys(keyed: list[np.ndarray], ids: dict[str, int]) -> np.ndarray:
@@ -373,17 +404,6 @@ def _link_records(
     return np.frombuffer(pairs, dtype=np.int64)
 
 
-def _bare_text(block: str) -> np.ndarray | None:
-    """The bytes of ``block`` if it is ASCII with no control byte but newline, else ``None``.
-
-    In such a block ``str.split`` splits only at spaces and newlines.
-    """
-    if not block.isascii():
-        return None
-    raw = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
-    return raw if np.count_nonzero(raw < 32) == block.count("\n") else None
-
-
 _LINK_KEY = np.uint64(int.from_bytes(b"link".ljust(8, b"\0"), "big"))
 
 
@@ -408,16 +428,18 @@ def _dotted_quads(raw: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.
 
 
 def _link_lines(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
-    """Classify the lines of a bare block (see :func:`_bare_text`) that ends in a newline.
+    """Classify the lines of an ASCII block that ends in a newline.
 
-    A line is keyed when it is a record (token 0 is ``link``, token 1 is 2 or
-    more bytes ending in ``:``, every later token matches ``_MEMBER_RE``) and
-    each member name fits in 8 bytes.  Returns the key of every member of
-    the keyed records in file order, the arity of each keyed record, and, as
-    ``(line index, start, stop)``, each run of consecutive lines that are
-    neither keyed, blank nor ``#`` comments.
+    A line is keyed when it is a record (token 0 is ``link``, token 1 is 2
+    or more bytes ending in ``:``, every later token matches ``_MEMBER_RE``),
+    each member name fits in 8 bytes, and it holds no control byte but its
+    newline (``str.split`` would split there).  Returns the member keys of
+    the keyed records in file order, each one's arity, and the runs (see
+    :func:`_runs`) of the lines that are neither keyed, blank nor comments.
     """
-    ends = np.flatnonzero(raw == 10)
+    low = np.flatnonzero(raw < 32)
+    ends = low[raw[low] == 10]
+    clean = np.bincount(np.searchsorted(ends, low), minlength=len(ends)) == 1  # no other control
     word = raw != 32
     word[ends] = False
     bounds = np.flatnonzero(np.diff(word, prepend=False))  # start, stop, start, stop, ...
@@ -458,7 +480,7 @@ def _link_lines(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple[int
     fits[suffixed] = _dotted_quads(raw, suffix_starts, stops[suffixed])
     misfit = np.logical_or.reduceat(member & ~fits, head)
 
-    keyed = (size >= 3) & ~misfit
+    keyed = (size >= 3) & ~misfit & clean[lines]
     first = head[keyed]
     keyed[keyed] = (
         (length[first] == 4)
@@ -470,11 +492,7 @@ def _link_lines(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple[int
     keys = _name_keys(raw, starts[tokens], name_lengths[tokens])
 
     left = lines[(raw[starts[head]] != 35) & ~keyed]  # not keyed and not a comment
-    run_first = left[np.diff(left, prepend=-2) != 1]
-    run_last = left[np.diff(left, append=len(ends) + 1) != 1]
-    run_starts = np.where(run_first > 0, ends[run_first - 1] + 1, 0)
-    runs = list(zip(run_first.tolist(), run_starts.tolist(), ends[run_last].tolist()))
-    return keys, size[keyed] - 2, runs
+    return keys, size[keyed] - 2, _runs(left, ends)
 
 
 def _clique_pairs(members: np.ndarray, arity: np.ndarray, edge_list: EdgeList) -> list[np.ndarray]:
@@ -501,34 +519,17 @@ def _clique_pairs(members: np.ndarray, arity: np.ndarray, edge_list: EdgeList) -
 def parse_links(stream: TextIO, strict: bool = False) -> EdgeList:
     """Parse a links file (a text stream with ``.read()``) into a deduplicated :class:`EdgeList`.
 
-    The text is read in blocks of whole lines.  In a block that is ASCII with
-    no control byte but newline, numpy splits the tokens and checks the
-    record grammar; the members of each record whose names all fit in 8
-    bytes are kept as ``uint64`` keys, and at the end of the file one sort of
-    every key interns them, in name order, and each record becomes a clique.
-    Every other line goes through the per-line body, which interns through
-    the ``ids`` dict: each line of any other block, and each line the block
-    grammar rejects, malformed or with a member name over 8 bytes.
+    Lines are read by :func:`_read_blocks`: the records that numpy keys in
+    an ASCII block (see :func:`_link_lines`) become cliques after one sort
+    of every key; every other line goes through the per-line body.
 
     Malformed lines are counted and skipped; with ``strict`` they raise
     :class:`ParseError` carrying the line number.  Counters and line numbers
     are the same on both paths.
     """
     edge_list = EdgeList()
-    parts = []  # flat id pairs of the per-line lines
-    keyed, arities = [], []  # member keys and arity of the keyed records
-    for block, line_no in _blocks(stream):
-        raw = _bare_text(block)
-        runs = [(0, 0, len(block))]  # not bare: the whole block is one per-line run
-        if raw is not None:
-            keys, arity, runs = _link_lines(raw)
-            keyed.append(keys)
-            arities.append(arity)
-        for first, start, stop in runs:
-            lines = block[start:stop].split("\n")
-            parts.append(_link_records(lines, line_no + first, edge_list, strict))
-    if keyed:
-        members = _intern_keys(keyed, edge_list.ids)
+    parts, members, arities = _read_blocks(stream, _link_lines, _link_records, edge_list, strict)
+    if arities:
         parts += _clique_pairs(members, np.concatenate(arities), edge_list)
     return edge_list.finalize(parts)
 
@@ -562,60 +563,48 @@ def _edge_records(
     return np.array(pairs, dtype=np.int64)
 
 
-def _plain_records(block: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The ASCII bytes of ``block`` and the start and length of each name, if bare.
+def _edge_lines(raw: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """Classify the lines of an ASCII block that ends in a newline.
 
-    ``block`` ends in a newline.  Bare means that each line is an ``a<TAB>b``
-    record: ASCII with no control byte but one tab and the newline, a name on
-    each side of the tab, and no line that starts with ``#`` or a space or ends
-    with a space.  Stripping such a line changes nothing, so the names between
-    the separators are the per-line body's names.  Any other block gives ``None``.
+    A line is keyed when it is an ``a<TAB>b`` record with no other control
+    byte, names of 1 to 8 bytes, and neither starts with ``#`` or a space nor
+    ends with a space.  Stripping such a line changes nothing, so its names
+    are the per-line body's.  Returns the flat ``a, b, a, b, ...`` name keys
+    of the keyed lines and the runs (see :func:`_runs`) of the other lines
+    that are not ``#`` comments.
     """
-    try:
-        raw = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
-    except UnicodeEncodeError:
-        return None
-    seps = np.flatnonzero(raw < 32)  # tab, newline, tab, newline, ... if bare
-    tabs, ends = seps[0::2], seps[1::2]
-    if len(tabs) != len(ends) or np.any(raw[tabs] != 9) or np.any(raw[ends] != 10):
-        return None
+    low = np.flatnonzero(raw < 32)  # tab, newline, tab, newline, ... where bare
+    at = np.flatnonzero(raw[low] == 10)
+    ends = low[at]
     starts = np.concatenate(([0], ends[:-1] + 1))
-    first, last = raw[starts], raw[ends - 1]
-    if np.all((starts < tabs) & (tabs + 1 < ends)) and not np.any(
-        (first == 35) | (first == 32) | (last == 32)
-    ):
-        name_starts = np.concatenate(([0], seps[:-1] + 1))
-        return raw, name_starts, seps - name_starts
-    return None
+    tabs = low[at - 1]  # each line's last control byte but the newline, if it has one
+    a_len, b_len = tabs - starts, ends - tabs - 1
+    first = raw[starts]
+    keyed = (
+        (np.diff(at, prepend=-1) == 2) & (raw[tabs] == 9) & (first != 35) & (first != 32)
+        & (raw[ends - 1] != 32) & (np.minimum(a_len, b_len) >= 1) & (np.maximum(a_len, b_len) <= 8)
+    )
+    rows = np.flatnonzero(keyed)
+    spans = np.empty((2, 2 * len(rows)), dtype=np.int64)  # start and length of a, b, a, b, ...
+    spans[:, 0::2] = starts[rows], a_len[rows]
+    spans[:, 1::2] = tabs[rows] + 1, b_len[rows]
+    return _name_keys(raw, *spans), _runs(np.flatnonzero(~keyed & (first != 35)), ends)
 
 
 def parse_edges_tsv(stream: TextIO, strict: bool = False) -> EdgeList:
     """Parse a canonical two-column edge TSV (``#`` comments allowed).
 
-    The text is read in blocks of whole lines, and the block selects its path:
-
-    - a block of bare records whose names all fit in 8 bytes is keyed: each
-      name becomes a ``uint64`` key, and one sort of every key at the end of
-      the file interns the keyed names, in name order;
-    - any other block, a bare one with a longer name included, goes through
-      the per-line body, which interns through the ``ids`` dict.
+    Lines are read by :func:`_read_blocks`: numpy keys the records of an
+    ASCII block (see :func:`_edge_lines`), interned by one sort of every
+    key; every other line goes through the per-line body.
 
     Counters and strict-mode line numbers are the same on both paths.  Only
     the provisional ids differ: per-line names are numbered on first
     mention, and the keyed names after them.
     """
     edge_list = EdgeList()
-    parts = []  # flat id pairs of the per-line blocks
-    keyed = []  # flat name-key pairs of the keyed blocks
-    for block, line_no in _blocks(stream):
-        plain = _plain_records(block)
-        if plain and plain[2].max() <= 8:
-            keyed.append(_name_keys(*plain))
-        else:
-            parts.append(_edge_records(block.split("\n"), line_no, edge_list, strict))
-    if keyed:
-        parts.append(_intern_keys(keyed, edge_list.ids))
-    return edge_list.finalize(parts)
+    parts, key_ids, _ = _read_blocks(stream, _edge_lines, _edge_records, edge_list, strict)
+    return edge_list.finalize([*parts, key_ids])
 
 
 def parse_nodes_tsv(stream: TextIO, edge_list: EdgeList) -> EdgeList:

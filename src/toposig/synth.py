@@ -88,6 +88,7 @@ class GravityParams:
     beta: float
     seed: int
     distance_floor: float = 0.01
+    _decay: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.groups <= self.n:
@@ -104,8 +105,17 @@ class GravityParams:
             raise ValueError(f"distance exponent must be finite and >= 0, got {self.beta}")
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "stubs", stubs)
+        # in place: at most two (G, G) float64 arrays are alive, 200 MB each at G = 5000
+        decay, dy = (np.subtract.outer(c, c) for c in positions.T)
+        decay *= decay
+        dy *= dy
+        decay += dy
+        np.sqrt(decay, out=decay)
+        decay += self.distance_floor
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            decay = self.decay()  # checked here, so overflow needs no warning
+            np.power(decay, -self.beta, out=decay)  # checked here, so overflow needs no warning
+        decay.flags.writeable = False
+        object.__setattr__(self, "_decay", decay)
         if not np.all(np.isfinite(decay) & (decay > 0.0)):
             raise ValueError(
                 f"distance decay (d + {self.distance_floor:g})^-{self.beta:g} is zero or"
@@ -113,10 +123,8 @@ class GravityParams:
             )
 
     def decay(self) -> np.ndarray:
-        """(groups, groups) attachment weights (d(g, h) + floor)^(-beta)."""
-        delta = self.positions[:, None, :] - self.positions[None, :, :]
-        group_dist = np.sqrt((delta**2).sum(axis=2))
-        return (group_dist + self.distance_floor) ** (-self.beta)
+        """(groups, groups) attachment weights (d(g, h) + floor)^(-beta), read-only."""
+        return self._decay
 
 
 def make_gravity_params(

@@ -178,6 +178,8 @@ BAD_LINKS = [
     # keywords and ids, and digits that are not ASCII
     "lnk L9: N1 N2", "LINK L9: N1 N2", "links L9: N1 N2", "link L9 N1", "link : N1 N2",
     "link L9: N\u0661 N1", "link L9: N1:\u0661.2.3.4 N2",
+    # a control byte that str.split splits at and numpy would not
+    "link L\x0b9: N1 N2",
 ]
 BAD_LINK = st.sampled_from(BAD_LINKS).map(lambda t: ("bad", None, t))
 LINK_SKIP = st.one_of(
@@ -211,7 +213,7 @@ def test_links_match_oracle(tagged, final_newline):
     for block_chars in (16, 64, 1 << 20):  # reads cut through records at the first two
         with mock.patch.object(g, "_BLOCK_CHARS", block_chars):
             check_parser_against_oracle(g.parse_links, tagged, final_newline)
-            with mock.patch.object(g, "_bare_text", lambda block: None):  # every line per-line
+            with mock.patch.object(g, "_ascii_bytes", lambda block: None):  # every line per-line
                 check_parser_against_oracle(g.parse_links, tagged, final_newline)
 
 
@@ -298,7 +300,7 @@ def test_block_path_matches_per_line_path(lines, final_newline, block_chars):
     want = edge_list_state(per_line_edges(text))
     with mock.patch.object(g, "_BLOCK_CHARS", block_chars):
         assert edge_list_state(parse_edges(text)) == want
-        with mock.patch.object(g, "_plain_records", lambda block: False):
+        with mock.patch.object(g, "_ascii_bytes", lambda block: None):  # every line per-line
             assert edge_list_state(parse_edges(text)) == want
 
 
@@ -318,14 +320,50 @@ def test_build_graph_names_are_sorted():
     assert g.build_graph(parse_edges("b\ta\na\tc\n")).names == ("a", "b", "c")
 
 
-def test_plain_records_accepts_only_bare_records():
-    assert g._plain_records("a\tb\nN1\tN2\nx\tx\n")
+def per_line_lines(text):
+    """The lines of ``text`` that the edge parser hands to its per-line body, and the parse."""
+    seen = []
+
+    def spy(lines, first_line, edge_list, strict):
+        lines = list(lines)
+        seen.extend(lines)
+        return edge_body(lines, first_line, edge_list, strict)
+
+    edge_body = g._edge_records
+    with mock.patch.object(g, "_edge_records", spy):
+        el = parse_edges(text)
+    return seen, el
+
+
+GOOD_EDGES = "a\tb\nN1\tN2\nx\tx\n"
+
+
+def test_edge_lines_key_only_bare_records():
     for bad in (
-        "#a\tb\n", " a\tb\n", "a\tb \n", "a\tb\r\n", "\x85a\tb\n", "a\x85\tb\n",
-        "a\t\tb\n", "a\n", "\n", "a\tb\tc\n", "\ta\n", "a\t\n", "a\x0bb\tc\n",
-        "a\tb\n\n", "a\tb\nc\n",
+        "#a\tb", " a\tb", "a\tb ", "a\tb\r", "a\t\tb", "a", "", "a\tb\tc", "\ta", "a\t",
+        "a\x0bb\tc", "abcdefghi\tb",
     ):
-        assert not g._plain_records("a\tb\n" + bad), bad
+        text = f"{GOOD_EDGES}{bad}\n{GOOD_EDGES}"
+        keys, runs = g._edge_lines(np.frombuffer(text.encode(), np.uint8))
+        names = keys.astype(">u8").view("S8").astype(str).tolist()
+        assert names == ["a", "b", "N1", "N2", "x", "x"] * 2, bad  # the good lines stay keyed
+        # the bad line alone is left to the per-line body, unless it is a comment
+        comment = bad.startswith("#")
+        assert runs == ([] if comment else [(3, len(GOOD_EDGES), len(GOOD_EDGES) + len(bad))]), bad
+        assert per_line_lines(text)[0] == ([] if comment else [bad]), bad
+    for bad in ("\x85a\tb", "a\x85\tb"):  # a block that is not ASCII goes per-line whole
+        seen, _ = per_line_lines(f"{GOOD_EDGES}{bad}\n")
+        assert [line for line in seen if line] == GOOD_EDGES.splitlines() + [bad], bad
+
+
+def test_only_the_odd_edge_lines_reach_the_per_line_body():
+    lines = [f"N{i}\tN{i + 1}" for i in range(1000)]
+    lines[10] = "# a comment"
+    lines[300] = "  # an indented comment"
+    lines[700] = "N12345678\tN1"
+    seen, el = per_line_lines("\n".join(lines) + "\n")
+    assert seen == [lines[300], lines[700]]
+    assert el.malformed_lines == 0 and len(el.src) == 998 and "N12345678" in el.ids
 
 
 @pytest.mark.parametrize("block_chars", [1, 3, 7, 64])
