@@ -21,8 +21,9 @@ Exit codes: 0 ok, 2 missing input/artifact, bad config or too-small input
 (among them argparse usage errors such as an unknown flag, a negative
 ``--seed`` or both ``--links`` and ``--edges``, a non-finite ``--fix-alpha``,
 an ``--eig-tol`` outside [0, 1) and a ``test`` run that leaves no group to
-score), 3 parse error in strict mode, 4 numerical degeneracy.  A failed
-``ingest`` or ``synth`` writes no artifact and creates no ``--out``.
+score), 3 parse error in strict mode, 4 numerical degeneracy (among them a
+fitted null ``a`` or a group's sigma(N) that is not finite and above 0).  A
+failed ``ingest`` or ``synth`` writes no artifact and creates no ``--out``.
 """
 
 from __future__ import annotations

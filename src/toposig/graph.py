@@ -24,14 +24,14 @@ The links file and the edge TSV are read through one block loop,
 record keeps its names of at most 8 bytes as ``uint64`` keys, interned by
 one sort at the end of the file; every other line, and each line of a block
 that is not ASCII, goes through its format's per-line body.  Both give the
-same graph and counters.  The node list is
-read by :func:`read_nodes_tsv`, the exact inverse of :func:`write_nodes_tsv`,
-and saved CSR arrays come back as a graph through :func:`graph_from_csr`.
+same graph and counters.  The node list is read by :func:`read_nodes_tsv`,
+the exact inverse of :func:`write_nodes_tsv`.  A :class:`Graph` is the names,
+degrees and neighbor ids the stages hand off as ``nodes.tsv``, ``degrees.npy``
+and ``neighbors.npy``; :func:`graph_from_csr` checks them and makes every graph.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 import re
@@ -118,28 +118,29 @@ class EdgeList:
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable simple undirected graph in compressed sparse adjacency form.
+    """Immutable simple undirected graph: names, degrees and row-major neighbor ids.
 
-    Internal ids are assigned in lexicographic order of external names, so id
-    order and name order coincide.  Arrays are marked read-only; the graph is
-    safe for unlimited concurrent readers.
+    Ids follow the lexicographic order of the names.  Only :func:`graph_from_csr`
+    makes one, and it marks the arrays read-only, so the graph is safe for
+    unlimited concurrent readers.
     """
 
-    n: int
-    m: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    degrees: np.ndarray
     names: tuple[str, ...]
+    degrees: np.ndarray
+    indices: np.ndarray
 
-    @functools.cached_property
-    def name_to_id(self) -> dict[str, int]:
-        """Each name's id, built on first use: only the label join reads it."""
-        return dict(zip(self.names, range(self.n)))
+    @property
+    def n(self) -> int:
+        return len(self.names)
+
+    @property
+    def m(self) -> int:
+        return len(self.indices) // 2
 
     def neighbors(self, node: int) -> np.ndarray:
         """Sorted neighbor ids of ``node``."""
-        return self.indices[self.indptr[node] : self.indptr[node + 1]]
+        start = int(self.degrees[:node].sum())
+        return self.indices[start : start + self.degrees[node]]
 
     def edge_id_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """All edges as (src, dst) id arrays with src < dst, sorted."""
@@ -149,17 +150,10 @@ class Graph:
 
     def equals(self, other: "Graph") -> bool:
         return (
-            self.n == other.n
-            and self.m == other.m
-            and self.names == other.names
-            and np.array_equal(self.indptr, other.indptr)
+            self.names == other.names
+            and np.array_equal(self.degrees, other.degrees)
             and np.array_equal(self.indices, other.indices)
         )
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 def _ascending(names: Sequence[str]) -> bool:
@@ -167,28 +161,12 @@ def _ascending(names: Sequence[str]) -> bool:
     return all(map(operator.lt, names, itertools.islice(names, 1, None)))
 
 
-def _make_graph(names: Sequence[str], m: int, degrees: np.ndarray, indices: np.ndarray) -> Graph:
-    """Final construction shared by every path that yields a :class:`Graph`."""
-    if not _ascending(names):
-        raise ValueError("node names are not distinct and in ascending order")
-    indptr = np.zeros(len(names) + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    return Graph(
-        n=len(names),
-        m=m,
-        indptr=_freeze(indptr),
-        indices=_freeze(indices),
-        degrees=_freeze(degrees),
-        names=tuple(names),
-    )
-
-
 def graph_from_id_edges(names: Sequence[str], src: ArrayLike, dst: ArrayLike) -> Graph:
     """Assemble the adjacency structure on ``names`` (in id order) from id pairs.
 
-    ``names`` must be strictly ascending, and each unordered pair must appear
-    once and join two distinct ids in [0, len(names)); raises ``ValueError``
-    otherwise.
+    Each unordered pair must appear once and join two distinct ids in
+    [0, len(names)); raises ``ValueError`` otherwise, and where
+    :func:`graph_from_csr` does (``names`` not strictly ascending).
     """
     n = len(names)
     src = np.asarray(src, dtype=np.int64)
@@ -212,7 +190,7 @@ def graph_from_id_edges(names: Sequence[str], src: ArrayLike, dst: ArrayLike) ->
         raise ValueError("edges contain a duplicate pair")
     degrees = np.bincount(keys // n, minlength=n).astype(np.int64)
     keys %= n  # in place: each key becomes its column, the CSR neighbor ids
-    return _make_graph(names, m, degrees, keys)
+    return graph_from_csr(names, degrees, keys)
 
 
 def graph_from_csr(names: Sequence[str], degrees: np.ndarray, indices: np.ndarray) -> Graph:
@@ -221,7 +199,7 @@ def graph_from_csr(names: Sequence[str], degrees: np.ndarray, indices: np.ndarra
     Raises ``ValueError`` unless both arrays are 1-d int64, ``degrees`` holds
     one degree in [0, len(names)) per name and sums to the neighbor count,
     which is even, every neighbor id is in [0, len(names)), and ``names`` is
-    strictly ascending.
+    strictly ascending.  Both arrays are marked read-only, not copied.
     """
     for label, arr in (("degrees", degrees), ("neighbor ids", indices)):
         if arr.dtype != np.int64 or arr.ndim != 1:
@@ -235,7 +213,11 @@ def graph_from_csr(names: Sequence[str], degrees: np.ndarray, indices: np.ndarra
         raise ValueError(f"degrees sum to {int(degrees.sum())} for {total} neighbor ids (2m)")
     if total and not 0 <= int(indices.min()) <= int(indices.max()) < n:
         raise ValueError(f"neighbor ids outside [0, {n})")
-    return _make_graph(names, total // 2, degrees, indices)
+    if not _ascending(names):
+        raise ValueError("node names are not distinct and in ascending order")
+    degrees.flags.writeable = False
+    indices.flags.writeable = False
+    return Graph(names=tuple(names), degrees=degrees, indices=indices)
 
 
 def build_graph(edge_list: EdgeList) -> Graph:
@@ -671,11 +653,12 @@ def parse_geo(stream: Iterable[str], strict: bool = False) -> GeoLabels:
 GEO_LEVELS = ("country", "region")  # the code columns of label_codes, in order
 
 
-def _code_column(graph: Graph, keyed: Iterable[tuple[str, str]]) -> tuple[np.ndarray, list[str]]:
+def _code_column(ids: dict[str, int], keyed: Iterable) -> tuple[np.ndarray, list[str]]:
     """Each node's code (-1 = none) in the sorted table of the group keys of its
-    ``(name, group key)`` pair, and that table; names not in the graph are left out.
+    ``(name, group key)`` pair, and that table; ``ids`` maps every node's name to
+    its id, and names not in it are left out.
     """
-    get = graph.name_to_id.get
+    get = ids.get
     nodes, keys = [], []
     for name, key in keyed:
         node = get(name)
@@ -684,7 +667,7 @@ def _code_column(graph: Graph, keyed: Iterable[tuple[str, str]]) -> tuple[np.nda
             keys.append(key)
     table = sorted(set(keys))
     code = dict(zip(table, range(len(table))))
-    column = np.full(graph.n, -1, dtype=np.int32)
+    column = np.full(len(ids), -1, dtype=np.int32)
     column[nodes] = np.fromiter(map(code.__getitem__, keys), np.int32, len(keys))
     return column, table
 
@@ -696,12 +679,13 @@ def label_codes(graph: Graph, labels: GeoLabels) -> tuple[np.ndarray, list[str],
     ``country/region`` code in id order (-1 = none), the sorted country and
     region key tables those codes index (only groups with a node in the
     graph), and the count of labeled names not in the graph (reported, not
-    fatal).
+    fatal).  The name index is built here and dropped when the join ends.
     """
+    ids = dict(zip(graph.names, range(graph.n)))
     codes = np.empty((graph.n, len(GEO_LEVELS)), dtype=np.int32)
-    codes[:, 0], countries = _code_column(graph, labels.country.items())
+    codes[:, 0], countries = _code_column(ids, labels.country.items())
     keyed = ((name, f"{labels.country[name]}/{region}") for name, region in labels.region.items())
-    codes[:, 1], regions = _code_column(graph, keyed)
+    codes[:, 1], regions = _code_column(ids, keyed)
     unmatched = len(labels.country) - int(np.count_nonzero(codes[:, 0] >= 0))
     return codes, countries, regions, unmatched
 

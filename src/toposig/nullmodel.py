@@ -52,7 +52,7 @@ SIGNIFICANCE_Z = 2.0
 
 
 class NullFitError(ValueError):
-    """Scaling-law fit impossible (too few usable sample sizes)."""
+    """No usable null: too few usable sample sizes, or an a or sigma(N) not finite and above 0."""
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,10 @@ class NullModel:
     fit_residual: float
 
     def sigma(self, n: int) -> float:
-        return self.a * float(n) ** (-self.alpha)
+        try:
+            return self.a * float(n) ** (-self.alpha)
+        except OverflowError:  # N**(-alpha) past the float range
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -161,7 +164,8 @@ def fit_null_scaling(samples: NullSamples, fix_alpha: float | None = None) -> Nu
 
     mu_r is the rep-weighted mean of the per-size means.  Sizes with zero
     spread are excluded from the power-law fit; a free-alpha fit needs at
-    least 3 usable sizes, a fixed-alpha fit at least 1.
+    least 3 usable sizes, a fixed-alpha fit at least 1.  Raises
+    :class:`NullFitError` when the fitted a is not finite and above 0.
     """
     if fix_alpha is not None and not math.isfinite(fix_alpha):
         raise ValueError(f"fixed alpha must be finite, got {fix_alpha}")
@@ -187,10 +191,16 @@ def fit_null_scaling(samples: NullSamples, fix_alpha: float | None = None) -> Nu
         slope, log_a = np.polyfit(log_n, log_s, 1)
         alpha = float(-slope)
         log_a = float(log_a)
+    try:
+        a = math.exp(log_a)
+    except OverflowError:
+        a = math.inf
+    if not 0.0 < a < math.inf:
+        raise NullFitError(f"alpha {alpha:.9g} fits a = exp({log_a:.9g}), not finite and above 0")
     residuals = log_s - (log_a - alpha * log_n)
     return NullModel(
         mu_r=mu_r,
-        a=float(math.exp(log_a)),
+        a=a,
         alpha=alpha,
         fit_residual=float(np.sqrt(np.mean(residuals**2))),
     )
@@ -232,7 +242,10 @@ def z_score(
     """Score one group against the null; significance is strict |z| > 2."""
     if n_data < 2:
         raise ValueError("group needs at least 2 nodes")
-    z = (mu_data - model.mu_r) / model.sigma(n_data)
+    sigma = model.sigma(n_data)
+    if not 0.0 < sigma < math.inf:
+        raise NullFitError(f"sigma(N) = {sigma:.9g} at N = {n_data} is not finite and above 0")
+    z = (mu_data - model.mu_r) / sigma
     p = math.erfc(abs(z) / math.sqrt(2.0))
     return GroupTestResult(
         level=level,

@@ -49,7 +49,8 @@ def gen_er(n: int, p: float, seed: int) -> Graph:
         log_q = math.log1p(-p)
         v, w = 1, -1
         while v < n:
-            w += 1 + int(math.log(1.0 - rng.random()) / log_q)
+            # a skip past every pair left ends the walk; capped, since a subnormal p gives inf
+            w += 1 + int(min(math.log(1.0 - rng.random()) / log_q, n * n))
             while w >= v and v < n:
                 w -= v
                 v += 1

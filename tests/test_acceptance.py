@@ -67,8 +67,8 @@ def test_criterion_1_feature_oracle_equivalence():
         pairs = [(graph.names[a], graph.names[b]) for a, b in zip(src, dst)]
         oracle = naive_features(pairs, list(graph.names))
         table = compute_all_features(graph)
-        for name in graph.names:
-            got = table.values[graph.name_to_id[name]]
+        for node, name in enumerate(graph.names):
+            got = table.values[node]
             want = np.array(oracle[name])
             err = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
             worst = max(worst, float(err.max()))

@@ -275,6 +275,25 @@ def test_non_finite_fix_alpha_exits_2(tmp_path, capsys, alpha):
     assert not (tmp_path / cli.NULL_MODEL_TSV).exists()
 
 
+# on the fixture, alpha 250 fits a = exp(767), which overflows, and -1000 fits
+# a = exp(-3071), which is 0
+@pytest.mark.parametrize("alpha", ["250", "-1000"])
+def test_fix_alpha_fitting_no_usable_amplitude_exits_4(tmp_path, capsys, alpha):
+    run_stages(tmp_path, "ingest", "features", "embed")
+    assert run(["null"] + fixture_args(tmp_path)[1:] + [f"--fix-alpha={alpha}"]) == 4
+    assert f"alpha {alpha} fits a = exp(" in capsys.readouterr().err
+    assert not (tmp_path / cli.NULL_MODEL_TSV).exists()
+
+
+def test_sigma_overflowing_at_a_group_size_exits_4(tmp_path, capsys):
+    # alpha -230 fits a = 9.3e-308, and sigma(N) = a * N**230 overflows at N >= 22
+    run_stages(tmp_path, "ingest", "features", "embed")
+    assert run(["null"] + fixture_args(tmp_path)[1:] + ["--fix-alpha=-230"]) == 0
+    assert run(["test"] + fixture_args(tmp_path)[1:]) == 4
+    assert re.search(r"sigma\(N\) = inf at N = \d+ is not finite", capsys.readouterr().err)
+    assert not (tmp_path / cli.RESULTS_TSV).exists()
+
+
 @pytest.mark.parametrize("eig_tol", ["nan", "-1", "1", "2"])
 def test_eig_tol_outside_unit_interval_exits_2(tmp_path, capsys, eig_tol):
     run_stages(tmp_path, "ingest", "features")
@@ -777,6 +796,29 @@ def test_manifest_records_the_digest_of_the_bytes_read(tmp_path):
     assert cli._digest(edges) != parsed  # rewritten in place, without the comment
     inputs = (tmp_path / cli.MANIFEST).read_text(encoding="utf-8").split("\t")[4]
     assert inputs == f"{cli.EDGES_TSV}:{parsed}"
+
+
+# the fixture's graph-side artifacts as the manifest records them: a change
+# that keeps these files byte for byte keeps every digest here
+PINNED_DIGESTS = {
+    cli.EDGES_TSV: "1d30bfb132a0",
+    cli.NODES_TSV: "c81726251481",
+    cli.DEGREES_NPY: "85e565143e3e",
+    cli.NEIGHBORS_NPY: "3618bf463aa6",
+    cli.LABELS_TSV: "8b5df7de12eb",
+    cli.LABEL_CODES_NPY: "bfa2316f2947",
+    cli.LABEL_GROUPS_TSV: "ea81e008c279",
+    cli.FEATURES_TSV: "adff362332f7",
+    cli.FEATURES_NPY: "54cd83dabb3c",
+}
+
+
+def test_graph_side_artifacts_keep_their_pinned_digests(tmp_path):
+    assert run(["ingest", "--links", FIXTURE_LINKS, "--geo", FIXTURE_GEO, "--out", tmp_path]) == 0
+    assert run(["features", "--out", tmp_path]) == 0
+    outputs = [line.split("\t")[5] for line in (tmp_path / cli.MANIFEST).read_text().splitlines()]
+    recorded = dict(item.split(":") for entry in outputs for item in entry.split(";"))
+    assert recorded == PINNED_DIGESTS
 
 
 def test_a_stage_appends_one_manifest_line_and_a_failed_stage_none(tmp_path, capsys):

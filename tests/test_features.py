@@ -116,11 +116,11 @@ def test_complete_graph_rows():
 def test_star_center_and_leaf():
     graph = star4()
     values = compute_all_features(graph).values
-    center = values[graph.name_to_id["c"]]
+    center = values[graph.names.index("c")]
     assert (center[0], center[1]) == (4, 1.0)
     assert center[2] == pytest.approx(0.48)
     assert center[3] == pytest.approx(-0.8)
-    leaf = values[graph.name_to_id["l1"]]
+    leaf = values[graph.names.index("l1")]
     assert (leaf[0], leaf[1], leaf[2]) == (1, 4.0, 0.0)
     assert leaf[3] == pytest.approx(-0.8)
 
@@ -128,7 +128,7 @@ def test_star_center_and_leaf():
 def test_isolated_node_row_is_zero():
     graph = graph_from_pairs([("N1", "N2"), ("N2", "N3")], extra_names=["N9"])
     table = compute_all_features(graph)
-    assert np.array_equal(table.values[graph.name_to_id["N9"]], np.zeros(4))
+    assert np.array_equal(table.values[graph.names.index("N9")], np.zeros(4))
     assert np.all(np.isfinite(table.values))
 
 
@@ -141,8 +141,8 @@ def test_features_match_naive_oracle():
         pairs = [(graph.names[a], graph.names[b]) for a, b in zip(src, dst)]
         oracle = naive_features(pairs, list(graph.names))
         table = compute_all_features(graph)
-        for name in graph.names:
-            got = table.values[graph.name_to_id[name]]
+        for node, name in enumerate(graph.names):
+            got = table.values[node]
             assert np.allclose(got, oracle[name], rtol=1e-10, atol=1e-10), name
 
 
@@ -164,8 +164,8 @@ def test_isomorphism_permutes_rows(n, seed):
     t_base = compute_all_features(base)
     t_renamed = compute_all_features(renamed)
     for i in range(n):
-        a = t_base.values[base.name_to_id[f"N{i}"]]
-        b = t_renamed.values[renamed.name_to_id[f"M{perm[i]}"]]
+        a = t_base.values[base.names.index(f"N{i}")]
+        b = t_renamed.values[renamed.names.index(f"M{perm[i]}")]
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
 

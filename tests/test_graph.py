@@ -59,7 +59,7 @@ def test_clique_expansion_pair_count(r):
 def test_single_member_link_keeps_isolated_node():
     graph = g.build_graph(parse("link L1: N1 N2\nlink L2: N9\n"))
     assert graph.names == ("N1", "N2", "N9")
-    assert graph.degrees[graph.name_to_id["N9"]] == 0
+    assert graph.degrees[graph.names.index("N9")] == 0
 
 
 def test_comments_and_blank_lines_skipped():
@@ -385,7 +385,7 @@ def test_strict_line_number_across_blocks(block_chars, bad_line):
 
 def test_path_graph_degrees():
     graph = g.build_graph(parse_edges("a\tb\nb\tc\n"))
-    assert [graph.degrees[graph.name_to_id[x]] for x in ("a", "b", "c")] == [1, 2, 1]
+    assert [graph.degrees[graph.names.index(x)] for x in ("a", "b", "c")] == [1, 2, 1]
 
 
 def test_triangle():
@@ -404,7 +404,7 @@ def test_ids_follow_lexicographic_name_order():
     el = parse("link L1: N9 N10\nlink L2: N10 N2\n")
     graph = g.build_graph(el)
     assert graph.names == tuple(sorted(graph.names))
-    assert all(graph.name_to_id[n] == i for i, n in enumerate(graph.names))
+    assert all(graph.names.index(n) == i for i, n in enumerate(graph.names))
 
 
 def test_degrees_match_bruteforce_recount():
@@ -426,8 +426,8 @@ def test_degrees_match_bruteforce_recount():
         seen.add(key)
         count[a] = count.get(a, 0) + 1
         count[b] = count.get(b, 0) + 1
-    for name in graph.names:
-        assert graph.degrees[graph.name_to_id[name]] == count.get(name, 0)
+    for node, name in enumerate(graph.names):
+        assert graph.degrees[node] == count.get(name, 0)
     assert graph.degrees.sum() == 2 * graph.m
 
 
@@ -466,7 +466,7 @@ def test_id_edge_constructor_matches_build_graph():
 def test_id_edge_constructor_without_edges():
     graph = g.graph_from_id_edges(["a", "b"], [], [])
     assert (graph.n, graph.m) == (2, 0)
-    assert graph.indptr.tolist() == [0, 0, 0]
+    assert graph.degrees.tolist() == [0, 0] and graph.indices.tolist() == []
 
 
 @pytest.mark.parametrize(
@@ -496,7 +496,7 @@ def test_line_order_invariance(order):
     base = g.build_graph(parse("\n".join(lines) + "\n"))
     shuffled = g.build_graph(parse("\n".join(lines[i] for i in order) + "\n"))
     assert base.equals(shuffled)
-    assert base.name_to_id == shuffled.name_to_id
+    assert base.names == shuffled.names
 
 
 def test_canonical_tsv_round_trip_byte_identical():
@@ -602,9 +602,10 @@ def dict_groups(graph, keyed):
     """Sorted node-id sets of the graph's names from ``(name, group key)`` pairs,
     built with a dict: the reference for ``label_codes`` + ``code_groups``.
     """
+    ids = {name: node for node, name in enumerate(graph.names)}
     groups = {}
     for name, key in keyed:
-        node = graph.name_to_id.get(name)
+        node = ids.get(name)
         if node is not None:
             groups.setdefault(key, []).append(node)
     return {k: np.array(sorted(v), dtype=np.int64) for k, v in sorted(groups.items())}
@@ -630,7 +631,7 @@ def test_label_codes_groups_match_dict_groups(records):
     )
     codes, countries, regions, unmatched = g.label_codes(graph, labels)
     assert codes.dtype == np.int32 and codes.shape == (graph.n, 2)
-    assert unmatched == sum(name not in graph.name_to_id for name in records)
+    assert unmatched == sum(name not in graph.names for name in records)
     region_keyed = [(name, f"{labels.country[name]}/{r}") for name, r in labels.region.items()]
     for column, table, keyed, library in (
         (0, countries, labels.country.items(), g.country_groups(graph, labels)),
@@ -676,8 +677,7 @@ def test_csr_graph_round_trip_through_npy(tmp_path):
     again = g.graph_from_csr(graph.names, *loaded)
     assert again.equals(graph) and again.m == graph.m == 4
     assert np.array_equal(again.degrees, graph.degrees)
-    assert "name_to_id" not in vars(again)  # built on first use only
-    assert again.name_to_id == graph.name_to_id
+    assert again.names == graph.names
     assert not again.indices.flags.writeable and not again.degrees.flags.writeable
     empty = g.graph_from_csr(["a", "b"], np.zeros(2, np.int64), np.empty(0, np.int64))
     assert (empty.n, empty.m) == (2, 0)

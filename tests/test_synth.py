@@ -41,6 +41,14 @@ def test_er_invalid_p_rejected():
         synth.gen_er(1, 0.5, seed=0)
 
 
+@pytest.mark.parametrize("p", [1e-310, 5e-324])
+def test_er_subnormal_p_ends_the_walk(p):
+    # most skips are inf here: log(1 - u) / log1p(-p) overflows a float
+    for seed in range(5):
+        graph = synth.gen_er(100, p, seed=seed)
+        assert (graph.n, graph.m) == (100, 0)
+
+
 def test_er_deterministic_per_seed():
     a = synth.gen_er(200, 0.05, seed=3)
     b = synth.gen_er(200, 0.05, seed=3)
