@@ -118,10 +118,15 @@ def _append_manifest(
         f.write(line + "\n")
 
 
-def _require(path: Path, producer: str, inputs: list[str]) -> Path:
+# the stages that write the graph and label handoff
+GRAPH_STAGES = ("ingest", "synth")
+
+
+def _require(path: Path, producers: tuple[str, ...], inputs: list[str]) -> Path:
     """``path``, hashed into ``inputs`` (the stage's manifest inputs) once it is a file."""
     if not path.is_file():
-        raise FileNotFoundError(f"missing {path} (produced by the '{producer}' stage)")
+        stages = " or ".join(f"'{stage}'" for stage in producers)
+        raise FileNotFoundError(f"missing {path} (produced by the {stages} stage)")
     inputs.append(_entry(path))
     return path
 
@@ -131,9 +136,10 @@ def _require(path: Path, producer: str, inputs: list[str]) -> Path:
 # ---------------------------------------------------------------------------
 
 def _load_graph(cfg: argparse.Namespace, inputs: list[str]) -> gstore.Graph:
-    degrees = _load_npy(cfg.out / DEGREES_NPY, "ingest", inputs)
-    neighbors = _load_npy(cfg.out / NEIGHBORS_NPY, "ingest", inputs)
-    with open(_require(cfg.out / NODES_TSV, "ingest", inputs), encoding="utf-8", newline="") as f:
+    degrees = _load_npy(cfg.out / DEGREES_NPY, GRAPH_STAGES, inputs)
+    neighbors = _load_npy(cfg.out / NEIGHBORS_NPY, GRAPH_STAGES, inputs)
+    nodes_path = _require(cfg.out / NODES_TSV, GRAPH_STAGES, inputs)
+    with open(nodes_path, encoding="utf-8", newline="") as f:
         names = gstore.read_nodes_tsv(f)
     try:
         return gstore.graph_from_csr(names, degrees, neighbors)
@@ -141,9 +147,9 @@ def _load_graph(cfg: argparse.Namespace, inputs: list[str]) -> gstore.Graph:
         raise ValueError(f"{cfg.out / DEGREES_NPY}, {NEIGHBORS_NPY}, {NODES_TSV}: {exc}") from None
 
 
-def _load_npy(path: Path, producer: str, inputs: list[str]) -> np.ndarray:
+def _load_npy(path: Path, producers: tuple[str, ...], inputs: list[str]) -> np.ndarray:
     """The array in a ``.npy`` handoff; a missing, empty or cut file exits 2."""
-    if _require(path, producer, inputs).stat().st_size == 0:
+    if _require(path, producers, inputs).stat().st_size == 0:
         raise ValueError(f"{path}: empty file")
     try:
         return np.load(path, allow_pickle=False)
@@ -158,8 +164,8 @@ def _load_label_codes(
     index and the count of unmatched labeled names, checked against each other.
     """
     codes_path = cfg.out / LABEL_CODES_NPY
-    codes = _load_npy(codes_path, "ingest", inputs)
-    table_path = _require(cfg.out / LABEL_GROUPS_TSV, "ingest", inputs)
+    codes = _load_npy(codes_path, GRAPH_STAGES, inputs)
+    table_path = _require(cfg.out / LABEL_GROUPS_TSV, GRAPH_STAGES, inputs)
     with open(table_path, encoding="utf-8", newline="") as f:
         header, *lines = f.read().split("\n")  # keys may hold "\x85" or "\u2028"
     prefix, _, unmatched = header.partition("=")
@@ -189,8 +195,8 @@ def _load_rows(
 ) -> np.ndarray:
     """A float64 array of one row per node and a column count in ``widths``."""
     path = cfg.out / name
-    values = _load_npy(path, producer, inputs)
-    if (degrees := _load_npy(cfg.out / DEGREES_NPY, "ingest", inputs)).ndim != 1:
+    values = _load_npy(path, (producer,), inputs)
+    if (degrees := _load_npy(cfg.out / DEGREES_NPY, GRAPH_STAGES, inputs)).ndim != 1:
         raise ValueError(f"{cfg.out / DEGREES_NPY}: {degrees.ndim}-d array, expected 1-d")
     n = len(degrees)
     if values.dtype != np.float64 or values.shape not in [(n, cols) for cols in widths]:
@@ -343,7 +349,7 @@ def _stage_null(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list[P
 
 def _stage_test(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list[Path], str]:
     points = _load_rows(cfg, POINTS_NPY, "embed", POINT_WIDTHS, inputs)
-    with open(_require(cfg.out / NULL_MODEL_TSV, "null", inputs), encoding="utf-8") as f:
+    with open(_require(cfg.out / NULL_MODEL_TSV, ("null",), inputs), encoding="utf-8") as f:
         null_model = read_null_model_tsv(f)
     codes, tables, unmatched = _load_label_codes(cfg, len(points), inputs)
     levels = GEO_LEVELS if cfg.level == "both" else (cfg.level,)
@@ -394,7 +400,7 @@ def _stage_test(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list[P
 
 
 def _stage_report(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list[Path], str]:
-    with open(_require(cfg.out / RESULTS_TSV, "test", inputs), encoding="utf-8") as f:
+    with open(_require(cfg.out / RESULTS_TSV, ("test",), inputs), encoding="utf-8") as f:
         results = read_results_tsv(f)
     summary = summarize(results)
     out_path = cfg.out / SUMMARY_TSV

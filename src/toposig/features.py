@@ -51,9 +51,6 @@ class FeatureTable:
     values: np.ndarray
     stats: GlobalDegreeStats
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 def global_degree_stats(graph: Graph) -> GlobalDegreeStats:
     if graph.n < 2:

@@ -20,14 +20,14 @@ line, sorted (carries isolated nodes that the edge TSV cannot).  Geo TSV:
 ``name<TAB>country<TAB>region`` with region optionally empty.
 
 The links file and the edge TSV are read through one block loop,
-:func:`_read_blocks`: each line of an ASCII block that numpy checks as a
-record keeps its names of at most 8 bytes as ``uint64`` keys, interned by
-one sort at the end of the file; every other line, and each line of a block
-that is not ASCII, goes through its format's per-line body.  Both give the
-same graph and counters.  The node list is read by :func:`read_nodes_tsv`,
-the exact inverse of :func:`write_nodes_tsv`.  A :class:`Graph` is the names,
-degrees and neighbor ids the stages hand off as ``nodes.tsv``, ``degrees.npy``
-and ``neighbors.npy``; :func:`graph_from_csr` checks them and makes every graph.
+:func:`_read_blocks`: each line that numpy checks as a record, with no byte
+outside printable ASCII, keeps its names of at most 8 bytes as ``uint64``
+keys, interned by one sort at the end of the file; every other line goes
+through the per-line body :func:`_records`.  Both give the same graph and
+counters.  The node list is read by :func:`read_nodes_tsv`, the exact
+inverse of :func:`write_nodes_tsv`.  A :class:`Graph` is the names, degrees
+and neighbor ids the stages hand off as ``nodes.tsv``, ``degrees.npy`` and
+``neighbors.npy``; :func:`graph_from_csr` checks them and makes every graph.
 """
 
 from __future__ import annotations
@@ -251,18 +251,15 @@ def build_graph(edge_list: EdgeList) -> Graph:
 _BLOCK_CHARS = 1 << 20
 
 
-def _ascii_bytes(block: str) -> np.ndarray | None:
-    """The bytes of ``block`` if it is ASCII, else ``None``."""
-    return np.frombuffer(block.encode("ascii"), dtype=np.uint8) if block.isascii() else None
-
-
-def _read_blocks(stream: TextIO, lines_of, records, edge_list: EdgeList, strict: bool) -> tuple:
+def _read_blocks(
+    stream: TextIO, lines_of, members_of, kind: str, edge_list: EdgeList, strict: bool
+) -> tuple:
     """Read ``stream`` in blocks of whole lines; return per-line id pairs, key ids and extras.
 
-    ``lines_of`` takes an ASCII block's bytes, which end in a newline, and
+    ``lines_of`` takes a block's UTF-8 bytes, which end in a newline, and
     returns its keys, any extra arrays, and the runs (see :func:`_runs`) of
-    the lines it leaves to the per-line body ``records``; a block that is
-    not ASCII is one run.  The keys of the whole file are interned last.
+    the lines it leaves to :func:`_records`, which reads them with
+    ``members_of`` and ``kind``.  The keys of the whole file are interned last.
     """
     parts, keyed, extras = [], [], []
     line_no, rest = 1, ""
@@ -272,21 +269,50 @@ def _read_blocks(stream: TextIO, lines_of, records, edge_list: EdgeList, strict:
         block, rest = block[:cut], block[cut:]
         if not block:  # no whole line yet
             continue
-        raw = _ascii_bytes(block)
-        runs = [(0, 0, len(block))]
-        if raw is not None:
-            keys, *extra, runs = lines_of(raw)
-            keyed.append(keys)
-            extras += extra
-        for first, start, stop in runs:
-            parts.append(records(block[start:stop].split("\n"), line_no + first, edge_list, strict))
+        data = block.encode("utf-8", "surrogatepass")  # a lone surrogate round-trips
+        keys, *extra, runs = lines_of(np.frombuffer(data, dtype=np.uint8))
+        keyed.append(keys)
+        extras += extra
+        for first, start, stop in runs:  # runs end at newlines: no character is cut
+            lines = data[start:stop].decode("utf-8", "surrogatepass").split("\n")
+            parts.append(_records(lines, line_no + first, members_of, kind, edge_list, strict))
         line_no += block.count("\n")
     return parts, _intern_keys(keyed, edge_list.ids) if keyed else np.empty(0, np.int64), extras
 
 
+def _records(
+    lines: Iterable[str], first_line: int, members_of, kind: str, edge_list: EdgeList, strict: bool
+) -> np.ndarray:
+    """The per-line body: flat ``a, b, a, b, ...`` clique ids of the records in ``lines``.
+
+    Blank lines and ``#`` comments are skipped.  ``members_of`` gives a
+    stripped line's names, or ``None`` when the line is malformed: it is
+    then counted or, with ``strict``, raised as a "bad <kind> record"
+    :class:`ParseError` numbered from ``first_line``.  A repeated name is a
+    self-pair, counted and left out of the clique.
+    """
+    ids = edge_list.ids
+    pairs = array("q")
+    for line_no, raw in enumerate(lines, start=first_line):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        members = members_of(line)
+        if members is None:
+            if strict:
+                raise ParseError(f"bad {kind} record {line!r}", line_no)
+            edge_list.malformed_lines += 1
+            continue
+        distinct = dict.fromkeys(members)
+        edge_list.self_pairs_dropped += len(members) - len(distinct)
+        record = [ids.setdefault(name, len(ids)) for name in distinct]
+        pairs.extend(itertools.chain.from_iterable(itertools.combinations(record, 2)))
+    return np.frombuffer(pairs, dtype=np.int64)
+
+
 def _runs(left: np.ndarray, ends: np.ndarray) -> list[tuple[int, int, int]]:
     """Each run of consecutive line indices in ``left`` as ``(first line, start, stop)``, where
-    ``ends`` holds each line's newline offset and the run's text is ``block[start:stop]``."""
+    ``ends`` holds each line's newline offset and the run's bytes are ``raw[start:stop]``."""
     run_first = left[np.diff(left, prepend=-2) != 1]
     run_last = left[np.diff(left, append=len(ends) + 1) != 1]
     run_starts = np.where(run_first > 0, ends[run_first - 1] + 1, 0)
@@ -358,34 +384,6 @@ def _link_members(line: str) -> list[str] | None:
     return members
 
 
-def _link_records(
-    lines: Iterable[str], first_line: int, edge_list: EdgeList, strict: bool
-) -> np.ndarray:
-    """The per-line link-record body: flat ``a, b, a, b, ...`` clique ids of ``lines``' records.
-
-    Blank lines and ``#`` comments are skipped, self-repeats counted, and
-    malformed lines counted or, with ``strict``, raised as
-    :class:`ParseError` numbered from ``first_line``.
-    """
-    ids = edge_list.ids
-    pairs = array("q")
-    for line_no, raw in enumerate(lines, start=first_line):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        members = _link_members(line)
-        if members is None:
-            if strict:
-                raise ParseError(f"bad link record {line!r}", line_no)
-            edge_list.malformed_lines += 1
-            continue
-        distinct = dict.fromkeys(members)
-        edge_list.self_pairs_dropped += len(members) - len(distinct)
-        record = [ids.setdefault(name, len(ids)) for name in distinct]
-        pairs.extend(itertools.chain.from_iterable(itertools.combinations(record, 2)))
-    return np.frombuffer(pairs, dtype=np.int64)
-
-
 _LINK_KEY = np.uint64(int.from_bytes(b"link".ljust(8, b"\0"), "big"))
 
 
@@ -410,16 +408,17 @@ def _dotted_quads(raw: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.
 
 
 def _link_lines(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
-    """Classify the lines of an ASCII block that ends in a newline.
+    """Classify the lines of a block of UTF-8 bytes that ends in a newline.
 
     A line is keyed when it is a record (token 0 is ``link``, token 1 is 2
     or more bytes ending in ``:``, every later token matches ``_MEMBER_RE``),
     each member name fits in 8 bytes, and it holds no control byte but its
-    newline (``str.split`` would split there).  Returns the member keys of
-    the keyed records in file order, each one's arity, and the runs (see
-    :func:`_runs`) of the lines that are neither keyed, blank nor comments.
+    newline, where a control byte is any byte outside 0x20-0x7E (``str.split``
+    may split there).  Returns the member keys of the keyed records in file
+    order, each one's arity, and the runs (see :func:`_runs`) of the lines
+    that are neither keyed, blank nor comments.
     """
-    low = np.flatnonzero(raw < 32)
+    low = np.flatnonzero((raw - 32) >= 95)
     ends = low[raw[low] == 10]
     clean = np.bincount(np.searchsorted(ends, low), minlength=len(ends)) == 1  # no other control
     word = raw != 32
@@ -501,16 +500,18 @@ def _clique_pairs(members: np.ndarray, arity: np.ndarray, edge_list: EdgeList) -
 def parse_links(stream: TextIO, strict: bool = False) -> EdgeList:
     """Parse a links file (a text stream with ``.read()``) into a deduplicated :class:`EdgeList`.
 
-    Lines are read by :func:`_read_blocks`: the records that numpy keys in
-    an ASCII block (see :func:`_link_lines`) become cliques after one sort
-    of every key; every other line goes through the per-line body.
+    Lines are read by :func:`_read_blocks`: the records that numpy keys (see
+    :func:`_link_lines`) become cliques after one sort of every key; every
+    other line goes through the per-line body :func:`_records`.
 
     Malformed lines are counted and skipped; with ``strict`` they raise
     :class:`ParseError` carrying the line number.  Counters and line numbers
     are the same on both paths.
     """
     edge_list = EdgeList()
-    parts, members, arities = _read_blocks(stream, _link_lines, _link_records, edge_list, strict)
+    parts, members, arities = _read_blocks(
+        stream, _link_lines, _link_members, "link", edge_list, strict
+    )
     if arities:
         parts += _clique_pairs(members, np.concatenate(arities), edge_list)
     return edge_list.finalize(parts)
@@ -520,42 +521,22 @@ def parse_links(stream: TextIO, strict: bool = False) -> EdgeList:
 # edge TSV
 # ---------------------------------------------------------------------------
 
-def _edge_records(
-    lines: Iterable[str], first_line: int, edge_list: EdgeList, strict: bool
-) -> np.ndarray:
-    """The per-line edge-record body: flat ``a, b, a, b, ...`` ids of the records in ``lines``.
-
-    Blank lines and ``#`` comments are skipped, and malformed lines counted
-    or, with ``strict``, raised as :class:`ParseError` numbered from
-    ``first_line``.
-    """
-    ids = edge_list.ids
-    pairs: list[int] = []
-    for line_no, raw in enumerate(lines, start=first_line):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            if strict:
-                raise ParseError(f"bad edge record {line!r}", line_no)
-            edge_list.malformed_lines += 1
-            continue
-        pairs += (ids.setdefault(parts[0], len(ids)), ids.setdefault(parts[1], len(ids)))
-    return np.array(pairs, dtype=np.int64)
+def _edge_members(line: str) -> list[str] | None:
+    names = line.split("\t")
+    return names if len(names) == 2 and all(names) else None
 
 
 def _edge_lines(raw: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
-    """Classify the lines of an ASCII block that ends in a newline.
+    """Classify the lines of a block of UTF-8 bytes that ends in a newline.
 
     A line is keyed when it is an ``a<TAB>b`` record with no other control
-    byte, names of 1 to 8 bytes, and neither starts with ``#`` or a space nor
-    ends with a space.  Stripping such a line changes nothing, so its names
-    are the per-line body's.  Returns the flat ``a, b, a, b, ...`` name keys
-    of the keyed lines and the runs (see :func:`_runs`) of the other lines
-    that are not ``#`` comments.
+    byte (any byte outside 0x20-0x7E), names of 1 to 8 bytes, and neither
+    starts with ``#`` or a space nor ends with a space.  Stripping such a
+    line changes nothing, so its names are the per-line body's.  Returns the
+    flat ``a, b, a, b, ...`` name keys of the keyed lines and the runs (see
+    :func:`_runs`) of the other lines that are not ``#`` comments.
     """
-    low = np.flatnonzero(raw < 32)  # tab, newline, tab, newline, ... where bare
+    low = np.flatnonzero((raw - 32) >= 95)  # tab, newline, tab, newline, ... where bare
     at = np.flatnonzero(raw[low] == 10)
     ends = low[at]
     starts = np.concatenate(([0], ends[:-1] + 1))
@@ -576,16 +557,16 @@ def _edge_lines(raw: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, int]]
 def parse_edges_tsv(stream: TextIO, strict: bool = False) -> EdgeList:
     """Parse a canonical two-column edge TSV (``#`` comments allowed).
 
-    Lines are read by :func:`_read_blocks`: numpy keys the records of an
-    ASCII block (see :func:`_edge_lines`), interned by one sort of every
-    key; every other line goes through the per-line body.
+    Lines are read by :func:`_read_blocks`: numpy keys the bare records (see
+    :func:`_edge_lines`), interned by one sort of every key; every other line
+    goes through the per-line body :func:`_records`.
 
     Counters and strict-mode line numbers are the same on both paths.  Only
     the provisional ids differ: per-line names are numbered on first
     mention, and the keyed names after them.
     """
     edge_list = EdgeList()
-    parts, key_ids, _ = _read_blocks(stream, _edge_lines, _edge_records, edge_list, strict)
+    parts, key_ids, _ = _read_blocks(stream, _edge_lines, _edge_members, "edge", edge_list, strict)
     return edge_list.finalize([*parts, key_ids])
 
 

@@ -119,8 +119,8 @@ class GroupTestResult:
 class SignificanceSummary:
     n_groups: int
     n_significant: int
-    n_low: int  # z < -2
-    n_high: int  # z > +2
+    n_low: int  # significant with z < 0
+    n_high: int  # significant with z > 0
     histogram: tuple[tuple[int, int, int], ...]  # (bin_low, bin_high, count)
 
 
@@ -165,7 +165,8 @@ def fit_null_scaling(samples: NullSamples, fix_alpha: float | None = None) -> Nu
     mu_r is the rep-weighted mean of the per-size means.  Sizes with zero
     spread are excluded from the power-law fit; a free-alpha fit needs at
     least 3 usable sizes, a fixed-alpha fit at least 1.  Raises
-    :class:`NullFitError` when the fitted a is not finite and above 0.
+    :class:`NullFitError` when the fitted a, or sigma at the smallest or
+    largest fitted size, is not finite and above 0.
     """
     if fix_alpha is not None and not math.isfinite(fix_alpha):
         raise ValueError(f"fixed alpha must be finite, got {fix_alpha}")
@@ -198,12 +199,24 @@ def fit_null_scaling(samples: NullSamples, fix_alpha: float | None = None) -> Nu
     if not 0.0 < a < math.inf:
         raise NullFitError(f"alpha {alpha:.9g} fits a = exp({log_a:.9g}), not finite and above 0")
     residuals = log_s - (log_a - alpha * log_n)
-    return NullModel(
+    model = NullModel(
         mu_r=mu_r,
         a=a,
         alpha=alpha,
         fit_residual=float(np.sqrt(np.mean(residuals**2))),
     )
+    sizes = [r.set_size for r in usable]
+    for n in (min(sizes), max(sizes)):  # sigma(N) is monotone: between them it is usable too
+        _usable_sigma(model, n)
+    return model
+
+
+def _usable_sigma(model: NullModel, n: int) -> float:
+    """sigma(``n``); raises :class:`NullFitError` when it is not finite and above 0."""
+    sigma = model.sigma(n)
+    if not 0.0 < sigma < math.inf:
+        raise NullFitError(f"sigma(N) = {sigma:.9g} at N = {n} is not finite and above 0")
+    return sigma
 
 
 def group_mean_distance(
@@ -242,10 +255,7 @@ def z_score(
     """Score one group against the null; significance is strict |z| > 2."""
     if n_data < 2:
         raise ValueError("group needs at least 2 nodes")
-    sigma = model.sigma(n_data)
-    if not 0.0 < sigma < math.inf:
-        raise NullFitError(f"sigma(N) = {sigma:.9g} at N = {n_data} is not finite and above 0")
-    z = (mu_data - model.mu_r) / sigma
+    z = (mu_data - model.mu_r) / _usable_sigma(model, n_data)
     p = math.erfc(abs(z) / math.sqrt(2.0))
     return GroupTestResult(
         level=level,
@@ -259,7 +269,11 @@ def z_score(
 
 
 def summarize(results: Sequence[GroupTestResult]) -> SignificanceSummary:
-    """Tail counts plus a unit-width z histogram clamped at +/-20."""
+    """Tail counts plus a unit-width z histogram clamped at +/-20.
+
+    The tails split the significant groups by the sign of z, so they add up
+    to the significant count also after ``results.tsv`` rounds z to 9 digits.
+    """
     if not results:
         raise ValueError("no results to summarize")
     z = np.array([r.z for r in results])
@@ -271,8 +285,8 @@ def summarize(results: Sequence[GroupTestResult]) -> SignificanceSummary:
     return SignificanceSummary(
         n_groups=len(results),
         n_significant=int(sum(r.significant for r in results)),
-        n_low=int(np.sum(z < -SIGNIFICANCE_Z)),
-        n_high=int(np.sum(z > SIGNIFICANCE_Z)),
+        n_low=sum(r.significant and r.z < 0 for r in results),
+        n_high=sum(r.significant and r.z > 0 for r in results),
         histogram=histogram,
     )
 

@@ -130,7 +130,7 @@ def test_missing_input_file_exits_2(tmp_path, capsys, flag, name):
 @pytest.mark.parametrize("args, message", [
     (["synth", "--model", "er", "--n", "-5"], "need n >= 2"),
     (["ingest", "--edges", "nope.tsv"], "missing input file"),
-    (["features"], "produced by the 'ingest' stage"),
+    (["features"], "produced by the 'ingest' or 'synth' stage"),
 ], ids=["synth-bad-n", "ingest-missing-edges", "features-fresh-out"])
 def test_a_failed_stage_creates_no_out(tmp_path, capsys, monkeypatch, args, message):
     monkeypatch.chdir(tmp_path)
@@ -256,6 +256,14 @@ def test_empty_or_directory_npy_handoff_exits_2(tmp_path, capsys, name, stage):
     assert f"{path}: empty file" in capsys.readouterr().err
 
 
+def test_a_missing_graph_handoff_names_both_producers(tmp_path, capsys):
+    assert run(["synth", "--model", "ba", "--n", 200, "--seed", 1, "--out", tmp_path]) == 0
+    (tmp_path / cli.NEIGHBORS_NPY).unlink()
+    assert run(["features", "--out", tmp_path]) == 2
+    want = f"missing {tmp_path / cli.NEIGHBORS_NPY} (produced by the 'ingest' or 'synth' stage)"
+    assert want in capsys.readouterr().err
+
+
 def test_pair_budget_below_one_exits_2(tmp_path, capsys):
     assert run(fixture_args(tmp_path) + ["--pair-budget", "0"]) == 2
     assert "pair budget" in capsys.readouterr().err
@@ -288,7 +296,11 @@ def test_fix_alpha_fitting_no_usable_amplitude_exits_4(tmp_path, capsys, alpha):
 def test_sigma_overflowing_at_a_group_size_exits_4(tmp_path, capsys):
     # alpha -230 fits a = 9.3e-308, and sigma(N) = a * N**230 overflows at N >= 22
     run_stages(tmp_path, "ingest", "features", "embed")
-    assert run(["null"] + fixture_args(tmp_path)[1:] + ["--fix-alpha=-230"]) == 0
+    assert run(["null"] + fixture_args(tmp_path)[1:] + ["--fix-alpha=-230"]) == 4
+    assert "sigma(N) = inf at N = 50 is not finite" in capsys.readouterr().err
+    assert not (tmp_path / cli.NULL_MODEL_TSV).exists()
+    # a model file that overflows only past the sizes it was fitted on stops `test`
+    (tmp_path / cli.NULL_MODEL_TSV).write_text("0.9\t9.3e-308\t-230\t0\n")
     assert run(["test"] + fixture_args(tmp_path)[1:]) == 4
     assert re.search(r"sigma\(N\) = inf at N = \d+ is not finite", capsys.readouterr().err)
     assert not (tmp_path / cli.RESULTS_TSV).exists()
@@ -325,7 +337,7 @@ def test_ingest_without_geo_removes_an_earlier_label_handoff(tmp_path, capsys):
     run_stages(tmp_path, "features", "embed", "null")
     assert run(["test"] + fixture_args(tmp_path)[1:]) == 2
     err = capsys.readouterr().err
-    assert cli.LABEL_CODES_NPY in err and "'ingest' stage" in err
+    assert cli.LABEL_CODES_NPY in err and "'ingest' or 'synth' stage" in err
     assert not (tmp_path / cli.RESULTS_TSV).exists()
 
 
@@ -354,8 +366,8 @@ def append_table_line(out, line):
     (lambda out: append_table_line(out, "country\n"), "line 14 is not"),
     (lambda out: append_table_line(out, "country\tX"), "not newline-terminated"),
     (lambda out: (out / cli.LABEL_GROUPS_TSV).write_text("country\tX\n"), "first line"),
-    (lambda out: (out / cli.LABEL_CODES_NPY).unlink(), "produced by the 'ingest' stage"),
-    (lambda out: (out / cli.LABEL_GROUPS_TSV).unlink(), "produced by the 'ingest' stage"),
+    (lambda out: (out / cli.LABEL_CODES_NPY).unlink(), "by the 'ingest' or 'synth' stage"),
+    (lambda out: (out / cli.LABEL_GROUPS_TSV).unlink(), "by the 'ingest' or 'synth' stage"),
 ], ids=["dtype", "rows", "columns", "code-past-table", "code-below-none", "bad-level",
         "no-key", "no-newline", "no-header", "missing-codes", "missing-table"])
 def test_malformed_label_artifacts_exit_2(tmp_path, capsys, corrupt, message):

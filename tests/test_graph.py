@@ -1,3 +1,4 @@
+import contextlib
 import io
 import math
 from unittest import mock
@@ -16,6 +17,24 @@ def parse(text, **kw):
 
 def parse_edges(text, **kw):
     return g.parse_edges_tsv(io.StringIO(text), **kw)
+
+
+NO_KEYS, NO_ARITIES = np.empty(0, np.uint64), np.empty(0, np.int64)
+
+
+def one_run(raw):
+    """The runs of a classifier that keys no line of the block ``raw``: one run of them all."""
+    return [(0, 0, len(raw) - 1)]
+
+
+def no_keyed_links():
+    """Every line of a links file through the per-line body."""
+    return mock.patch.object(g, "_link_lines", lambda raw: (NO_KEYS, NO_ARITIES, one_run(raw)))
+
+
+def no_keyed_edges():
+    """Every line of an edge TSV through the per-line body."""
+    return mock.patch.object(g, "_edge_lines", lambda raw: (NO_KEYS, one_run(raw)))
 
 
 def edge_set(graph):
@@ -213,7 +232,7 @@ def test_links_match_oracle(tagged, final_newline):
     for block_chars in (16, 64, 1 << 20):  # reads cut through records at the first two
         with mock.patch.object(g, "_BLOCK_CHARS", block_chars):
             check_parser_against_oracle(g.parse_links, tagged, final_newline)
-            with mock.patch.object(g, "_ascii_bytes", lambda block: None):  # every line per-line
+            with no_keyed_links():
                 check_parser_against_oracle(g.parse_links, tagged, final_newline)
 
 
@@ -224,6 +243,19 @@ def test_each_bad_link_line_is_malformed(bad):
     with pytest.raises(g.ParseError) as exc:
         parse(text, strict=True)
     assert exc.value.line_no == 2
+
+
+@pytest.mark.parametrize("per_line", [False, True])
+def test_a_non_ascii_link_id_is_read_per_line(per_line):
+    # "\u3000" is whitespace to str.split: "L" and "x:" are two tokens
+    text = "link L1: N1 N2\nlink L\u00e9: N2 N3\nlink L\u3000x: N3 N4\nlink L2: N4 N5\n"
+    with no_keyed_links() if per_line else contextlib.nullcontext():
+        el = parse(text)
+        assert el.malformed_lines == 1
+        assert edge_set(g.build_graph(el)) == {("N1", "N2"), ("N2", "N3"), ("N4", "N5")}
+        with pytest.raises(g.ParseError, match="bad link record") as exc:
+            parse(text, strict=True)
+        assert exc.value.line_no == 3
 
 
 @pytest.mark.parametrize("member", ["N\u0661", "N1:\u0661.2.3.4", "N1:1.2.3.\u0664", "N\uff11"])
@@ -300,7 +332,7 @@ def test_block_path_matches_per_line_path(lines, final_newline, block_chars):
     want = edge_list_state(per_line_edges(text))
     with mock.patch.object(g, "_BLOCK_CHARS", block_chars):
         assert edge_list_state(parse_edges(text)) == want
-        with mock.patch.object(g, "_ascii_bytes", lambda block: None):  # every line per-line
+        with no_keyed_edges():
             assert edge_list_state(parse_edges(text)) == want
 
 
@@ -324,13 +356,13 @@ def per_line_lines(text):
     """The lines of ``text`` that the edge parser hands to its per-line body, and the parse."""
     seen = []
 
-    def spy(lines, first_line, edge_list, strict):
+    def spy(lines, *args):
         lines = list(lines)
         seen.extend(lines)
-        return edge_body(lines, first_line, edge_list, strict)
+        return per_line_body(lines, *args)
 
-    edge_body = g._edge_records
-    with mock.patch.object(g, "_edge_records", spy):
+    per_line_body = g._records
+    with mock.patch.object(g, "_records", spy):
         el = parse_edges(text)
     return seen, el
 
@@ -351,9 +383,9 @@ def test_edge_lines_key_only_bare_records():
         comment = bad.startswith("#")
         assert runs == ([] if comment else [(3, len(GOOD_EDGES), len(GOOD_EDGES) + len(bad))]), bad
         assert per_line_lines(text)[0] == ([] if comment else [bad]), bad
-    for bad in ("\x85a\tb", "a\x85\tb"):  # a block that is not ASCII goes per-line whole
-        seen, _ = per_line_lines(f"{GOOD_EDGES}{bad}\n")
-        assert [line for line in seen if line] == GOOD_EDGES.splitlines() + [bad], bad
+    for bad in ("\x85a\tb", "a\x85\tb"):  # a line that is not ASCII goes per-line alone
+        seen, _ = per_line_lines(f"{GOOD_EDGES}{bad}\n{GOOD_EDGES}")
+        assert seen == [bad], bad
 
 
 def test_only_the_odd_edge_lines_reach_the_per_line_body():
@@ -364,6 +396,17 @@ def test_only_the_odd_edge_lines_reach_the_per_line_body():
     seen, el = per_line_lines("\n".join(lines) + "\n")
     assert seen == [lines[300], lines[700]]
     assert el.malformed_lines == 0 and len(el.src) == 998 and "N12345678" in el.ids
+
+
+def test_only_the_non_ascii_edge_lines_reach_the_per_line_body():
+    lines = [f"N{i}\tN{i + 1}" for i in range(1000)]
+    lines[500] = "N500\tN\u00e9"
+    lines[600] = "N600\t\udc80"  # a lone surrogate, as "surrogateescape" decodes a bad byte
+    text = "\n".join(lines) + "\n"
+    seen, el = per_line_lines(text)
+    assert seen == [lines[500], lines[600]]
+    assert el.malformed_lines == 0 and len(el.src) == 1000 and {"N\u00e9", "\udc80"} <= set(el.ids)
+    assert edge_list_state(el) == edge_list_state(per_line_edges(text))
 
 
 @pytest.mark.parametrize("block_chars", [1, 3, 7, 64])

@@ -159,6 +159,14 @@ def test_non_finite_fix_alpha_rejected_as_bad_config(alpha):
     assert not isinstance(info.value, nm.NullFitError)
 
 
+def test_sigma_overflowing_at_the_largest_fitted_size_is_rejected():
+    # a spread of 0.1 at every size fits a = 1.6e-308 to alpha -230: a > 0, but
+    # sigma(N) = a * N**230 overflows at N = 50
+    samples = exact_samples(0.1, 0.0, (10, 20, 50))
+    with pytest.raises(nm.NullFitError, match=r"sigma\(N\) = inf at N = 50 is not finite"):
+        nm.fit_null_scaling(samples, fix_alpha=-230.0)
+
+
 def test_zero_std_rows_excluded():
     rows = (
         nm.NullSampleRow(10, 0.9, 0.5, 100),
@@ -286,6 +294,14 @@ def test_summary_counts():
     assert summary.n_low == 2
     assert summary.n_high == 1
     assert sum(c for _, _, c in summary.histogram) == 4
+
+
+def test_summary_counts_survive_the_results_tsv_round_trip():
+    # results.tsv writes z = +/-2.0000000001 as "2", beside its significant flag
+    out = io.StringIO()
+    nm.write_results_tsv([make_result(z) for z in (-2.0000000001, 0.5, 2.0000000001)], out)
+    summary = nm.summarize(nm.read_results_tsv(io.StringIO(out.getvalue())))
+    assert (summary.n_significant, summary.n_low, summary.n_high) == (2, 1, 1)
 
 
 def test_summary_histogram_bins_and_clamping():
