@@ -9,6 +9,7 @@ realizes the Mahalanobis distance of the training covariance.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
@@ -125,7 +126,9 @@ def pair_sample_distances(
 
     The sample draws ``pair_budget`` pairs uniformly, with replacement, from
     the distinct unordered pairs, so its mean is an unbiased estimate of the
-    all-pairs mean.
+    all-pairs mean.  It takes the same draws from ``rng`` as one call for all
+    first indices and one for all second indices, but holds only a chunk of
+    them at a time: the memory is one float64 per budgeted pair.
     """
     if pair_budget < 1:
         raise ValueError(f"pair budget must be at least 1, got {pair_budget}")
@@ -141,22 +144,29 @@ def pair_sample_distances(
         return pdist(points), True
     if rng is None:
         raise ValueError("pair sampling requires an explicit rng stream")
-    # int32 halves the index arrays; numpy draws a range below 2**32 alike for either dtype
-    i = rng.integers(0, n, size=pair_budget, dtype=np.int32)
-    j = rng.integers(0, n - 1, size=pair_budget, dtype=np.int32)
-    j += j >= i  # skip the self-pair: j is uniform over the other n - 1 points
+    # numpy draws an int32 range below 2**32 from whole 32-bit words of the
+    # stream, as it does for int64, so draws in chunks continue the stream
+    # exactly as one whole draw does.  ``replay`` gives the first indices
+    # chunk by chunk while ``rng``, run past them, gives the second ones.
+    chunk = min(1 << 13, pair_budget)  # 4-d points: 0.5 MB of buffers beside the 16 MB default
+    starts = range(0, pair_budget, chunk)
+    sizes = [min(chunk, pair_budget - start) for start in starts]
+    replay = copy.deepcopy(rng)
+    for size in sizes:
+        rng.integers(0, n, size=size, dtype=np.int32)
     out = np.empty(pair_budget, dtype=np.float64)
-    chunk = min(1 << 16, pair_budget)  # a chunk's gathers stay in cache
     first, second = np.empty((2, chunk, points.shape[1]))
-    for start in range(0, pair_budget, chunk):
-        sl = slice(start, min(start + chunk, pair_budget))
-        a, b = first[: sl.stop - start], second[: sl.stop - start]
+    for start, size in zip(starts, sizes):
+        i = replay.integers(0, n, size=size, dtype=np.int32)
+        j = rng.integers(0, n - 1, size=size, dtype=np.int32)
+        j += j >= i  # skip the self-pair: j is uniform over the other n - 1 points
+        a, b = first[:size], second[:size]
         # every index is in range, so "clip" clips nothing; it spares the
         # temporary that the default "raise" mode gathers ``out=`` through
-        np.take(points, i[sl], axis=0, out=a, mode="clip")
-        np.take(points, j[sl], axis=0, out=b, mode="clip")
+        np.take(points, i, axis=0, out=a, mode="clip")
+        np.take(points, j, axis=0, out=b, mode="clip")
         a -= b
-        np.einsum("ij,ij->i", a, a, out=out[sl])
+        np.einsum("ij,ij->i", a, a, out=out[start : start + size])
     np.sqrt(out, out=out)
     return out, False
 
@@ -166,14 +176,21 @@ def mean_pairwise_distance(
     pair_budget: int = DEFAULT_PAIR_BUDGET,
     rng: np.random.Generator | None = None,
 ) -> MeanDistanceResult:
-    """Mean inter-point distance, exact when C(N,2) fits the pair budget."""
+    """Mean inter-point distance, exact when C(N,2) fits the pair budget.
+
+    A sampled mean carries its standard error, std / sqrt(pairs), computed in
+    place over the distances: the steps of ``ndarray.std``, so the same bits,
+    without its copy of them.
+    """
     distances, exact = pair_sample_distances(points, pair_budget, rng)
-    return MeanDistanceResult(
-        mean=float(distances.mean()),
-        pair_count_used=len(distances),
-        exact=exact,
-        se=0.0 if exact else float(distances.std()) / len(distances) ** 0.5,
-    )
+    mean = distances.mean()  # over the whole array: numpy's pairwise sum
+    count = len(distances)
+    se = 0.0
+    if not exact:
+        distances -= mean
+        distances *= distances
+        se = float(np.sqrt(distances.sum() / count)) / count**0.5
+    return MeanDistanceResult(mean=float(mean), pair_count_used=count, exact=exact, se=se)
 
 
 # ---------------------------------------------------------------------------

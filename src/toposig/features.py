@@ -64,31 +64,41 @@ def global_degree_stats(graph: Graph) -> GlobalDegreeStats:
 
 
 def compute_all_features(graph: Graph) -> FeatureTable:
-    """Vectorized feature table over all nodes; deterministic, O(n + m)."""
+    """Vectorized feature table over all nodes; deterministic, O(n + m) time.
+
+    The neighbor sums walk the CSR one node range at a time
+    (:meth:`Graph.node_ranges`), so the transient memory is O(n + range), not
+    O(m).  ``bincount`` adds each node's neighbors in row order either way,
+    so the sums have the same bits as one whole-graph pass.
+    """
     stats = global_degree_stats(graph)
     n = graph.n
     k = graph.degrees.astype(np.float64)
     mean = stats.mean_degree
 
-    row = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
-    nbr_deg = k[graph.indices]
-    nbr_sum = np.bincount(row, weights=nbr_deg, minlength=n)
-    nbr_sqdev = np.bincount(row, weights=(nbr_deg - mean) ** 2, minlength=n)
+    values = np.zeros((n, len(FEATURE_COLUMNS)))
+    values[:, 0] = k
+    nbr_sum, nbr_sqdev, corr = values[:, 1], values[:, 2], values[:, 3]
+    for nodes, span in graph.node_ranges():
+        size = nodes.stop - nodes.start
+        row = np.repeat(np.arange(size), graph.degrees[nodes])
+        nbr_deg = k[graph.indices[span]]
+        nbr_sum[nodes] = np.bincount(row, weights=nbr_deg, minlength=size)
+        nbr_deg -= mean
+        nbr_deg *= nbr_deg
+        nbr_sqdev[nodes] = np.bincount(row, weights=nbr_deg, minlength=size)
 
+    # the columns are finished in place, each operation as in the formulas
     safe_k = np.maximum(k, 1.0)
-    avg = np.where(k > 0, nbr_sum / safe_k, 0.0)
-    var = np.where(k > 1, nbr_sqdev / np.maximum(k - 1.0, 1.0), 0.0)
     if stats.degree_std > 0.0:
         # sum_j (k_j - <k>) = nbr_sum - k * <k>
-        corr = np.where(
-            k > 0,
-            (k - mean) * (nbr_sum - k * mean) / (stats.degree_std**2 * safe_k),
-            0.0,
-        )
-    else:
-        corr = np.zeros(n)
-
-    values = np.column_stack([k, avg, var, corr])
+        np.subtract(nbr_sum, k * mean, out=corr)
+        corr *= k - mean
+        corr /= stats.degree_std**2 * safe_k
+        corr[k == 0] = 0.0
+    nbr_sum /= safe_k  # avg_nbr_deg; a degree-0 node's sum is 0
+    nbr_sqdev /= np.maximum(k - 1.0, 1.0)  # local_var
+    nbr_sqdev[k <= 1] = 0.0
     values.flags.writeable = False
     return FeatureTable(values=values, stats=stats)
 
@@ -97,11 +107,11 @@ def compute_all_features(graph: Graph) -> FeatureTable:
 # TSV artifact
 # ---------------------------------------------------------------------------
 
-_WRITE_CHUNK = 1 << 17
-
-
 def write_features_tsv(graph: Graph, table: FeatureTable, out: TextIO) -> None:
-    """Rows sorted by node name (= id order), floats at 9 significant digits."""
+    """Rows sorted by node name (= id order), floats at 9 significant digits.
+
+    Rows are formatted one node range of :meth:`Graph.node_ranges` at a time.
+    """
     stats = table.stats
     out.write("# node\tk\tavg_nbr_deg\tlocal_var\tlocal_corr\n")
     out.write(
@@ -112,8 +122,7 @@ def write_features_tsv(graph: Graph, table: FeatureTable, out: TextIO) -> None:
         f"# mean_degree={stats.mean_degree:.9g}\tdegree_std={stats.degree_std:.9g}"
         f"\tn={stats.n}\n"
     )
-    for start in range(0, graph.n, _WRITE_CHUNK):
-        sl = slice(start, start + _WRITE_CHUNK)
+    for sl, _ in graph.node_ranges():
         block = table.values[sl]
         columns = [graph.names[sl], list(map(str, block[:, 0].astype(np.int64).tolist()))]
         columns += ([format(v, ".9g") for v in block[:, c].tolist()] for c in (1, 2, 3))

@@ -37,7 +37,7 @@ import operator
 import re
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -116,6 +116,11 @@ class EdgeList:
         return self
 
 
+# node ids per range of a CSR walk (:meth:`Graph.node_ranges`): the neighbor sums
+# and both TSV writers keep one range's temporaries alive, not the graph's
+_CHUNK_NODES = 1 << 13
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable simple undirected graph: names, degrees and row-major neighbor ids.
@@ -142,11 +147,29 @@ class Graph:
         start = int(self.degrees[:node].sum())
         return self.indices[start : start + self.degrees[node]]
 
-    def edge_id_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """All edges as (src, dst) id arrays with src < dst, sorted."""
-        row = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-        mask = self.indices > row
-        return row[mask], self.indices[mask]
+    def node_ranges(self) -> Iterator[tuple[slice, slice]]:
+        """Walk the CSR by node range: ``(nodes, span)`` per run of ``_CHUNK_NODES`` ids.
+
+        The runs come in id order, and ``indices[span]`` holds the neighbor
+        ids of the run's nodes, row by row.
+        """
+        lo = 0
+        for start in range(0, self.n, _CHUNK_NODES):
+            nodes = slice(start, min(start + _CHUNK_NODES, self.n))
+            hi = lo + int(self.degrees[nodes].sum())
+            yield nodes, slice(lo, hi)
+            lo = hi
+
+    def edge_id_pairs(
+        self, nodes: slice = slice(None), span: slice = slice(None)
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Edges as (src, dst) id arrays with src < dst, sorted: all of them, or
+        those whose src lies in one ``(nodes, span)`` range of :meth:`node_ranges`."""
+        ids = range(self.n)[nodes]
+        row = np.repeat(np.arange(ids.start, ids.stop, dtype=np.int64), self.degrees[nodes])
+        dst = self.indices[span]
+        mask = dst > row
+        return row[mask], dst[mask]
 
     def equals(self, other: "Graph") -> bool:
         return (
@@ -697,9 +720,6 @@ def region_groups(graph: Graph, labels: GeoLabels) -> dict[str, np.ndarray]:
 # writers
 # ---------------------------------------------------------------------------
 
-_WRITE_CHUNK = 1 << 18
-
-
 def tsv_rows(columns: Sequence[Sequence[str]]) -> str:
     """The TSV text of equal-length string columns: cells tab-joined, rows newline-ended."""
     width, rows = len(columns), len(columns[0])
@@ -711,12 +731,11 @@ def tsv_rows(columns: Sequence[Sequence[str]]) -> str:
 
 
 def write_edges_tsv(graph: Graph, out: TextIO) -> None:
-    """Emit the canonical edge TSV (name_a < name_b, rows sorted)."""
-    src, dst = graph.edge_id_pairs()
+    """Emit the canonical edge TSV (name_a < name_b, rows sorted), one node range at a time."""
     names = np.array(graph.names, dtype=object)
-    for start in range(0, len(src), _WRITE_CHUNK):
-        sl = slice(start, start + _WRITE_CHUNK)
-        out.write(tsv_rows([names[src[sl]].tolist(), names[dst[sl]].tolist()]))
+    for nodes, span in graph.node_ranges():
+        src, dst = graph.edge_id_pairs(nodes, span)
+        out.write(tsv_rows([names[src].tolist(), names[dst].tolist()]))
 
 
 def write_nodes_tsv(graph: Graph, out: TextIO) -> None:

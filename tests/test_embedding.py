@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -294,3 +296,47 @@ def test_int32_pair_draw_keeps_the_int64_stream(n, budget):
         assert not exact
         assert np.array_equal(dists, np.sqrt(np.einsum("ij,ij->i", diff, diff)))
         assert rng.random() == ref_rng.random()
+
+
+def full_draw_distances(pts, budget, rng):
+    """Reference sample: all first indices in one int64 draw, then all second ones."""
+    n = len(pts)
+    i = rng.integers(0, n, size=budget)
+    j = rng.integers(0, n - 1, size=budget)
+    j += j >= i
+    diff = pts[i] - pts[j]
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+# each budget ends in a partial chunk of the sampler's draws
+@pytest.mark.parametrize("budget", [5000, 8193, 20_000, 70_001])
+def test_sampled_mean_and_se_match_a_full_draw_bit_for_bit(budget):
+    pts = np.random.default_rng(17).normal(size=(3000, 4))
+    for seed in range(3):
+        ref = full_draw_distances(pts, budget, np.random.default_rng(seed))
+        r = em.mean_pairwise_distance(pts, budget, np.random.default_rng(seed))
+        assert (r.mean, r.pair_count_used, r.exact) == (float(ref.mean()), budget, False)
+        assert r.se == float(ref.std()) / budget**0.5
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
+def test_chunked_pair_draws_keep_the_stream_of_other_generators(bit_generator):
+    pts = np.random.default_rng(18).normal(size=(5000, 3))
+    for seed in range(2):
+        rng, ref_rng = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+        dists, exact = em.pair_sample_distances(pts, 20_001, rng)
+        assert not exact
+        assert np.array_equal(dists, full_draw_distances(pts, 20_001, ref_rng))
+        assert rng.random() == ref_rng.random()
+
+
+def test_sampled_mean_holds_one_float_per_budgeted_pair():
+    pts = np.random.default_rng(19).normal(size=(200_000, 4))
+    budget = 2_000_000  # 16 MB of distances
+    tracemalloc.start()
+    try:
+        em.mean_pairwise_distance(pts, budget, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20

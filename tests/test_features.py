@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toposig import graph as g
-from toposig import features
 from toposig.features import (
     FeatureTable,
     GlobalDegreeStats,
@@ -224,7 +224,7 @@ def test_write_features_tsv_matches_fstring_rows(rows, chunk):
     values = np.array(rows, dtype=np.float64)
     table = FeatureTable(values=values, stats=GlobalDegreeStats(-0.0, 1e-300, graph.n))
     out = io.StringIO()
-    with mock.patch.object(features, "_WRITE_CHUNK", chunk):
+    with mock.patch.object(g, "_CHUNK_NODES", chunk):
         write_features_tsv(graph, table, out)
     text = out.getvalue()
     assert text.splitlines(keepends=True)[:3] == [
@@ -234,3 +234,28 @@ def test_write_features_tsv_matches_fstring_rows(rows, chunk):
         f"# mean_degree=-0\tdegree_std=1e-300\tn={graph.n}\n",
     ]
     assert text.split("\n", 3)[3] == fstring_features_rows(graph, values)
+
+
+def test_compute_all_features_transient_memory_is_below_the_neighbor_ids():
+    n = 200_000
+    a, b = np.random.default_rng(8).integers(0, n, size=(2, 1_000_000))
+    keep = a != b
+    keys = np.unique(np.minimum(a[keep], b[keep]) * n + np.maximum(a[keep], b[keep]))
+    graph = g.graph_from_id_edges([f"N{i:06d}" for i in range(n)], keys // n, keys % n)
+    assert graph.m >= 500_000
+    tracemalloc.start()
+    try:
+        compute_all_features(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # neighbor degrees are gathered one node range at a time, not for all 2m ids
+    assert peak < graph.indices.nbytes
+
+
+def test_neighbor_sums_do_not_depend_on_the_node_range():
+    graph = gen_er(300, 0.05, seed=9)
+    whole = compute_all_features(graph).values
+    for chunk in (1, 7, 64):
+        with mock.patch.object(g, "_CHUNK_NODES", chunk):
+            assert compute_all_features(graph).values.tobytes() == whole.tobytes()

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import math
+import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -573,9 +575,27 @@ def test_write_edges_tsv_matches_fstring_rows(pairs, chunk):
     edges = {(min(a, b), max(a, b)) for a, b in pairs if a != b}
     graph = g.graph_from_id_edges(names, [a for a, _ in edges], [b for _, b in edges])
     out = io.StringIO()
-    with mock.patch.object(g, "_WRITE_CHUNK", chunk):
+    with mock.patch.object(g, "_CHUNK_NODES", chunk):
         g.write_edges_tsv(graph, out)
     assert out.getvalue() == fstring_edges_tsv(graph)
+
+
+def test_write_edges_tsv_transient_memory_is_below_the_neighbor_ids():
+    n = 200_000
+    a, b = np.random.default_rng(5).integers(0, n, size=(2, 1_000_000))
+    keep = a != b
+    keys = np.unique(np.minimum(a[keep], b[keep]) * n + np.maximum(a[keep], b[keep]))
+    graph = g.graph_from_id_edges([f"N{i:06d}" for i in range(n)], keys // n, keys % n)
+    assert graph.m >= 500_000
+    with open(os.devnull, "w") as out:
+        tracemalloc.start()
+        try:
+            g.write_edges_tsv(graph, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # one node range's ids and rows are alive at a time, not the whole graph's
+    assert peak < graph.indices.nbytes
 
 
 def test_edges_tsv_sorted_with_name_a_less_than_b():
