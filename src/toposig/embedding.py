@@ -5,13 +5,18 @@ library symmetric solver and keeps components whose eigenvalue exceeds
 ``eig_tol`` times the largest.  Scores are divided by
 sqrt(eigenvalue), so the plain Euclidean norm between transformed points
 realizes the Mahalanobis distance of the training covariance.
+
+Exact pair distances come from ``all_pair_distances``, a numpy kernel that
+takes scipy's ``pdist`` arithmetic step for step, so it gives ``pdist``'s
+bits without loading ``scipy.spatial``.  A caller with a lot of exact work
+may pass ``pdist`` itself as the kernel; the choice never changes a bit.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import Callable, Iterable, TextIO
 
 import numpy as np
 
@@ -27,6 +32,7 @@ __all__ = [
     "transform",
     "transform_all",
     "distance",
+    "all_pair_distances",
     "mean_pairwise_distance",
     "pair_sample_distances",
     "save_model",
@@ -34,6 +40,10 @@ __all__ = [
 
 DEFAULT_EIG_TOL = 1e-12
 DEFAULT_PAIR_BUDGET = 2_000_000
+_BLOCK_CELLS = 1 << 14  # pairs per block: 128 KB of float64 per dimension
+
+# exact kernel: (N, d) points to the C(N,2) condensed distances, pdist's order
+PairKernel = Callable[[np.ndarray], np.ndarray]
 
 
 class DegenerateFeaturesError(ValueError):
@@ -109,6 +119,43 @@ def distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=np.float64) - b))
 
 
+def all_pair_distances(points: np.ndarray) -> np.ndarray:
+    """Distances between all pairs of rows of (N, d) ``points``, as ``pdist`` returns them.
+
+    The same arithmetic as ``pdist``, so the same bits: for each pair the
+    squared coordinate differences are summed in dimension order, then one
+    square root.  Rows are taken in blocks of at least 16 against all later
+    points, short and wide, in one preallocated buffer; each row's part
+    right of the diagonal goes to the condensed array.
+    """
+    columns = np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)
+    dims, n = columns.shape
+    out = np.empty(n * (n - 1) // 2)
+    if n < 2:
+        return out
+    rows = min(n - 1, max(16, _BLOCK_CELLS // n))
+    buffer = np.empty(dims * rows * (n - 1))
+    start = 0
+    for r0 in range(0, n - 1, rows):
+        r1 = min(r0 + rows, n - 1)
+        h, w = r1 - r0, n - 1 - r0
+        squares = buffer[: dims * h * w].reshape(dims, h, w)
+        # the block's own coordinates are laid out first: numpy subtracts
+        # two rows several times faster than it broadcasts a column
+        np.copyto(squares, columns[:, r0:r1, None])
+        np.subtract(squares, columns[:, None, r0 + 1 :], out=squares)
+        squares *= squares
+        total = squares[0]
+        for square in squares[1:]:
+            total += square
+        stop = start + h * w - h * (h - 1) // 2
+        block = out[start:stop]
+        np.concatenate([line[row:] for row, line in enumerate(total)], out=block)
+        np.sqrt(block, out=block)
+        start = stop
+    return out
+
+
 @dataclass(frozen=True)
 class MeanDistanceResult:
     mean: float
@@ -121,8 +168,12 @@ def pair_sample_distances(
     points: np.ndarray,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
     rng: np.random.Generator | None = None,
+    kernel: PairKernel = all_pair_distances,
 ) -> tuple[np.ndarray, bool]:
     """Distances over all pairs, or over a sample when C(N,2) exceeds the budget.
+
+    All pairs come from ``kernel``: ``all_pair_distances`` or scipy's
+    ``pdist``, which give the same bits.
 
     The sample draws ``pair_budget`` pairs uniformly, with replacement, from
     the distinct unordered pairs, so its mean is an unbiased estimate of the
@@ -139,9 +190,7 @@ def pair_sample_distances(
     if n < 2:
         raise ValueError("need at least 2 points")
     if n * (n - 1) // 2 <= pair_budget:
-        from scipy.spatial.distance import pdist  # imported here: scipy.spatial is slow to load
-
-        return pdist(points), True
+        return kernel(points), True
     if rng is None:
         raise ValueError("pair sampling requires an explicit rng stream")
     # numpy draws an int32 range below 2**32 from whole 32-bit words of the
@@ -175,6 +224,7 @@ def mean_pairwise_distance(
     points: np.ndarray,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
     rng: np.random.Generator | None = None,
+    kernel: PairKernel = all_pair_distances,
 ) -> MeanDistanceResult:
     """Mean inter-point distance, exact when C(N,2) fits the pair budget.
 
@@ -182,7 +232,7 @@ def mean_pairwise_distance(
     place over the distances: the steps of ``ndarray.std``, so the same bits,
     without its copy of them.
     """
-    distances, exact = pair_sample_distances(points, pair_budget, rng)
+    distances, exact = pair_sample_distances(points, pair_budget, rng, kernel)
     mean = distances.mean()  # over the whole array: numpy's pairwise sum
     count = len(distances)
     se = 0.0

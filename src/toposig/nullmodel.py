@@ -19,11 +19,18 @@ from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .embedding import DEFAULT_PAIR_BUDGET, MeanDistanceResult, mean_pairwise_distance
+from .embedding import (
+    DEFAULT_PAIR_BUDGET,
+    MeanDistanceResult,
+    PairKernel,
+    all_pair_distances,
+    mean_pairwise_distance,
+)
 
 __all__ = [
     "DEFAULT_SET_SIZES",
     "DEFAULT_SETS_PER_SIZE",
+    "PDIST_MIN_PAIRS",
     "NullFitError",
     "NullSamplingConfig",
     "NullSampleRow",
@@ -49,6 +56,16 @@ DEFAULT_SETS_PER_SIZE = 100
 
 _HIST_CLAMP = 20
 SIGNIFICANCE_Z = 2.0
+
+# A call whose exact pairs, C(N,2) summed over the sets or groups within the
+# pair budget, pass this many loads scipy's pdist and scores them with it;
+# below it, the numpy kernel does.  Both give the same bits.  Set from the
+# break-even measured on a 2-core VM (numpy 2.4.6, scipy 1.17.1): loading
+# scipy.spatial costs a process 0.28-0.36 s of wall time, 0.15-0.19 s more of
+# OpenBLAS-thread CPU and 38 MB of peak RSS, and pdist takes 2.4-3.1 ns a
+# pair at N >= 500 against the kernel's 9-13 ns, so the load repays itself
+# past about 0.3 s / 7 ns, some 50M pairs.
+PDIST_MIN_PAIRS = 50_000_000
 
 
 class NullFitError(ValueError):
@@ -134,11 +151,22 @@ def _key_rng(seed: int, key: str) -> np.random.Generator:
     return _task_rng(seed, 2, *words)
 
 
+def _exact_kernel(sizes: Iterable[int], pair_budget: int) -> PairKernel:
+    """The kernel for a call scoring sets of these sizes: pdist past ``PDIST_MIN_PAIRS``."""
+    pairs = (n * (n - 1) // 2 for n in sizes)
+    if sum(c for c in pairs if c <= pair_budget) <= PDIST_MIN_PAIRS:
+        return all_pair_distances
+    from scipy.spatial.distance import pdist  # imported here: scipy.spatial is slow to load
+
+    return pdist
+
+
 def sample_null(points: np.ndarray, config: NullSamplingConfig) -> NullSamples:
     """Draw R random node sets per size and record mean/std of their set means.
 
     Each (size, repetition) task owns a stream seeded from (seed, size index,
     repetition index), so the output is bit-reproducible for a given config.
+    Exact sets are scored by the kernel ``_exact_kernel`` picks for the call.
     """
     points = np.asarray(points, dtype=np.float64)
     n_points = len(points)
@@ -146,13 +174,16 @@ def sample_null(points: np.ndarray, config: NullSamplingConfig) -> NullSamples:
         raise ValueError(
             f"largest set size {max(config.set_sizes)} exceeds point count {n_points}"
         )
+    kernel = _exact_kernel(config.set_sizes * config.sets_per_size, config.pair_budget)
     rows = []
     for size_index, set_size in enumerate(config.set_sizes):
         set_means = np.empty(config.sets_per_size)
         for rep in range(config.sets_per_size):
             rng = _task_rng(config.seed, 1, size_index, rep)
             chosen = rng.choice(n_points, size=set_size, replace=False)
-            set_means[rep] = mean_pairwise_distance(points[chosen], config.pair_budget, rng).mean
+            set_means[rep] = mean_pairwise_distance(
+                points[chosen], config.pair_budget, rng, kernel
+            ).mean
         mean = float(set_means.mean())
         std = float(set_means.std(ddof=1))
         rows.append(NullSampleRow(set_size, mean, std, config.sets_per_size))
@@ -229,19 +260,23 @@ def group_mean_distance(
     """Mean inter-node distance per group; undersized groups are skipped.
 
     Each group's pair-sampling stream is derived from (seed, group key), so
-    results do not depend on evaluation order.
+    results do not depend on evaluation order.  Exact groups are scored by
+    the kernel ``_exact_kernel`` picks for the whole call.
     """
     if not membership:
         raise ValueError("empty membership")
     points = np.asarray(points, dtype=np.float64)
-    results: dict[str, MeanDistanceResult] = {}
-    skipped: list[str] = []
-    for key in sorted(membership):
-        ids = np.asarray(membership[key])
-        if len(ids) < max(min_group_size, 2):
-            skipped.append(key)
-            continue
-        results[key] = mean_pairwise_distance(points[ids], pair_budget, _key_rng(seed, key))
+    keys = sorted(membership)
+    smallest = max(min_group_size, 2)
+    scored = [key for key in keys if len(membership[key]) >= smallest]
+    skipped = [key for key in keys if len(membership[key]) < smallest]
+    kernel = _exact_kernel((len(membership[key]) for key in scored), pair_budget)
+    results = {
+        key: mean_pairwise_distance(
+            points[np.asarray(membership[key])], pair_budget, _key_rng(seed, key), kernel
+        )
+        for key in scored
+    }
     return results, skipped
 
 

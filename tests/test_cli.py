@@ -964,8 +964,19 @@ def test_synth_feeds_pipeline(tmp_path):
     assert (tmp_path / cli.RESULTS_TSV).exists()
 
 
+def run_in_fresh_process(code):
+    """Last stdout line of ``code`` run by a new interpreter that imports this checkout's toposig."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 def test_ingest_does_not_import_scipy_spatial(tmp_path):
-    """Loading pdist costs a process about 0.5 s; setup and ingest never need it."""
+    """Loading scipy.spatial costs a process 0.28-0.36 s and 38 MB; ingest never needs it."""
     code = (
         "import sys\n"
         "from toposig import cli\n"
@@ -973,10 +984,43 @@ def test_ingest_does_not_import_scipy_spatial(tmp_path):
         "assert cli.main(args) == 0\n"
         "print('scipy.spatial' in sys.modules)\n"
     )
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    assert run_in_fresh_process(code) == "False"
+
+
+def test_chains_below_the_pdist_threshold_do_not_import_scipy_spatial(tmp_path):
+    # every exact-pair call here is far below nullmodel.PDIST_MIN_PAIRS
+    fixture = [str(a) for a in fixture_args(tmp_path / "fixture")]
+    demo = str(tmp_path / "demo")
+    synth = ["synth", "--model", "gravity", "--n", "2000", "--groups", "10", "--beta", "4",
+             "--stubs", "1,2,3", "--seed", "3", "--out", demo]
+    chain = ["all", "--edges", f"{demo}/edges.tsv", "--geo", f"{demo}/labels.tsv",
+             "--out", demo, "--seed", "3", "--level", "both"]
+    code = (
+        "import sys\n"
+        "from toposig import cli\n"
+        f"for args in ({fixture!r}, {synth!r}, {chain!r}):\n"
+        "    assert cli.main(args) == 0, args\n"
+        "print('scipy.spatial' in sys.modules)\n"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert run_in_fresh_process(code) == "False"
+    assert (tmp_path / "fixture" / cli.RESULTS_TSV).exists()
+    assert (tmp_path / "demo" / cli.RESULTS_TSV).exists()
+
+
+def test_group_means_past_the_pdist_threshold_load_pdist_and_keep_their_bits():
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from toposig import nullmodel as nm\n"
+        "pts = np.random.default_rng(4).normal(size=(3000, 4))\n"
+        "groups = {'a': np.arange(0, 3000, 2), 'b': np.arange(1, 900), 'c': np.arange(5)}\n"
+        "def means():\n"
+        "    results, _ = nm.group_mean_distance(pts, groups, pair_budget=500_000, seed=2)\n"
+        "    return results\n"
+        "numpy_means = means()\n"
+        "before = 'scipy.spatial' in sys.modules\n"
+        "nm.PDIST_MIN_PAIRS = 0\n"
+        "pdist_means = means()\n"
+        "print(before, 'scipy.spatial' in sys.modules, pdist_means == numpy_means)\n"
+    )
+    assert run_in_fresh_process(code) == "False True True"

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from toposig import embedding as em
 
@@ -210,6 +211,35 @@ def test_identical_points_zero():
 def test_single_point_rejected():
     with pytest.raises(ValueError):
         em.mean_pairwise_distance(np.zeros((1, 3)))
+
+
+def awkward_points(n, d, seed):
+    """Coordinates from 1e-8 to 1e8 in magnitude, with repeated rows."""
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-8, 8, size=(n, d))
+    pts[n // 2] = pts[0]
+    pts[-1] = pts[n // 3]
+    return pts
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 31, 32, 33, 500, 2000])
+def test_all_pair_distances_are_pdists_bytes(n, d):
+    pts = awkward_points(n, d, seed=100 * n + d)
+    strided = np.repeat(pts, 2, axis=1)[:, ::2]
+    for layout in (pts, np.asfortranarray(pts), strided, pts[::-1]):
+        got = em.all_pair_distances(layout)
+        assert got.dtype == np.float64
+        assert got.tobytes() == pdist(layout).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 33, 2000])
+def test_mean_pairwise_distance_is_the_same_through_either_kernel(n):
+    pts = awkward_points(n, 4, seed=n)
+    for budget in (n * (n - 1) // 2, 1000):  # exact, then sampled when n > 45
+        ours = em.mean_pairwise_distance(pts, budget, np.random.default_rng(3))
+        theirs = em.mean_pairwise_distance(pts, budget, np.random.default_rng(3), kernel=pdist)
+        assert ours == theirs
 
 
 def test_exact_mean_matches_allpairs_loop():
