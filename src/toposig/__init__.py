@@ -4,7 +4,22 @@ Pipeline: ingest a topology + geolocation labels, compute four per-node
 degree-neighborhood statistics, whiten them with PCA so Euclidean distance
 realizes the Mahalanobis metric, fit a random-set null model for mean
 inter-node distance, and z-score each label group against it.
+
+Importing toposig sets ``OPENBLAS_NUM_THREADS=1`` in ``os.environ`` (so
+processes it starts inherit it) unless ``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is already set: a user's own
+thread setting wins.  toposig's BLAS work is ``embed``'s two products of
+(n, 4) and (4, 4) arrays and ``synth``'s small matrix-vector products,
+which gain nothing from a second thread, while OpenBLAS's idle worker spins
+a core for about 0.26 s of CPU per ``all`` run.  OpenBLAS reads the
+variable when numpy first loads it, so a caller that imports numpy before
+toposig keeps its own BLAS threads.  No output depends on the thread count.
 """
+
+import os
+
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before any submodule imports numpy
 
 __version__ = "0.1.0"
 

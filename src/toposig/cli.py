@@ -54,6 +54,7 @@ from .nullmodel import (
     DEFAULT_SETS_PER_SIZE,
     NullFitError,
     NullSamplingConfig,
+    exact_kernel,
     fit_null_scaling,
     group_mean_distance,
     read_null_model_tsv,
@@ -361,6 +362,10 @@ def _stage_test(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list[P
     if len(empty) == len(levels):
         raise ValueError(f"no {'- or '.join(empty)}-level groups found in labels")
 
+    # one kernel for both levels: pdist's load pays off on their summed exact pairs
+    smallest = max(cfg.min_group_size, 2)
+    sizes = (len(g) for m in memberships.values() for g in m.values() if len(g) >= smallest)
+    kernel = exact_kernel(sizes, cfg.pair_budget)
     results = []
     skipped_total: list[str] = []
     se_fracs: list[float] = []  # pair-sampling error / sigma(N) of each sampled group
@@ -373,6 +378,7 @@ def _stage_test(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list[P
             pair_budget=cfg.pair_budget,
             seed=cfg.seed,
             min_group_size=cfg.min_group_size,
+            kernel=kernel,
         )
         skipped_total.extend(f"{level}:{k}" for k in skipped)
         for key, result in means.items():
@@ -382,7 +388,7 @@ def _stage_test(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list[P
                 se_fracs.append(result.se / null_model.sigma(n_data))
     if not results:
         raise ValueError(
-            f"no group has {max(cfg.min_group_size, 2)} or more nodes"
+            f"no group has {smallest} or more nodes"
             f" (--min-group-size {cfg.min_group_size})"
         )
 

@@ -41,6 +41,7 @@ __all__ = [
     "sample_null",
     "fit_null_scaling",
     "group_mean_distance",
+    "exact_kernel",
     "z_score",
     "summarize",
     "write_null_samples_tsv",
@@ -60,11 +61,11 @@ SIGNIFICANCE_Z = 2.0
 # A call whose exact pairs, C(N,2) summed over the sets or groups within the
 # pair budget, pass this many loads scipy's pdist and scores them with it;
 # below it, the numpy kernel does.  Both give the same bits.  Set from the
-# break-even measured on a 2-core VM (numpy 2.4.6, scipy 1.17.1): loading
-# scipy.spatial costs a process 0.28-0.36 s of wall time, 0.15-0.19 s more of
-# OpenBLAS-thread CPU and 38 MB of peak RSS, and pdist takes 2.4-3.1 ns a
-# pair at N >= 500 against the kernel's 9-13 ns, so the load repays itself
-# past about 0.3 s / 7 ns, some 50M pairs.
+# break-even measured on a 2-core VM (numpy 2.4.6, scipy 1.17.1, one BLAS
+# thread as toposig runs): loading scipy.spatial costs a process 0.35-0.47 s
+# of wall time, as much CPU, and 33 MB of peak RSS, and pdist takes 3-5 ns a
+# pair at N = 500-2000 against the kernel's 10-17 ns, so the load repays
+# itself past some 30M-65M pairs.
 PDIST_MIN_PAIRS = 50_000_000
 
 
@@ -151,8 +152,8 @@ def _key_rng(seed: int, key: str) -> np.random.Generator:
     return _task_rng(seed, 2, *words)
 
 
-def _exact_kernel(sizes: Iterable[int], pair_budget: int) -> PairKernel:
-    """The kernel for a call scoring sets of these sizes: pdist past ``PDIST_MIN_PAIRS``."""
+def exact_kernel(sizes: Iterable[int], pair_budget: int) -> PairKernel:
+    """The kernel for scoring sets of these sizes: pdist past ``PDIST_MIN_PAIRS`` exact pairs."""
     pairs = (n * (n - 1) // 2 for n in sizes)
     if sum(c for c in pairs if c <= pair_budget) <= PDIST_MIN_PAIRS:
         return all_pair_distances
@@ -166,7 +167,7 @@ def sample_null(points: np.ndarray, config: NullSamplingConfig) -> NullSamples:
 
     Each (size, repetition) task owns a stream seeded from (seed, size index,
     repetition index), so the output is bit-reproducible for a given config.
-    Exact sets are scored by the kernel ``_exact_kernel`` picks for the call.
+    Exact sets are scored by the kernel ``exact_kernel`` picks for the call.
     """
     points = np.asarray(points, dtype=np.float64)
     n_points = len(points)
@@ -174,7 +175,7 @@ def sample_null(points: np.ndarray, config: NullSamplingConfig) -> NullSamples:
         raise ValueError(
             f"largest set size {max(config.set_sizes)} exceeds point count {n_points}"
         )
-    kernel = _exact_kernel(config.set_sizes * config.sets_per_size, config.pair_budget)
+    kernel = exact_kernel(config.set_sizes * config.sets_per_size, config.pair_budget)
     rows = []
     for size_index, set_size in enumerate(config.set_sizes):
         set_means = np.empty(config.sets_per_size)
@@ -256,12 +257,14 @@ def group_mean_distance(
     pair_budget: int = DEFAULT_PAIR_BUDGET,
     seed: int = 0,
     min_group_size: int = 2,
+    kernel: PairKernel | None = None,
 ) -> tuple[dict[str, MeanDistanceResult], list[str]]:
     """Mean inter-node distance per group; undersized groups are skipped.
 
     Each group's pair-sampling stream is derived from (seed, group key), so
     results do not depend on evaluation order.  Exact groups are scored by
-    the kernel ``_exact_kernel`` picks for the whole call.
+    ``kernel``, by default the one ``exact_kernel`` picks for this call; a
+    caller scoring several calls passes the one picked for all of them.
     """
     if not membership:
         raise ValueError("empty membership")
@@ -270,7 +273,8 @@ def group_mean_distance(
     smallest = max(min_group_size, 2)
     scored = [key for key in keys if len(membership[key]) >= smallest]
     skipped = [key for key in keys if len(membership[key]) < smallest]
-    kernel = _exact_kernel((len(membership[key]) for key in scored), pair_budget)
+    if kernel is None:
+        kernel = exact_kernel((len(membership[key]) for key in scored), pair_budget)
     results = {
         key: mean_pairwise_distance(
             points[np.asarray(membership[key])], pair_budget, _key_rng(seed, key), kernel

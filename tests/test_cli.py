@@ -964,19 +964,72 @@ def test_synth_feeds_pipeline(tmp_path):
     assert (tmp_path / cli.RESULTS_TSV).exists()
 
 
-def run_in_fresh_process(code):
-    """Last stdout line of ``code`` run by a new interpreter that imports this checkout's toposig."""
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def fresh_env(**variables):
+    """This environment without BLAS thread settings (importing toposig here set one),
+    with this checkout's toposig on the path and ``variables`` added."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    return dict(env, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent), **variables)
+
+
+def run_in_fresh_process(code, **variables):
+    """Last stdout line of ``code`` run by a new interpreter in ``fresh_env(**variables)``."""
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code], env=fresh_env(**variables),
+        capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
 
 
+# thread count and the BLAS thread variables after importing {0}
+THREADS_AFTER = (
+    "import os, {0}\n"
+    f"print(len(os.listdir('/proc/self/task')), *map(os.environ.get, {BLAS_THREAD_VARS!r}))"
+)
+needs_proc = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task"
+)
+
+
+@needs_proc
+def test_import_leaves_one_thread():
+    assert run_in_fresh_process(THREADS_AFTER.format("toposig")) == "1 1 None None"
+
+
+@needs_proc
+@pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_import_keeps_a_users_blas_thread_setting(variable):
+    # the threads numpy alone starts under the same setting, and no variable changed
+    numpy_alone = run_in_fresh_process(THREADS_AFTER.format("numpy"), **{variable: "2"})
+    assert "2" in numpy_alone.split()[1:]
+    assert run_in_fresh_process(THREADS_AFTER.format("toposig"), **{variable: "2"}) == numpy_alone
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the criterion-7 run, once on one BLAS thread and once on two
+    outs = [tmp_path / "one", tmp_path / "two"]
+    for out, threads in zip(outs, ("1", "2")):
+        args = ["all", "--links", FIXTURE_LINKS, "--geo", FIXTURE_GEO, "--out", out, "--seed", 21,
+                "--sizes", "10,20,50,100", "--sets", 60, "--level", "both"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "toposig.cli", *map(str, args)],
+            env=fresh_env(OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir()) and len(names) >= 10
+    for name in names:
+        one, two = ((out / name).read_bytes() for out in outs)
+        if name == cli.MANIFEST:  # all but each line's timestamp
+            one, two = ([line.rsplit(b"\t", 1)[0] for line in text.splitlines()] for text in (one, two))
+        assert one == two, name
+
+
 def test_ingest_does_not_import_scipy_spatial(tmp_path):
-    """Loading scipy.spatial costs a process 0.28-0.36 s and 38 MB; ingest never needs it."""
+    """Loading scipy.spatial costs a process 0.35-0.47 s and 33 MB; ingest never needs it."""
     code = (
         "import sys\n"
         "from toposig import cli\n"
@@ -1024,3 +1077,32 @@ def test_group_means_past_the_pdist_threshold_load_pdist_and_keep_their_bits():
         "print(before, 'scipy.spatial' in sys.modules, pdist_means == numpy_means)\n"
     )
     assert run_in_fresh_process(code) == "False True True"
+
+
+def test_test_stage_picks_one_kernel_for_both_levels(tmp_path, monkeypatch):
+    """Levels that pass PDIST_MIN_PAIRS only together are both scored by pdist, to the same bits."""
+    from scipy.spatial.distance import pdist
+
+    calls = []
+
+    def recording(points, membership, **kwargs):
+        means, skipped = nm.group_mean_distance(points, membership, **kwargs)
+        calls.append((membership, kwargs, means))
+        return means, skipped
+
+    assert run(fixture_args(tmp_path) + ["--level", "both"]) == 0
+    monkeypatch.setattr(cli, "group_mean_distance", recording)
+    test_args = ["test"] + fixture_args(tmp_path)[1:] + ["--level", "both"]
+    assert run(test_args) == 0
+    numpy_calls, calls[:] = calls[:], []
+    totals = [
+        sum(len(g) * (len(g) - 1) // 2 for g in membership.values()
+            if len(g) >= kwargs["min_group_size"])
+        for membership, kwargs, _ in numpy_calls
+    ]
+    assert [kwargs["kernel"] for _, kwargs, _ in numpy_calls] == [em.all_pair_distances] * 2
+    assert max(totals) < sum(totals)
+    monkeypatch.setattr(nm, "PDIST_MIN_PAIRS", max(totals))  # each level alone stays below it
+    assert run(test_args) == 0
+    assert [kwargs["kernel"] for _, kwargs, _ in calls] == [pdist] * 2
+    assert [means for *_, means in calls] == [means for *_, means in numpy_calls]
