@@ -54,11 +54,8 @@ def main() -> None:
     )
 
     labels = random_group_labels(graph, args.groups, tuple(args.group_sizes), seed=args.seed)
-    groups = country_groups(graph, labels)
-    means, _ = nm.group_mean_distance(points, groups, seed=args.seed)
-    results = [
-        nm.z_score(null, key, "country", len(groups[key]), means[key].mean) for key in means
-    ]
+    groups = {"country": country_groups(graph, labels)}
+    results, _, _ = nm.score_groups(points, null, groups, seed=args.seed)
     zs = np.array([r.z for r in results])
     frac = np.mean(np.abs(zs) > 2)
     print(f"\n{len(zs)} random groups: mean z {zs.mean():+.3f}, std {zs.std(ddof=1):.3f},"

@@ -27,12 +27,8 @@ def run_one(n, groups, beta, stubs, seed, sizes, sets):
     points = em.transform_all(model, table)
     config = nm.NullSamplingConfig(set_sizes=sizes, sets_per_size=sets, seed=seed)
     null = nm.fit_null_scaling(nm.sample_null(points, config))
-    membership = country_groups(graph, labels)
-    means, _ = nm.group_mean_distance(points, membership, seed=seed)
-    return [
-        nm.z_score(null, key, "country", len(membership[key]), means[key].mean)
-        for key in means
-    ]
+    groups = {"country": country_groups(graph, labels)}
+    return nm.score_groups(points, null, groups, seed=seed)[0]
 
 
 def main() -> None:

@@ -55,6 +55,7 @@ from .nullmodel import (
     fit_null_scaling,
     group_mean_distance,
     sample_null,
+    score_groups,
     summarize,
     z_score,
 )
@@ -94,6 +95,7 @@ __all__ = [
     "fit_null_scaling",
     "group_mean_distance",
     "z_score",
+    "score_groups",
     "summarize",
     "GravityParams",
     "make_gravity_params",

@@ -54,18 +54,16 @@ from .nullmodel import (
     DEFAULT_SETS_PER_SIZE,
     NullFitError,
     NullSamplingConfig,
-    exact_kernel,
     fit_null_scaling,
-    group_mean_distance,
     read_null_model_tsv,
     read_results_tsv,
     sample_null,
+    score_groups,
     summarize,
     write_null_model_tsv,
     write_null_samples_tsv,
     write_results_tsv,
     write_summary_tsv,
-    z_score,
 )
 
 ALL_CHAIN = ("ingest", "features", "embed", "null", "test", "report")
@@ -362,42 +360,15 @@ def _stage_test(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list[P
     if len(empty) == len(levels):
         raise ValueError(f"no {'- or '.join(empty)}-level groups found in labels")
 
-    # one kernel for both levels: pdist's load pays off on their summed exact pairs
-    smallest = max(cfg.min_group_size, 2)
-    sizes = (len(g) for m in memberships.values() for g in m.values() if len(g) >= smallest)
-    kernel = exact_kernel(sizes, cfg.pair_budget)
-    results = []
-    skipped_total: list[str] = []
-    se_fracs: list[float] = []  # pair-sampling error / sigma(N) of each sampled group
-    for level, membership in memberships.items():
-        if not membership:
-            continue
-        means, skipped = group_mean_distance(
-            points,
-            membership,
-            pair_budget=cfg.pair_budget,
-            seed=cfg.seed,
-            min_group_size=cfg.min_group_size,
-            kernel=kernel,
-        )
-        skipped_total.extend(f"{level}:{k}" for k in skipped)
-        for key, result in means.items():
-            n_data = len(membership[key])
-            results.append(z_score(null_model, key, level, n_data, result.mean))
-            if not result.exact:
-                se_fracs.append(result.se / null_model.sigma(n_data))
-    if not results:
-        raise ValueError(
-            f"no group has {smallest} or more nodes"
-            f" (--min-group-size {cfg.min_group_size})"
-        )
-
+    results, skipped, se_fracs = score_groups(
+        points, null_model, memberships, cfg.pair_budget, cfg.seed, cfg.min_group_size
+    )
     out_path = cfg.out / RESULTS_TSV
     with open(out_path, "w", encoding="utf-8") as f:
         write_results_tsv(results, f)
     desc = f"level={cfg.level} min_group_size={cfg.min_group_size} pair_budget={cfg.pair_budget}"
     info = (
-        f"groups={len(results)} skipped={len(skipped_total)} unmatched_names={unmatched}"
+        f"groups={len(results)} skipped={len(skipped)} unmatched_names={unmatched}"
         f" sampled={len(se_fracs)} pair_se_frac={max(se_fracs, default=0.0):.3g}"
     )
     if empty:

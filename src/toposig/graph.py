@@ -142,11 +142,6 @@ class Graph:
     def m(self) -> int:
         return len(self.indices) // 2
 
-    def neighbors(self, node: int) -> np.ndarray:
-        """Sorted neighbor ids of ``node``."""
-        start = int(self.degrees[:node].sum())
-        return self.indices[start : start + self.degrees[node]]
-
     def node_ranges(self) -> Iterator[tuple[slice, slice]]:
         """Walk the CSR by node range: ``(nodes, span)`` per run of ``_CHUNK_NODES`` ids.
 

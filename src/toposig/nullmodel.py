@@ -43,6 +43,7 @@ __all__ = [
     "group_mean_distance",
     "exact_kernel",
     "z_score",
+    "score_groups",
     "summarize",
     "write_null_samples_tsv",
     "write_null_model_tsv",
@@ -307,11 +308,48 @@ def z_score(
     )
 
 
+def score_groups(
+    points: np.ndarray,
+    null: NullModel,
+    memberships: Mapping[str, Mapping[str, np.ndarray]],
+    pair_budget: int = DEFAULT_PAIR_BUDGET,
+    seed: int = 0,
+    min_group_size: int = 2,
+) -> tuple[list[GroupTestResult], list[str], list[float]]:
+    """z per group of each level in ``memberships``, {level: {key: node ids}}.
+
+    Returns the results by level, then key; the skipped groups as ``level:key``;
+    and se / sigma(N) of each group that took the sampled pair path.  One
+    kernel, picked from every level's exact pairs, scores them all.
+    """
+    smallest = max(min_group_size, 2)
+    sizes = (len(g) for m in memberships.values() for g in m.values() if len(g) >= smallest)
+    kernel = exact_kernel(sizes, pair_budget)
+    results, skipped, se_fracs = [], [], []
+    for level, membership in memberships.items():
+        if not membership:
+            continue
+        means, level_skipped = group_mean_distance(
+            points, membership, pair_budget=pair_budget, seed=seed,
+            min_group_size=min_group_size, kernel=kernel,
+        )
+        skipped += (f"{level}:{key}" for key in level_skipped)
+        for key, result in means.items():
+            n_data = len(membership[key])
+            results.append(z_score(null, key, level, n_data, result.mean))
+            if not result.exact:
+                se_fracs.append(result.se / null.sigma(n_data))
+    if not results:
+        raise ValueError(
+            f"no group has {smallest} or more nodes (--min-group-size {min_group_size})"
+        )
+    return results, skipped, se_fracs
+
+
 def summarize(results: Sequence[GroupTestResult]) -> SignificanceSummary:
     """Tail counts plus a unit-width z histogram clamped at +/-20.
 
-    The tails split the significant groups by the sign of z, so they add up
-    to the significant count also after ``results.tsv`` rounds z to 9 digits.
+    The tails split the significant groups by the sign of z.
     """
     if not results:
         raise ValueError("no results to summarize")
@@ -367,11 +405,11 @@ def read_null_model_tsv(lines: Iterable[str]) -> NullModel:
 
 
 def write_results_tsv(results: Sequence[GroupTestResult], out: TextIO) -> None:
-    """Rows sorted by z ascending."""
+    """Rows sorted by z ascending; z has 17 significant digits, so it reloads losslessly."""
     out.write("# level\tgroup\tn_nodes\tmean_dist\tz\tp\tsignificant\n")
     for r in sorted(results, key=lambda r: (r.z, r.level, r.group)):
         out.write(
-            f"{r.level}\t{r.group}\t{r.n_data}\t{r.mu_data:.9g}\t{r.z:.9g}"
+            f"{r.level}\t{r.group}\t{r.n_data}\t{r.mu_data:.9g}\t{r.z:.17g}"
             f"\t{r.p_value:.9g}\t{int(r.significant)}\n"
         )
 

@@ -27,6 +27,9 @@ __all__ = [
     "random_group_labels",
 ]
 
+# added to every group distance before the power, so a group's own decay is finite
+DISTANCE_FLOOR = 0.01
+
 
 def _padded_names(n: int) -> list[str]:
     # zero-padded so lexicographic name order matches generation order
@@ -88,7 +91,6 @@ class GravityParams:
     stubs: tuple[int, ...]  # per-group attachment edge count
     beta: float
     seed: int
-    distance_floor: float = 0.01
     _decay: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -112,15 +114,15 @@ class GravityParams:
         dy *= dy
         decay += dy
         np.sqrt(decay, out=decay)
-        decay += self.distance_floor
+        decay += DISTANCE_FLOOR
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             np.power(decay, -self.beta, out=decay)  # checked here, so overflow needs no warning
         decay.flags.writeable = False
         object.__setattr__(self, "_decay", decay)
         if not np.all(np.isfinite(decay) & (decay > 0.0)):
             raise ValueError(
-                f"distance decay (d + {self.distance_floor:g})^-{self.beta:g} is zero or"
-                " not finite for some group pair; lower beta or raise the distance floor"
+                f"distance decay (d + {DISTANCE_FLOOR:g})^-{self.beta:g} is zero or"
+                " not finite for some group pair; lower beta"
             )
 
     def decay(self) -> np.ndarray:
@@ -132,12 +134,10 @@ def make_gravity_params(
     n: int,
     groups: int,
     beta: float,
-    stubs: tuple[int, ...] | int,
+    stubs: tuple[int, ...],
     seed: int,
 ) -> GravityParams:
     """Build params with seeded group positions; short stub lists are cycled."""
-    if isinstance(stubs, int):
-        stubs = (stubs,)
     if not stubs:
         raise ValueError("stubs must give one count >= 1 per group")
     cycled = tuple(stubs[g % len(stubs)] for g in range(groups))

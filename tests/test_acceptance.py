@@ -45,10 +45,8 @@ def group_zscores(graph, labels, seed, level="country"):
     config = nm.NullSamplingConfig(set_sizes=SET_SIZES, sets_per_size=100, seed=seed)
     null = nm.fit_null_scaling(nm.sample_null(points, config))
     groups = country_groups(graph, labels) if level == "country" else region_groups(graph, labels)
-    means, _ = nm.group_mean_distance(points, groups, seed=seed)
-    return np.array(
-        [nm.z_score(null, key, level, len(groups[key]), means[key].mean).z for key in means]
-    )
+    results, _, _ = nm.score_groups(points, null, {level: groups}, seed=seed)
+    return np.array([r.z for r in results])
 
 
 # ---------------------------------------------------------------------------

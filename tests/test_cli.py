@@ -1084,14 +1084,15 @@ def test_test_stage_picks_one_kernel_for_both_levels(tmp_path, monkeypatch):
     from scipy.spatial.distance import pdist
 
     calls = []
+    score = nm.group_mean_distance
 
     def recording(points, membership, **kwargs):
-        means, skipped = nm.group_mean_distance(points, membership, **kwargs)
+        means, skipped = score(points, membership, **kwargs)
         calls.append((membership, kwargs, means))
         return means, skipped
 
     assert run(fixture_args(tmp_path) + ["--level", "both"]) == 0
-    monkeypatch.setattr(cli, "group_mean_distance", recording)
+    monkeypatch.setattr(nm, "group_mean_distance", recording)
     test_args = ["test"] + fixture_args(tmp_path)[1:] + ["--level", "both"]
     assert run(test_args) == 0
     numpy_calls, calls[:] = calls[:], []

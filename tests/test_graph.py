@@ -486,12 +486,13 @@ def test_degrees_match_bruteforce_recount():
 def test_adjacency_symmetric_and_degree_sum(int_pairs):
     graph = g.build_graph(parse_edges("".join(f"N{a}\tN{b}\n" for a, b in int_pairs)))
     assert int(graph.degrees.sum()) == 2 * graph.m
-    for i in range(graph.n):
-        nbrs = graph.neighbors(i)
-        assert list(nbrs) == sorted(set(nbrs.tolist()))
-        assert i not in nbrs
-        for j in nbrs:
-            assert i in graph.neighbors(int(j))
+    row = np.repeat(np.arange(graph.n), graph.degrees)
+    assert np.all(row != graph.indices)
+    keys = row * graph.n + graph.indices
+    assert np.all(np.diff(keys) > 0)  # each row sorted and distinct
+    src, dst = graph.edge_id_pairs()
+    both = np.concatenate([src * graph.n + dst, dst * graph.n + src])
+    assert np.array_equal(np.sort(both), keys)  # each edge in both of its rows
 
 
 def test_id_edge_constructor_matches_build_graph():

@@ -297,11 +297,17 @@ def test_summary_counts():
 
 
 def test_summary_counts_survive_the_results_tsv_round_trip():
-    # results.tsv writes z = +/-2.0000000001 as "2", beside its significant flag
+    # z just past +/-2 keeps its value, its sign and its significant flag
+    # through results.tsv, so the histogram agrees with the tail counts
+    zs = [-2.0000000001, 0.5, 2.0000000001]
     out = io.StringIO()
-    nm.write_results_tsv([make_result(z) for z in (-2.0000000001, 0.5, 2.0000000001)], out)
-    summary = nm.summarize(nm.read_results_tsv(io.StringIO(out.getvalue())))
+    nm.write_results_tsv([make_result(z) for z in zs], out)
+    again = nm.read_results_tsv(io.StringIO(out.getvalue()))
+    assert [r.z for r in again] == zs
+    summary = nm.summarize(again)
     assert (summary.n_significant, summary.n_low, summary.n_high) == (2, 1, 1)
+    hist = {lo: count for lo, _, count in summary.histogram}
+    assert (hist[-3], hist[-2], hist[0], hist[2]) == (1, 0, 1, 1)
 
 
 def test_summary_histogram_bins_and_clamping():

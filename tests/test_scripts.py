@@ -1,7 +1,9 @@
-"""Smoke runs of the experiment scripts, so a library API change cannot break them silently."""
+"""Smoke runs of the experiment scripts and README's Library snippet, so a
+library API change cannot break them silently."""
 
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -35,3 +37,17 @@ def test_script_runs(script, args, summary):
     )
     assert proc.returncode == 0, proc.stderr
     assert re.search(summary, proc.stdout, re.MULTILINE), proc.stdout
+
+
+def test_readme_library_snippet_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    snippet = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    shutil.copy(ROOT / "tests" / "data" / "fixture_200.links", tmp_path / "topology.links")
+    shutil.copy(ROOT / "tests" / "data" / "fixture_200.geo", tmp_path / "geo.tsv")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", snippet],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(r"\d+ of \d+ groups with \|z\| > 2\n", proc.stdout), proc.stdout
