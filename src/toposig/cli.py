@@ -18,12 +18,14 @@ the stage opened them and of its outputs, and the timestamp, alone in the
 final column so that identical runs match byte for byte elsewhere.
 
 Exit codes: 0 ok, 2 missing input/artifact, bad config or too-small input
-(among them argparse usage errors such as an unknown flag, a negative
-``--seed`` or both ``--links`` and ``--edges``, a non-finite ``--fix-alpha``,
-an ``--eig-tol`` outside [0, 1) and a ``test`` run that leaves no group to
-score), 3 parse error in strict mode, 4 numerical degeneracy (among them a
-fitted null ``a`` or a group's sigma(N) that is not finite and above 0).  A
-failed ``ingest`` or ``synth`` writes no artifact and creates no ``--out``.
+(among them argparse usage errors such as an unknown flag, a flag the stage
+does not take, a negative ``--seed``, a ``--min-group-size`` below 2 or both
+``--links`` and ``--edges``; an input file that is not UTF-8, a non-finite
+``--fix-alpha``, an ``--eig-tol`` outside [0, 1) and a ``test`` run that
+leaves no group to score), 3 parse error in strict mode, 4 numerical
+degeneracy (among them a fitted null ``a`` or a group's sigma(N) that is not
+finite and above 0).  A failed ``ingest`` or ``synth`` writes no artifact and
+creates no ``--out``.
 """
 
 from __future__ import annotations
@@ -262,6 +264,17 @@ def _write_graph_artifacts(
 # stages
 # ---------------------------------------------------------------------------
 
+def _parse_input(path: Path, parse, strict: bool):
+    """``parse`` of the UTF-8 text file ``path``; other bytes exit 2 naming the file."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return parse(f, strict=strict)
+    except UnicodeDecodeError as exc:  # the codec names neither the file nor a file offset
+        raise ValueError(
+            f"{path}: not UTF-8 text: {exc.reason} {exc.object[exc.start:exc.end]!r}"
+        ) from None
+
+
 def _stage_ingest(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list[Path], str]:
     if cfg.links is not None:
         source, parse = cfg.links, gstore.parse_links
@@ -273,8 +286,7 @@ def _stage_ingest(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list
     if missing := [path for path in sources if not path.is_file()]:
         raise FileNotFoundError(f"missing input file {missing[0]}")
     inputs += map(_entry, sources)  # before parsing: --out may hold a source it rewrites
-    with open(source, encoding="utf-8") as f:
-        edge_list = parse(f, strict=cfg.strict)
+    edge_list = _parse_input(source, parse, cfg.strict)
     graph = gstore.build_graph(edge_list)
     info = (
         f"n={graph.n} m={graph.m} self_dropped={edge_list.self_pairs_dropped}"
@@ -285,10 +297,7 @@ def _stage_ingest(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list
     del edge_list  # its name index and pair arrays are spent
     # geo is parsed once the graph is built (a lower peak) and before anything
     # is written, so a bad geo file leaves no half-written ingest behind
-    labels = None
-    if cfg.geo is not None:
-        with open(cfg.geo, encoding="utf-8") as f:
-            labels = gstore.parse_geo(f, strict=cfg.strict)
+    labels = None if cfg.geo is None else _parse_input(cfg.geo, gstore.parse_geo, cfg.strict)
     outputs, tallies = _write_graph_artifacts(cfg, graph, labels)
     return f"strict={int(cfg.strict)}", outputs, info + tallies
 
@@ -469,6 +478,12 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _group_size(text: str) -> int:
+    if (value := int(text)) < 2:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 2, got {value}")
+    return value
+
+
 def _int_pair(text: str) -> tuple[int, int]:
     parts = _int_list(text)
     if len(parts) != 2:
@@ -487,31 +502,29 @@ def build_parser() -> argparse.ArgumentParser:
     base.add_argument("--out", type=Path, required=True, help="artifact directory")
     base.add_argument("--seed", type=_non_negative_int, default=0)
 
-    common = argparse.ArgumentParser(add_help=False, parents=[base])
-    source = common.add_mutually_exclusive_group()
-    source.add_argument("--links", type=Path, help="router links file")
-    source.add_argument("--edges", type=Path, help="canonical edge TSV")
-    common.add_argument("--geo", type=Path, help="geolocation TSV")
-    common.add_argument(
-        "--sets", type=int, default=DEFAULT_SETS_PER_SIZE, help="random sets per size"
-    )
-    common.add_argument(
-        "--sizes", type=_int_list, default=DEFAULT_SET_SIZES, help="comma list of set sizes"
-    )
-    common.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
-    common.add_argument("--eig-tol", type=float, default=DEFAULT_EIG_TOL)
-    common.add_argument("--fix-alpha", type=float, default=None)
-    common.add_argument("--min-group-size", type=int, default=2)
-    common.add_argument("--level", choices=("country", "region", "both"), default="country")
-    common.add_argument("--strict", action="store_true", help="fail on malformed lines")
-    common.add_argument(
-        "--labeled-only",
-        action="store_true",
-        help="restrict the stage's node set to geolocated nodes",
-    )
+    chain = {stage: sub.add_parser(stage, parents=[base]) for stage in (*ALL_CHAIN, "all")}
 
-    for stage in (*ALL_CHAIN, "all"):
-        sub.add_parser(stage, parents=[common])
+    def add(readers: tuple[str, ...], *flag: str, **spec) -> None:
+        """Give ``flag`` to the stages that read it and to ``all``."""
+        for stage in (*readers, "all"):
+            chain[stage].add_argument(*flag, **spec)
+
+    for stage in ("ingest", "all"):
+        source = chain[stage].add_mutually_exclusive_group()
+        source.add_argument("--links", type=Path, help="router links file")
+        source.add_argument("--edges", type=Path, help="canonical edge TSV")
+    add(("ingest",), "--geo", type=Path, help="geolocation TSV")
+    add(("null",), "--sets", type=int, default=DEFAULT_SETS_PER_SIZE, help="random sets per size")
+    add(("null",), "--sizes", type=_int_list, default=DEFAULT_SET_SIZES,
+        help="comma list of set sizes")
+    add(("null", "test"), "--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
+    add(("embed",), "--eig-tol", type=float, default=DEFAULT_EIG_TOL)
+    add(("null",), "--fix-alpha", type=float, default=None)
+    add(("test",), "--min-group-size", type=_group_size, default=2)
+    add(("test",), "--level", choices=("country", "region", "both"), default="country")
+    add(("ingest",), "--strict", action="store_true", help="fail on malformed lines")
+    add(("embed", "null"), "--labeled-only", action="store_true",
+        help="restrict the stage's node set to geolocated nodes")
 
     synth = sub.add_parser("synth", parents=[base])
     synth.add_argument("--model", choices=("er", "ba", "gravity"), default="gravity")
@@ -529,7 +542,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:  # reported by the stage's own parser, whose usage shows the flags it takes
+        (stages,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        stages.choices[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         if args.command == "all":
             return run_all(args)

@@ -734,7 +734,9 @@ def write_edges_tsv(graph: Graph, out: TextIO) -> None:
 
 
 def write_nodes_tsv(graph: Graph, out: TextIO) -> None:
-    out.writelines(f"{name}\n" for name in graph.names)
+    """Emit one name per line in id order, one node range at a time."""
+    for nodes, _ in graph.node_ranges():
+        out.write(tsv_rows([graph.names[nodes]]))
 
 
 def read_nodes_tsv(stream: TextIO) -> list[str]:
@@ -755,6 +757,9 @@ def read_nodes_tsv(stream: TextIO) -> list[str]:
 
 
 def write_geo_tsv(labels: GeoLabels, out: TextIO) -> None:
-    """Emit labels sorted by node name, region column possibly empty."""
-    for name in sorted(labels.country):
-        out.write(f"{name}\t{labels.country[name]}\t{labels.region.get(name, '')}\n")
+    """Emit labels sorted by node name, region column possibly empty, a run of names at a time."""
+    names = sorted(labels.country)
+    for start in range(0, len(names), _CHUNK_NODES):
+        chunk = names[start : start + _CHUNK_NODES]
+        regions = [labels.region.get(name, "") for name in chunk]
+        out.write(tsv_rows([chunk, [labels.country[name] for name in chunk], regions]))

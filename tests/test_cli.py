@@ -2,6 +2,7 @@ import argparse
 import io
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -49,17 +50,26 @@ def parsed_args(stage, out):
     return cli.build_parser().parse_args([stage, "--out", str(out)])
 
 
+# the fixture run's settings, each under the stage that takes it
+FIXTURE_FLAGS = {
+    "ingest": ["--links", FIXTURE_LINKS, "--geo", FIXTURE_GEO],
+    "features": [],
+    "embed": [],
+    "null": ["--sizes", "10,20,50", "--sets", "40"],
+    "test": ["--level", "both"],
+    "report": [],
+}
+
+
+def stage_args(stage, out):
+    """``stage`` on ``out`` with the fixture run's settings that it takes."""
+    return [stage, "--out", out, "--seed", 7, *FIXTURE_FLAGS[stage]]
+
+
 def fixture_args(out, seed=7):
-    return [
-        "all",
-        "--links", FIXTURE_LINKS,
-        "--geo", FIXTURE_GEO,
-        "--out", out,
-        "--seed", seed,
-        "--sizes", "10,20,50",
-        "--sets", "40",
-        "--level", "both",
-    ]
+    """``all`` on ``out`` with every stage's fixture settings."""
+    flags = [arg for stage_flags in FIXTURE_FLAGS.values() for arg in stage_flags]
+    return ["all", "--out", out, "--seed", seed, *flags]
 
 
 # ---------------------------------------------------------------------------
@@ -103,13 +113,50 @@ def test_negative_count_exits_2_and_writes_nothing(tmp_path, capsys, args):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """The fixture run of the whole chain, for tests to copy."""
+    out = tmp_path_factory.mktemp("finished") / "run"
+    assert run(fixture_args(out)) == 0
+    return out
+
+
 @pytest.mark.parametrize("args", [
     ["null", "--pooled-std"],
     ["synth", "--geo", "x"],
     ["synth", "--level", "region"],
-], ids=["null-pooled-std", "synth-geo", "synth-level"])
-def test_flags_a_stage_does_not_take_exit_2(tmp_path, args):
+    ["test", "--labeled-only"],
+    ["embed", "--pair-budget", 5],
+    ["null", "--level", "both"],
+    ["features", "--sizes", 10],
+    ["report", "--level", "region"],
+    ["ingest", "--eig-tol", 0.1],
+    ["test", "--sizes", "10,20"],
+], ids=["null-pooled-std", "synth-geo", "synth-level", "test-labeled-only", "embed-pair-budget",
+        "null-level", "features-sizes", "report-level", "ingest-eig-tol", "test-sizes"])
+def test_flags_a_stage_does_not_take_exit_2(tmp_path, capsys, finished_run, args):
     assert usage_error_code(args + ["--out", tmp_path / "run"]) == 2
+    assert not (tmp_path / "run").exists()
+    # the stage's own parser reports the flag, so its usage shows the flags it does take
+    stage, flag = args[:2]
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: toposig {stage} [-h] --out OUT [--seed SEED]"), err
+    assert f"toposig {stage}: error: unrecognized arguments: {flag}" in err
+    # on a finished run the stage would otherwise run and append its manifest line
+    out = shutil.copytree(finished_run, tmp_path / "finished")
+    manifest = (out / cli.MANIFEST).read_bytes()
+    assert usage_error_code(args + ["--out", out]) == 2
+    assert (out / cli.MANIFEST).read_bytes() == manifest
+
+
+@pytest.mark.parametrize("args, size", [
+    (["all", *FIXTURE_FLAGS["ingest"]], "-5"), (["all", *FIXTURE_FLAGS["ingest"]], "1"),
+    (["test"], "0"),
+], ids=["all-negative", "all-one", "test-zero"])
+def test_min_group_size_below_two_exits_2_and_writes_nothing(tmp_path, capsys, args, size):
+    assert usage_error_code(args + ["--out", tmp_path / "run", "--min-group-size", size]) == 2
+    err = capsys.readouterr().err
+    assert f"--min-group-size: must be an integer of at least 2, got {size}" in err
     assert not (tmp_path / "run").exists()
 
 
@@ -125,6 +172,19 @@ def test_missing_input_file_exits_2(tmp_path, capsys, flag, name):
     assert run(["ingest", "--out", out, *(arg for pair in paths.items() for arg in pair)]) == 2
     assert f"missing input file {missing}" in capsys.readouterr().err
     assert not [name for name in INGEST_ARTIFACTS if (out / name).exists()]
+
+
+@pytest.mark.parametrize("flag", ["--edges", "--geo"])
+@pytest.mark.parametrize("strict", [[], ["--strict"]], ids=["lenient", "strict"])
+def test_input_that_is_not_utf8_names_its_file_and_writes_nothing(tmp_path, capsys, flag, strict):
+    good, bad, out = tmp_path / "good.tsv", tmp_path / "bad.tsv", tmp_path / "run"
+    good.write_text("a\tb\nb\tc\n", encoding="utf-8")
+    bad.write_bytes(b"a\tb\n\xff\tc\n")  # the second line holds byte 0xff
+    inputs = {"--edges": good, "--geo": good, flag: bad}
+    assert run(["ingest", "--out", out, *(arg for pair in inputs.items() for arg in pair)]
+               + strict) == 2
+    assert f"toposig: {bad}: not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args, message", [
@@ -205,11 +265,11 @@ def test_corrupt_graph_artifacts_exit_2(tmp_path, capsys):
     run_stages(tmp_path, "features", "embed", "null")
     np.save(degrees, np.load(degrees)[:-1])
     for stage in ("embed", "null", "test"):  # rows of features.npy or points.npy != n
-        assert run([stage] + fixture_args(tmp_path)[1:]) == 2, stage
+        assert run(stage_args(stage, tmp_path)) == 2, stage
         assert f"for the 199 nodes in {cli.DEGREES_NPY}" in capsys.readouterr().err
     np.save(degrees, np.int64(200))
     for stage in ("embed", "null", "test"):
-        assert run([stage] + fixture_args(tmp_path)[1:]) == 2, stage
+        assert run(stage_args(stage, tmp_path)) == 2, stage
         assert f"{degrees}: 0-d array, expected 1-d" in capsys.readouterr().err
 
 
@@ -218,14 +278,14 @@ def test_truncated_model_files_exit_2(tmp_path, capsys):
     points, null_model = tmp_path / cli.POINTS_NPY, tmp_path / cli.NULL_MODEL_TSV
     good_points = points.read_bytes()
     points.write_bytes(good_points[:-8])
-    assert run(["null"] + fixture_args(tmp_path)[1:]) == 2
+    assert run(stage_args("null", tmp_path)) == 2
     assert f"toposig: {points}: " in capsys.readouterr().err  # numpy's message follows
 
     points.write_bytes(good_points)
     header, row = null_model.read_text().splitlines()
     short_row = row.rsplit("\t", 1)[0]
     null_model.write_text(f"{header}\n{short_row}\n")
-    assert run(["test"] + fixture_args(tmp_path)[1:]) == 2
+    assert run(stage_args("test", tmp_path)) == 2
     assert "expected 4" in capsys.readouterr().err
 
 
@@ -235,7 +295,7 @@ def test_non_finite_null_model_exits_2(tmp_path, capsys):
     header, row = null_model.read_text().splitlines()
     rest = row.split("\t", 1)[1]
     null_model.write_text(f"{header}\nnan\t{rest}\n")
-    assert run(["test"] + fixture_args(tmp_path)[1:]) == 2
+    assert run(stage_args("test", tmp_path)) == 2
     assert "null model field mu_r is nan" in capsys.readouterr().err
     assert not (tmp_path / cli.RESULTS_TSV).exists()
 
@@ -248,11 +308,11 @@ def test_empty_or_directory_npy_handoff_exits_2(tmp_path, capsys, name, stage):
     path = tmp_path / name
     path.unlink()
     path.mkdir()
-    assert run([stage] + fixture_args(tmp_path)[1:]) == 2
+    assert run(stage_args(stage, tmp_path)) == 2
     assert f"missing {path} (produced by" in capsys.readouterr().err
     path.rmdir()
     path.write_bytes(b"")
-    assert run([stage] + fixture_args(tmp_path)[1:]) == 2
+    assert run(stage_args(stage, tmp_path)) == 2
     assert f"{path}: empty file" in capsys.readouterr().err
 
 
@@ -272,13 +332,13 @@ def test_pair_budget_below_one_exits_2(tmp_path, capsys):
 def run_stages(out, *stages):
     """Run ``stages`` one by one on the fixture with ``fixture_args``' settings."""
     for stage in stages:
-        assert run([stage] + fixture_args(out)[1:]) == 0, stage
+        assert run(stage_args(stage, out)) == 0, stage
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
 def test_non_finite_fix_alpha_exits_2(tmp_path, capsys, alpha):
     run_stages(tmp_path, "ingest", "features", "embed")
-    assert run(["null"] + fixture_args(tmp_path)[1:] + [f"--fix-alpha={alpha}"]) == 2
+    assert run(stage_args("null", tmp_path) + [f"--fix-alpha={alpha}"]) == 2
     assert "fixed alpha must be finite" in capsys.readouterr().err
     assert not (tmp_path / cli.NULL_MODEL_TSV).exists()
 
@@ -288,7 +348,7 @@ def test_non_finite_fix_alpha_exits_2(tmp_path, capsys, alpha):
 @pytest.mark.parametrize("alpha", ["250", "-1000"])
 def test_fix_alpha_fitting_no_usable_amplitude_exits_4(tmp_path, capsys, alpha):
     run_stages(tmp_path, "ingest", "features", "embed")
-    assert run(["null"] + fixture_args(tmp_path)[1:] + [f"--fix-alpha={alpha}"]) == 4
+    assert run(stage_args("null", tmp_path) + [f"--fix-alpha={alpha}"]) == 4
     assert f"alpha {alpha} fits a = exp(" in capsys.readouterr().err
     assert not (tmp_path / cli.NULL_MODEL_TSV).exists()
 
@@ -296,12 +356,12 @@ def test_fix_alpha_fitting_no_usable_amplitude_exits_4(tmp_path, capsys, alpha):
 def test_sigma_overflowing_at_a_group_size_exits_4(tmp_path, capsys):
     # alpha -230 fits a = 9.3e-308, and sigma(N) = a * N**230 overflows at N >= 22
     run_stages(tmp_path, "ingest", "features", "embed")
-    assert run(["null"] + fixture_args(tmp_path)[1:] + ["--fix-alpha=-230"]) == 4
+    assert run(stage_args("null", tmp_path) + ["--fix-alpha=-230"]) == 4
     assert "sigma(N) = inf at N = 50 is not finite" in capsys.readouterr().err
     assert not (tmp_path / cli.NULL_MODEL_TSV).exists()
     # a model file that overflows only past the sizes it was fitted on stops `test`
     (tmp_path / cli.NULL_MODEL_TSV).write_text("0.9\t9.3e-308\t-230\t0\n")
-    assert run(["test"] + fixture_args(tmp_path)[1:]) == 4
+    assert run(stage_args("test", tmp_path)) == 4
     assert re.search(r"sigma\(N\) = inf at N = \d+ is not finite", capsys.readouterr().err)
     assert not (tmp_path / cli.RESULTS_TSV).exists()
 
@@ -316,7 +376,7 @@ def test_eig_tol_outside_unit_interval_exits_2(tmp_path, capsys, eig_tol):
 
 def test_min_group_size_above_every_group_exits_2(tmp_path, capsys):
     run_stages(tmp_path, "ingest", "features", "embed", "null")
-    assert run(["test"] + fixture_args(tmp_path)[1:] + ["--min-group-size", 1000]) == 2
+    assert run(stage_args("test", tmp_path) + ["--min-group-size", 1000]) == 2
     assert "--min-group-size 1000" in capsys.readouterr().err
     assert not (tmp_path / cli.RESULTS_TSV).exists()
 
@@ -335,7 +395,7 @@ def test_ingest_without_geo_removes_an_earlier_label_handoff(tmp_path, capsys):
     assert not [name for name in (cli.LABELS_TSV, cli.LABEL_CODES_NPY, cli.LABEL_GROUPS_TSV)
                 if (tmp_path / name).exists()]
     run_stages(tmp_path, "features", "embed", "null")
-    assert run(["test"] + fixture_args(tmp_path)[1:]) == 2
+    assert run(stage_args("test", tmp_path)) == 2
     err = capsys.readouterr().err
     assert cli.LABEL_CODES_NPY in err and "'ingest' or 'synth' stage" in err
     assert not (tmp_path / cli.RESULTS_TSV).exists()
@@ -374,7 +434,7 @@ def test_malformed_label_artifacts_exit_2(tmp_path, capsys, corrupt, message):
     # the fixture's table holds 6 countries and 6 regions, on lines 2 to 13
     run_stages(tmp_path, "ingest", "features", "embed", "null")
     corrupt(tmp_path)
-    assert run(["test"] + fixture_args(tmp_path)[1:]) == 2
+    assert run(stage_args("test", tmp_path)) == 2
     assert message in capsys.readouterr().err
     assert run(["embed", "--labeled-only", "--out", tmp_path]) == 2
     assert not (tmp_path / cli.RESULTS_TSV).exists()
@@ -400,11 +460,8 @@ def test_stagewise_equals_all(tmp_path):
     out_all = tmp_path / "all"
     out_staged = tmp_path / "staged"
     assert run(fixture_args(out_all)) == 0
-    base = ["--out", out_staged, "--seed", 7, "--sizes", "10,20,50", "--sets", "40",
-            "--level", "both"]
-    assert run(["ingest", "--links", FIXTURE_LINKS, "--geo", FIXTURE_GEO] + base) == 0
-    for stage in ("features", "embed", "null", "test", "report"):
-        assert run([stage] + base) == 0
+    for stage in cli.ALL_CHAIN:  # each stage given only its own flags
+        assert run(stage_args(stage, out_staged)) == 0, stage
     for artifact in CORE_ARTIFACTS:
         assert (out_all / artifact).read_bytes() == (out_staged / artifact).read_bytes()
 
@@ -616,8 +673,10 @@ def test_eig_tol_drops_small_components(tmp_path):
 ], ids=["default", "eig-tol", "labeled-only"])
 def test_points_are_every_row_in_the_fitted_space(tmp_path, flags, width):
     args, keep = half_labeled_args(tmp_path)
-    for stage in ("ingest", "features", "embed"):
-        assert run([stage] + args[1:] + flags) == 0, stage
+    half_geo = args[args.index("--geo") + 1]
+    for stage_flags in (["ingest", "--links", FIXTURE_LINKS, "--geo", half_geo], ["features"],
+                        ["embed", *flags]):
+        assert run(stage_flags + ["--out", tmp_path / "run", "--seed", 7]) == 0, stage_flags[0]
     _, values = library_features()
     rows = values[keep] if "--labeled-only" in flags else values
     eig_tol = float(flags[1]) if "--eig-tol" in flags else em.DEFAULT_EIG_TOL
@@ -646,7 +705,7 @@ def test_readme_shared_flags_are_the_parser_options():
     stages = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     for name, stage in stages.choices.items():
         options = [s for a in stage._actions for s in a.option_strings]
-        expected = documented("`synth` takes" if name == "synth" else "Shared flags:")
+        expected = documented(f"`{name}` takes")
         assert expected == [s for s in options if s not in ("-h", "--help")], name
 
 
@@ -674,20 +733,26 @@ def options_unread(stage, runs):
     return sorted(flag for dest, flag in declared.items() if dest not in read)
 
 
-def test_every_option_of_all_is_read_by_its_chain(tmp_path):
-    links_run = fixture_args(tmp_path / "links")
-    edges_run = ["all", "--edges", tmp_path / "links" / cli.EDGES_TSV, "--geo", FIXTURE_GEO,
-                 "--out", tmp_path / "edges", "--sizes", "10,20,50", "--sets", "40"]
-    assert options_unread("all", [links_run, edges_run]) == []
-
-
-def test_every_option_of_synth_is_read_by_synth(tmp_path):
-    runs = [["synth", "--model", model, "--n", 300, "--groups", 4, "--random-groups", 3,
-             "--group-sizes", "10,20", "--out", tmp_path / model]
-            for model in ("er", "ba")]
-    runs.append(["synth", "--model", "gravity", "--n", 300, "--groups", 4,
-                 "--out", tmp_path / "gravity"])
-    assert options_unread("synth", runs) == []
+@pytest.mark.parametrize("command", [*cli.ALL_CHAIN, "all", "synth"])
+def test_every_option_of_a_command_is_read_by_it(tmp_path, command):
+    if command == "synth":
+        runs = [["synth", "--model", model, "--n", 300, "--groups", 4, "--random-groups", 3,
+                 "--group-sizes", "10,20", "--out", tmp_path / model]
+                for model in ("er", "ba")]
+        runs.append(["synth", "--model", "gravity", "--n", 300, "--groups", 4,
+                     "--out", tmp_path / "gravity"])
+    elif command in ("ingest", "all"):  # a links run, then an edges run on its edges.tsv
+        links = tmp_path / "links"
+        edges_run = [command, "--edges", links / cli.EDGES_TSV, "--geo", FIXTURE_GEO,
+                     "--out", tmp_path / "edges"]
+        if command == "all":
+            edges_run += ["--sizes", "10,20,50", "--sets", "40"]
+        runs = [fixture_args(links) if command == "all" else stage_args("ingest", links),
+                edges_run]
+    else:
+        run_stages(tmp_path, *cli.ALL_CHAIN[:cli.ALL_CHAIN.index(command)])
+        runs = [stage_args(command, tmp_path)]
+    assert options_unread(command, runs) == []
 
 
 def test_geo_name_with_edge_whitespace_meets_its_node(tmp_path):
@@ -768,7 +833,7 @@ def test_later_stages_read_no_tsv_and_no_graph(tmp_path):
                 assert (isolated / name).read_bytes() == (full / name).read_bytes(), name
                 (isolated / name).unlink()
             for out in (full, isolated):
-                assert run([stage] + fixture_args(out)[1:] + flags) == 0, stage
+                assert run(stage_args(stage, out) + flags) == 0, stage
     for name in (cli.POINTS_NPY, cli.NULL_SAMPLES_TSV, cli.NULL_MODEL_TSV, cli.RESULTS_TSV):
         assert (isolated / name).read_bytes() == (full / name).read_bytes(), name
 
@@ -841,7 +906,7 @@ def test_a_stage_appends_one_manifest_line_and_a_failed_stage_none(tmp_path, cap
         *earlier, last = manifest.read_text().splitlines()
         assert earlier == lines and last.startswith(f"{stage}\t"), stage
         lines.append(last)
-    assert run(["test"] + fixture_args(tmp_path)[1:] + ["--min-group-size", "10000"]) == 2
+    assert run(stage_args("test", tmp_path) + ["--min-group-size", "10000"]) == 2
     neighbors = tmp_path / cli.NEIGHBORS_NPY
     neighbors.write_bytes(neighbors.read_bytes()[:-8])
     assert run(["features", "--out", tmp_path]) == 2
@@ -1093,7 +1158,7 @@ def test_test_stage_picks_one_kernel_for_both_levels(tmp_path, monkeypatch):
 
     assert run(fixture_args(tmp_path) + ["--level", "both"]) == 0
     monkeypatch.setattr(nm, "group_mean_distance", recording)
-    test_args = ["test"] + fixture_args(tmp_path)[1:] + ["--level", "both"]
+    test_args = stage_args("test", tmp_path) + ["--level", "both"]
     assert run(test_args) == 0
     numpy_calls, calls[:] = calls[:], []
     totals = [
