@@ -33,9 +33,9 @@ def main() -> None:
     graph = gen_er(args.n, args.mean_degree / (args.n - 1), seed=args.seed)
     print(f"graph: n={graph.n} m={graph.m} mean degree {2 * graph.m / graph.n:.2f}")
 
-    table = compute_all_features(graph)
-    model = em.fit_embedding(table)
-    points = em.transform_all(model, table)
+    features = compute_all_features(graph)
+    model = em.fit_embedding(features)
+    points = em.transform_all(model, features)
     print(f"embedding: retained {model.retained}, eigenvalues {np.round(model.eigenvalues, 3)}")
 
     config = nm.NullSamplingConfig(

@@ -22,9 +22,9 @@ from toposig.synth import gen_spatial_gravity, make_gravity_params
 def run_one(n, groups, beta, stubs, seed, sizes, sets):
     params = make_gravity_params(n=n, groups=groups, beta=beta, stubs=stubs, seed=seed)
     graph, labels = gen_spatial_gravity(params)
-    table = compute_all_features(graph)
-    model = em.fit_embedding(table)
-    points = em.transform_all(model, table)
+    features = compute_all_features(graph)
+    model = em.fit_embedding(features)
+    points = em.transform_all(model, features)
     config = nm.NullSamplingConfig(set_sizes=sizes, sets_per_size=sets, seed=seed)
     null = nm.fit_null_scaling(nm.sample_null(points, config))
     groups = {"country": country_groups(graph, labels)}

@@ -26,14 +26,11 @@ __version__ = "0.1.0"
 from .embedding import (
     EmbeddingModel,
     MeanDistanceResult,
-    distance,
     fit_embedding,
     mean_pairwise_distance,
-    transform,
     transform_all,
 )
 from .features import (
-    FeatureTable,
     GlobalDegreeStats,
     compute_all_features,
     global_degree_stats,
@@ -75,16 +72,13 @@ __all__ = [
     "parse_links",
     "parse_geo",
     "build_graph",
-    "FeatureTable",
     "GlobalDegreeStats",
     "global_degree_stats",
     "compute_all_features",
     "EmbeddingModel",
     "MeanDistanceResult",
     "fit_embedding",
-    "transform",
     "transform_all",
-    "distance",
     "mean_pairwise_distance",
     "NullSamplingConfig",
     "NullSamples",

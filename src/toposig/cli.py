@@ -18,20 +18,23 @@ the stage opened them and of its outputs, and the timestamp, alone in the
 final column so that identical runs match byte for byte elsewhere.
 
 Exit codes: 0 ok, 2 missing input/artifact, bad config or too-small input
-(among them argparse usage errors such as an unknown flag, a flag the stage
-does not take, a negative ``--seed``, a ``--min-group-size`` below 2 or both
-``--links`` and ``--edges``; an input file that is not UTF-8, a non-finite
-``--fix-alpha``, an ``--eig-tol`` outside [0, 1) and a ``test`` run that
-leaves no group to score), 3 parse error in strict mode, 4 numerical
-degeneracy (among them a fitted null ``a`` or a group's sigma(N) that is not
-finite and above 0).  A failed ``ingest`` or ``synth`` writes no artifact and
-creates no ``--out``.
+(among them argparse usage errors such as an unknown or abbreviated flag, a
+flag the stage does not take, a negative ``--seed``, a non-finite
+``--fix-alpha``, a ``--min-group-size`` below 2 or both ``--links`` and
+``--edges``; an input file that is not UTF-8, an ``--eig-tol`` outside
+[0, 1), a ``null`` ``--sizes`` that is empty or, without ``--fix-alpha``,
+shorter than 3, found before any set is drawn, and a ``test`` run that leaves
+no group to score), 3 parse error in strict mode, 4 numerical degeneracy
+(among them a fitted null ``a`` or a group's sigma(N) that is not finite and
+above 0).  A failed ``ingest`` or ``synth`` writes no artifact and creates no
+``--out``.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -49,11 +52,12 @@ from .embedding import (
     save_model,
     transform_all,
 )
-from .features import FEATURE_COLUMNS, compute_all_features, write_features_tsv
+from .features import FEATURE_COLUMNS, compute_all_features, global_degree_stats, write_features_tsv
 from .graph import GEO_LEVELS, ParseError
 from .nullmodel import (
     DEFAULT_SET_SIZES,
     DEFAULT_SETS_PER_SIZE,
+    FREE_FIT_MIN_SIZES,
     NullFitError,
     NullSamplingConfig,
     fit_null_scaling,
@@ -304,14 +308,15 @@ def _stage_ingest(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list
 
 def _stage_features(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list[Path], str]:
     graph = _load_graph(cfg, inputs)
-    table = compute_all_features(graph)
+    values = compute_all_features(graph)
+    stats = global_degree_stats(graph)
     tsv_path = cfg.out / FEATURES_TSV
     npy_path = cfg.out / FEATURES_NPY
     with open(tsv_path, "w", encoding="utf-8") as f:
-        write_features_tsv(graph, table, f)
+        write_features_tsv(graph, values, stats, f)
     with open(npy_path, "wb") as f:
-        np.save(f, table.values)
-    info = f"mean_degree={table.stats.mean_degree:.9g} degree_std={table.stats.degree_std:.9g}"
+        np.save(f, values)
+    info = f"mean_degree={stats.mean_degree:.9g} degree_std={stats.degree_std:.9g}"
     return "-", [tsv_path, npy_path], info
 
 
@@ -337,6 +342,9 @@ def _stage_null(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list[P
         pair_budget=cfg.pair_budget,
         seed=cfg.seed,
     )
+    if cfg.fix_alpha is None and len(config.set_sizes) < FREE_FIT_MIN_SIZES:
+        raise ValueError(f"--sizes gives {len(config.set_sizes)} set sizes; fitting alpha"
+                         f" needs at least {FREE_FIT_MIN_SIZES} (or pass --fix-alpha)")
     samples = sample_null(points, config)
     model = fit_null_scaling(samples, fix_alpha=cfg.fix_alpha)
     samples_path = cfg.out / NULL_SAMPLES_TSV
@@ -414,7 +422,7 @@ def _stage_synth(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list[
     elif cfg.model == "ba":
         graph = synthmod.gen_pref_attach(cfg.n, cfg.attach, cfg.seed)
         desc = f"model=ba n={cfg.n} attach={cfg.attach}"
-    elif cfg.model == "gravity":
+    else:  # gravity: --model's choices leave no other
         params = synthmod.make_gravity_params(
             n=cfg.n, groups=cfg.groups, beta=cfg.beta, stubs=cfg.stubs, seed=cfg.seed
         )
@@ -423,8 +431,6 @@ def _stage_synth(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list[
             f"model=gravity n={cfg.n} groups={cfg.groups} beta={cfg.beta:.9g}"
             f" stubs={','.join(map(str, cfg.stubs))}"
         )
-    else:
-        raise ValueError(f"unknown synth model {cfg.model!r}")
 
     if cfg.random_groups:
         labels = synthmod.random_group_labels(
@@ -478,6 +484,12 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {value}")
+    return value
+
+
 def _group_size(text: str) -> int:
     if (value := int(text)) < 2:
         raise argparse.ArgumentTypeError(f"must be an integer of at least 2, got {value}")
@@ -495,6 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toposig",
         description="Feature-space geographic-clustering tests for network topologies.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -502,7 +515,14 @@ def build_parser() -> argparse.ArgumentParser:
     base.add_argument("--out", type=Path, required=True, help="artifact directory")
     base.add_argument("--seed", type=_non_negative_int, default=0)
 
-    chain = {stage: sub.add_parser(stage, parents=[base]) for stage in (*ALL_CHAIN, "all")}
+    # flags are spelled in full: a prefix such as --lab is an unknown flag
+    chain = {
+        stage: sub.add_parser(stage, parents=[base], allow_abbrev=False)
+        for stage in (*ALL_CHAIN, "all", "synth")
+    }
+    for stage_parser in chain.values():
+        # main reports an unknown flag through the stage's parser, with its usage line
+        stage_parser.set_defaults(stage_parser=stage_parser)
 
     def add(readers: tuple[str, ...], *flag: str, **spec) -> None:
         """Give ``flag`` to the stages that read it and to ``all``."""
@@ -519,14 +539,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list of set sizes")
     add(("null", "test"), "--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
     add(("embed",), "--eig-tol", type=float, default=DEFAULT_EIG_TOL)
-    add(("null",), "--fix-alpha", type=float, default=None)
+    add(("null",), "--fix-alpha", type=_finite_float, default=None)
     add(("test",), "--min-group-size", type=_group_size, default=2)
     add(("test",), "--level", choices=("country", "region", "both"), default="country")
     add(("ingest",), "--strict", action="store_true", help="fail on malformed lines")
     add(("embed", "null"), "--labeled-only", action="store_true",
         help="restrict the stage's node set to geolocated nodes")
 
-    synth = sub.add_parser("synth", parents=[base])
+    synth = chain["synth"]
     synth.add_argument("--model", choices=("er", "ba", "gravity"), default="gravity")
     synth.add_argument("--n", type=int, default=20_000)
     synth.add_argument("--p", type=float, default=0.001, help="edge probability (er)")
@@ -542,11 +562,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args, unknown = parser.parse_known_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
     if unknown:  # reported by the stage's own parser, whose usage shows the flags it takes
-        (stages,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        stages.choices[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
+        args.stage_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         if args.command == "all":
             return run_all(args)

@@ -1,4 +1,4 @@
-"""Whitened principal-component space over feature rows.
+"""Whitened principal-component space over the rows of a float64 feature array.
 
 Fitting centers the data, eigendecomposes the sample covariance with the
 library symmetric solver and keeps components whose eigenvalue exceeds
@@ -20,8 +20,6 @@ from typing import Callable, Iterable, TextIO
 
 import numpy as np
 
-from .features import FeatureTable
-
 __all__ = [
     "DegenerateFeaturesError",
     "EmbeddingModel",
@@ -29,9 +27,7 @@ __all__ = [
     "DEFAULT_EIG_TOL",
     "DEFAULT_PAIR_BUDGET",
     "fit_embedding",
-    "transform",
     "transform_all",
-    "distance",
     "all_pair_distances",
     "mean_pairwise_distance",
     "pair_sample_distances",
@@ -67,11 +63,11 @@ class EmbeddingModel:
         return len(self.mean)
 
 
-def fit_embedding(table: FeatureTable | np.ndarray, eig_tol: float = DEFAULT_EIG_TOL) -> EmbeddingModel:
-    """Fit the whitened component space on the rows of a feature table."""
+def fit_embedding(features: np.ndarray, eig_tol: float = DEFAULT_EIG_TOL) -> EmbeddingModel:
+    """Fit the whitened component space on the rows of a feature array."""
     if not 0.0 <= eig_tol < 1.0:
         raise ValueError(f"eigenvalue tolerance must lie in [0, 1), got {eig_tol}")
-    data = table.values if isinstance(table, FeatureTable) else np.asarray(table, dtype=np.float64)
+    data = np.asarray(features, dtype=np.float64)
     if data.ndim != 2:
         raise ValueError("feature data must be 2-d")
     n, d = data.shape
@@ -104,19 +100,8 @@ def fit_embedding(table: FeatureTable | np.ndarray, eig_tol: float = DEFAULT_EIG
     )
 
 
-def transform(model: EmbeddingModel, x: np.ndarray) -> np.ndarray:
-    """Whitened coordinates of a single feature vector."""
-    return model.whitening @ (np.asarray(x, dtype=np.float64) - model.mean)
-
-
-def transform_all(model: EmbeddingModel, data: FeatureTable | np.ndarray) -> np.ndarray:
-    values = data.values if isinstance(data, FeatureTable) else np.asarray(data, dtype=np.float64)
-    return (values - model.mean) @ model.whitening.T
-
-
-def distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean norm in the whitened space = Mahalanobis distance."""
-    return float(np.linalg.norm(np.asarray(a, dtype=np.float64) - b))
+def transform_all(model: EmbeddingModel, features: np.ndarray) -> np.ndarray:
+    return (np.asarray(features, dtype=np.float64) - model.mean) @ model.whitening.T
 
 
 def all_pair_distances(points: np.ndarray) -> np.ndarray:

@@ -11,7 +11,8 @@ Four statistics per node i with neighbors j:
 
 Degenerate conventions keep every row finite: a degree-0 node is all zeros,
 a degree-1 node has local_var = 0 (the 1/(k-1) factor is undefined), and a
-zero global degree spread forces local_corr = 0.
+zero global degree spread forces local_corr = 0.  ``compute_all_features``
+returns one read-only (n, 4) float64 array, the form ``embedding`` takes.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .graph import Graph, tsv_rows
 __all__ = [
     "FEATURE_COLUMNS",
     "GlobalDegreeStats",
-    "FeatureTable",
     "global_degree_stats",
     "compute_all_features",
     "write_features_tsv",
@@ -44,14 +44,6 @@ class GlobalDegreeStats:
     n: int
 
 
-@dataclass(frozen=True)
-class FeatureTable:
-    """Row i holds the feature 4-vector of node i."""
-
-    values: np.ndarray
-    stats: GlobalDegreeStats
-
-
 def global_degree_stats(graph: Graph) -> GlobalDegreeStats:
     if graph.n < 2:
         raise ValueError("degree spread needs at least 2 nodes")
@@ -63,8 +55,8 @@ def global_degree_stats(graph: Graph) -> GlobalDegreeStats:
     )
 
 
-def compute_all_features(graph: Graph) -> FeatureTable:
-    """Vectorized feature table over all nodes; deterministic, O(n + m) time.
+def compute_all_features(graph: Graph) -> np.ndarray:
+    """Read-only (n, 4) float64 features of all nodes; deterministic, O(n + m) time.
 
     The neighbor sums walk the CSR one node range at a time
     (:meth:`Graph.node_ranges`), so the transient memory is O(n + range), not
@@ -100,19 +92,20 @@ def compute_all_features(graph: Graph) -> FeatureTable:
     nbr_sqdev /= np.maximum(k - 1.0, 1.0)  # local_var
     nbr_sqdev[k <= 1] = 0.0
     values.flags.writeable = False
-    return FeatureTable(values=values, stats=stats)
+    return values
 
 
 # ---------------------------------------------------------------------------
 # TSV artifact
 # ---------------------------------------------------------------------------
 
-def write_features_tsv(graph: Graph, table: FeatureTable, out: TextIO) -> None:
+def write_features_tsv(
+    graph: Graph, values: np.ndarray, stats: GlobalDegreeStats, out: TextIO
+) -> None:
     """Rows sorted by node name (= id order), floats at 9 significant digits.
 
     Rows are formatted one node range of :meth:`Graph.node_ranges` at a time.
     """
-    stats = table.stats
     out.write("# node\tk\tavg_nbr_deg\tlocal_var\tlocal_corr\n")
     out.write(
         "# conventions: k=0 row all zeros; k=1 sets local_var=0; "
@@ -123,7 +116,7 @@ def write_features_tsv(graph: Graph, table: FeatureTable, out: TextIO) -> None:
         f"\tn={stats.n}\n"
     )
     for sl, _ in graph.node_ranges():
-        block = table.values[sl]
+        block = values[sl]
         columns = [graph.names[sl], list(map(str, block[:, 0].astype(np.int64).tolist()))]
         columns += ([format(v, ".9g") for v in block[:, c].tolist()] for c in (1, 2, 3))
         out.write(tsv_rows(columns))

@@ -30,6 +30,7 @@ from .embedding import (
 __all__ = [
     "DEFAULT_SET_SIZES",
     "DEFAULT_SETS_PER_SIZE",
+    "FREE_FIT_MIN_SIZES",
     "PDIST_MIN_PAIRS",
     "NullFitError",
     "NullSamplingConfig",
@@ -55,6 +56,9 @@ __all__ = [
 
 DEFAULT_SET_SIZES = (10, 20, 50, 100, 200, 500)
 DEFAULT_SETS_PER_SIZE = 100
+
+# a free-alpha fit needs this many sizes with nonzero spread; a fixed-alpha fit needs 1
+FREE_FIT_MIN_SIZES = 3
 
 _HIST_CLAMP = 20
 SIGNIFICANCE_Z = 2.0
@@ -83,7 +87,9 @@ class NullSamplingConfig:
 
     def __post_init__(self) -> None:
         sizes = tuple(int(s) for s in self.set_sizes)
-        if not sizes or any(s < 2 for s in sizes):
+        if not sizes:
+            raise ValueError("no set sizes given")
+        if any(s < 2 for s in sizes):
             raise ValueError("set sizes must all be >= 2")
         if list(sizes) != sorted(set(sizes)):
             raise ValueError("set sizes must be strictly ascending")
@@ -211,7 +217,7 @@ def fit_null_scaling(samples: NullSamples, fix_alpha: float | None = None) -> Nu
     mu_r = float((weights * means).sum() / weights.sum())
 
     usable = [r for r in rows if r.std > 0.0]
-    needed = 1 if fix_alpha is not None else 3
+    needed = 1 if fix_alpha is not None else FREE_FIT_MIN_SIZES
     if len(usable) < needed:
         raise NullFitError(
             f"need at least {needed} sizes with nonzero spread, got {len(usable)}"

@@ -39,9 +39,9 @@ def report(number, name, ok, detail=""):
 
 def group_zscores(graph, labels, seed, level="country"):
     """features -> embedding -> null fit -> per-group z, all on one graph."""
-    table = compute_all_features(graph)
-    model = em.fit_embedding(table)
-    points = em.transform_all(model, table)
+    features = compute_all_features(graph)
+    model = em.fit_embedding(features)
+    points = em.transform_all(model, features)
     config = nm.NullSamplingConfig(set_sizes=SET_SIZES, sets_per_size=100, seed=seed)
     null = nm.fit_null_scaling(nm.sample_null(points, config))
     groups = country_groups(graph, labels) if level == "country" else region_groups(graph, labels)
@@ -64,9 +64,9 @@ def test_criterion_1_feature_oracle_equivalence():
         src, dst = graph.edge_id_pairs()
         pairs = [(graph.names[a], graph.names[b]) for a, b in zip(src, dst)]
         oracle = naive_features(pairs, list(graph.names))
-        table = compute_all_features(graph)
+        features = compute_all_features(graph)
         for node, name in enumerate(graph.names):
-            got = table.values[node]
+            got = features[node]
             want = np.array(oracle[name])
             err = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
             worst = max(worst, float(err.max()))
@@ -99,7 +99,7 @@ def test_criterion_2_mahalanobis_equivalence():
         idx = rng.integers(0, 1000, size=(200, 2))
         y = em.transform_all(model, x)
         for i, j in idx:
-            got = em.distance(y[i], y[j])
+            got = float(np.linalg.norm(y[i] - y[j]))
             diff = x[i] - x[j]
             want = math.sqrt(float(diff @ inv @ diff))
             if want > 0:
@@ -377,9 +377,9 @@ def test_criterion_9_topology_snapshot_integration():
 
     with open(geo, encoding="utf-8") as f:
         labels = gstore.parse_geo(f)
-    table = compute_all_features(graph)
-    model = em.fit_embedding(table)
-    points = em.transform_all(model, table)
+    features = compute_all_features(graph)
+    model = em.fit_embedding(features)
+    points = em.transform_all(model, features)
     config = nm.NullSamplingConfig(
         set_sizes=(10, 20, 50, 100, 200, 500, 1000), sets_per_size=100, seed=0
     )

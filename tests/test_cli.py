@@ -132,8 +132,16 @@ def finished_run(tmp_path_factory):
     ["report", "--level", "region"],
     ["ingest", "--eig-tol", 0.1],
     ["test", "--sizes", "10,20"],
+    # flags are spelled in full: a prefix of a flag the stage takes is unknown
+    ["null", "--size", "10,20"],
+    ["embed", "--lab"],
+    ["all", "--lab"],
+    ["test", "--lev", "both"],
+    ["synth", "--mod", "er"],
 ], ids=["null-pooled-std", "synth-geo", "synth-level", "test-labeled-only", "embed-pair-budget",
-        "null-level", "features-sizes", "report-level", "ingest-eig-tol", "test-sizes"])
+        "null-level", "features-sizes", "report-level", "ingest-eig-tol", "test-sizes",
+        "null-size-prefix", "embed-lab-prefix", "all-lab-prefix", "test-lev-prefix",
+        "synth-mod-prefix"])
 def test_flags_a_stage_does_not_take_exit_2(tmp_path, capsys, finished_run, args):
     assert usage_error_code(args + ["--out", tmp_path / "run"]) == 2
     assert not (tmp_path / "run").exists()
@@ -335,12 +343,39 @@ def run_stages(out, *stages):
         assert run(stage_args(stage, out)) == 0, stage
 
 
+def no_set_drawn():
+    """Patches the CLI's ``sample_null`` so that drawing a null set fails the test."""
+    return mock.patch.object(cli, "sample_null", side_effect=AssertionError("a set was drawn"))
+
+
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
 def test_non_finite_fix_alpha_exits_2(tmp_path, capsys, alpha):
     run_stages(tmp_path, "ingest", "features", "embed")
-    assert run(stage_args("null", tmp_path) + [f"--fix-alpha={alpha}"]) == 2
-    assert "fixed alpha must be finite" in capsys.readouterr().err
+    with no_set_drawn():  # a usage error: the stage does not start
+        assert usage_error_code(stage_args("null", tmp_path) + [f"--fix-alpha={alpha}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: toposig null [-h] --out OUT [--seed SEED]"), err
+    assert f"argument --fix-alpha: must be a finite number, got {alpha}" in err
     assert not (tmp_path / cli.NULL_MODEL_TSV).exists()
+
+
+def test_two_sizes_without_fix_alpha_exit_2_before_a_set_is_drawn(tmp_path, capsys, finished_run):
+    out = shutil.copytree(finished_run, tmp_path / "run")
+    manifest = (out / cli.MANIFEST).read_bytes()
+    with no_set_drawn():
+        assert run(["null", "--out", out, "--sizes", "10,20"]) == 2
+    assert ("--sizes gives 2 set sizes; fitting alpha needs at least 3 (or pass --fix-alpha)"
+            in capsys.readouterr().err)
+    assert (out / cli.MANIFEST).read_bytes() == manifest
+    # a fixed alpha fits on fewer sizes
+    assert run(["null", "--out", out, "--sizes", "10,20", "--fix-alpha", "1"]) == 0
+
+
+def test_empty_sizes_exit_2_with_their_own_message(tmp_path, capsys, finished_run):
+    out = shutil.copytree(finished_run, tmp_path / "run")
+    with no_set_drawn():
+        assert run(["null", "--out", out, "--sizes", ""]) == 2
+    assert "toposig: no set sizes given" in capsys.readouterr().err
 
 
 # on the fixture, alpha 250 fits a = exp(767), which overflows, and -1000 fits
@@ -535,7 +570,7 @@ def test_level_both_without_regions_scores_countries(tmp_path):
 def library_features():
     with open(FIXTURE_LINKS, encoding="utf-8") as f:
         graph = gstore.build_graph(gstore.parse_links(f))
-    return graph, compute_all_features(graph).values
+    return graph, compute_all_features(graph)
 
 
 def library_results_tsv(seed, sizes, sets, pair_budget=em.DEFAULT_PAIR_BUDGET, min_group_size=2):
@@ -803,7 +838,7 @@ def check_handoff(out, edges_text):
     loaded = cli._load_graph(parsed_args("features", out), [])
     assert loaded.equals(reference)
     values = np.load(out / cli.FEATURES_NPY)
-    assert np.array_equal(values, compute_all_features(reference).values)
+    assert np.array_equal(values, compute_all_features(reference))
     return reference
 
 

@@ -12,6 +12,11 @@ def random_spd(rng, dim=4, jitter=0.1):
     return a @ a.T + jitter * np.eye(dim)
 
 
+def distance(a, b):
+    """Euclidean distance between two whitened points."""
+    return float(np.linalg.norm(a - b))
+
+
 def unit_covariance_cloud(rng, n=400, dim=4):
     """Data whose *sample* covariance is the identity (up to float error)."""
     x = rng.multivariate_normal(np.zeros(dim), random_spd(rng), size=n)
@@ -62,10 +67,11 @@ def test_isotropic_data_gives_euclidean_distances():
     model = em.fit_embedding(x)
     assert model.retained == 4
     assert np.allclose(model.whitening @ model.whitening.T, np.eye(4), atol=1e-8)
+    y = em.transform_all(model, x)
     for _ in range(50):
-        a, b = x[rng.integers(len(x))], x[rng.integers(len(x))]
-        d = em.distance(em.transform(model, a), em.transform(model, b))
-        assert d == pytest.approx(float(np.linalg.norm(a - b)), abs=1e-8)
+        i, j = rng.integers(len(x)), rng.integers(len(x))
+        d = distance(y[i], y[j])
+        assert d == pytest.approx(float(np.linalg.norm(x[i] - x[j])), abs=1e-8)
 
 
 def test_collinear_data_retains_one_component():
@@ -121,7 +127,7 @@ def test_transform_of_mean_is_origin():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(100, 4))
     model = em.fit_embedding(x)
-    assert np.allclose(em.transform(model, model.mean), 0.0, atol=1e-12)
+    assert np.allclose(em.transform_all(model, model.mean[None]), 0.0, atol=1e-12)
 
 
 def test_transformed_training_mean_is_zero():
@@ -139,7 +145,7 @@ def test_transform_matches_matrix_vector_oracle():
     for _ in range(20):
         v = rng.normal(size=4)
         expected = model.whitening @ (v - model.mean)
-        assert np.allclose(em.transform(model, v), expected, rtol=1e-12, atol=1e-12)
+        assert np.allclose(em.transform_all(model, v[None])[0], expected, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +154,10 @@ def test_transform_matches_matrix_vector_oracle():
 
 def test_distance_identity_and_symmetry():
     rng = np.random.default_rng(7)
-    a, b = rng.normal(size=4), rng.normal(size=4)
-    assert em.distance(a, a) == 0.0
-    assert em.distance(a, b) == em.distance(b, a)
+    x = rng.normal(size=(100, 4))
+    a, b = em.transform_all(em.fit_embedding(x), x[:2])
+    assert distance(a, a) == 0.0
+    assert distance(a, b) == distance(b, a)
 
 
 def test_distance_matches_quadratic_form_oracle():
@@ -159,8 +166,10 @@ def test_distance_matches_quadratic_form_oracle():
         x = rng.multivariate_normal(np.zeros(4), random_spd(rng), size=600)
         model = em.fit_embedding(x)
         inv = np.linalg.inv(model.covariance)
-        a, b = x[rng.integers(600)], x[rng.integers(600)]
-        d = em.distance(em.transform(model, a), em.transform(model, b))
+        i, j = rng.integers(600), rng.integers(600)
+        a, b = x[i], x[j]
+        y = em.transform_all(model, x[[i, j]])
+        d = distance(y[0], y[1])
         expected = float(np.sqrt((a - b) @ inv @ (a - b)))
         assert d == pytest.approx(expected, rel=1e-8)
 
@@ -172,7 +181,7 @@ def test_triangle_inequality_on_random_triples():
     y = em.transform_all(model, x)
     for _ in range(200):
         i, j, k = rng.integers(0, 300, size=3)
-        assert em.distance(y[i], y[k]) <= em.distance(y[i], y[j]) + em.distance(y[j], y[k]) + 1e-9
+        assert distance(y[i], y[k]) <= distance(y[i], y[j]) + distance(y[j], y[k]) + 1e-9
 
 
 def test_affine_invariance_of_distances():
@@ -188,7 +197,7 @@ def test_affine_invariance_of_distances():
     y2 = em.transform_all(model2, shifted)
     for _ in range(100):
         i, j = rng.integers(0, 800, size=2)
-        d1, d2 = em.distance(y[i], y[j]), em.distance(y2[i], y2[j])
+        d1, d2 = distance(y[i], y[j]), distance(y2[i], y2[j])
         if d1 > 1e-12:
             assert d2 == pytest.approx(d1, rel=1e-6)
 

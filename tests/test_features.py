@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from toposig import graph as g
 from toposig.features import (
-    FeatureTable,
     GlobalDegreeStats,
     compute_all_features,
     global_degree_stats,
@@ -101,21 +100,21 @@ def test_global_stats_match_two_pass_oracle():
 
 def test_ring_rows():
     graph = ring(5)
-    table = compute_all_features(graph)
-    assert np.allclose(table.values, np.tile([2.0, 2.0, 0.0, 0.0], (5, 1)))
+    values = compute_all_features(graph)
+    assert np.allclose(values, np.tile([2.0, 2.0, 0.0, 0.0], (5, 1)))
 
 
 def test_complete_graph_rows():
     graph = graph_from_pairs(
         [(f"N{a}", f"N{b}") for a in range(4) for b in range(a + 1, 4)]
     )
-    table = compute_all_features(graph)
-    assert np.allclose(table.values, np.tile([3.0, 3.0, 0.0, 0.0], (4, 1)))
+    values = compute_all_features(graph)
+    assert np.allclose(values, np.tile([3.0, 3.0, 0.0, 0.0], (4, 1)))
 
 
 def test_star_center_and_leaf():
     graph = star4()
-    values = compute_all_features(graph).values
+    values = compute_all_features(graph)
     center = values[graph.names.index("c")]
     assert (center[0], center[1]) == (4, 1.0)
     assert center[2] == pytest.approx(0.48)
@@ -127,9 +126,9 @@ def test_star_center_and_leaf():
 
 def test_isolated_node_row_is_zero():
     graph = graph_from_pairs([("N1", "N2"), ("N2", "N3")], extra_names=["N9"])
-    table = compute_all_features(graph)
-    assert np.array_equal(table.values[graph.names.index("N9")], np.zeros(4))
-    assert np.all(np.isfinite(table.values))
+    values = compute_all_features(graph)
+    assert np.array_equal(values[graph.names.index("N9")], np.zeros(4))
+    assert np.all(np.isfinite(values))
 
 
 def test_features_match_naive_oracle():
@@ -140,9 +139,9 @@ def test_features_match_naive_oracle():
         src, dst = graph.edge_id_pairs()
         pairs = [(graph.names[a], graph.names[b]) for a, b in zip(src, dst)]
         oracle = naive_features(pairs, list(graph.names))
-        table = compute_all_features(graph)
+        values = compute_all_features(graph)
         for node, name in enumerate(graph.names):
-            got = table.values[node]
+            got = values[node]
             assert np.allclose(got, oracle[name], rtol=1e-10, atol=1e-10), name
 
 
@@ -164,8 +163,8 @@ def test_isomorphism_permutes_rows(n, seed):
     t_base = compute_all_features(base)
     t_renamed = compute_all_features(renamed)
     for i in range(n):
-        a = t_base.values[base.names.index(f"N{i}")]
-        b = t_renamed.values[renamed.names.index(f"M{perm[i]}")]
+        a = t_base[base.names.index(f"N{i}")]
+        b = t_renamed[renamed.names.index(f"M{perm[i]}")]
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
@@ -175,9 +174,9 @@ def test_local_var_nonnegative_and_finite(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(4, 30))
     graph = gen_er(n, float(rng.uniform(0.0, 0.6)), seed=seed + 1)
-    table = compute_all_features(graph)
-    assert np.all(table.values[:, 2] >= 0.0)
-    assert np.all(np.isfinite(table.values))
+    values = compute_all_features(graph)
+    assert np.all(values[:, 2] >= 0.0)
+    assert np.all(np.isfinite(values))
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +185,14 @@ def test_local_var_nonnegative_and_finite(seed):
 
 def test_features_tsv_round_trip():
     graph = gen_er(25, 0.25, seed=11)
-    table = compute_all_features(graph)
+    features = compute_all_features(graph)
     out = io.StringIO()
-    write_features_tsv(graph, table, out)
+    write_features_tsv(graph, features, global_degree_stats(graph), out)
     rows = [line.split("\t") for line in out.getvalue().splitlines() if not line.startswith("#")]
     names = [row[0] for row in rows]
     values = np.array([[float(v) for v in row[1:]] for row in rows])
     assert names == list(graph.names)
-    assert np.allclose(values, table.values, rtol=1e-8)
+    assert np.allclose(values, features, rtol=1e-8)
     assert names == sorted(names)
 
 
@@ -222,10 +221,10 @@ ODD_FLOAT = st.one_of(
 def test_write_features_tsv_matches_fstring_rows(rows, chunk):
     graph = g.graph_from_id_edges(sorted(["#a", "x ", "\x85", " ", "N1", "é"]), [0, 1], [1, 2])
     values = np.array(rows, dtype=np.float64)
-    table = FeatureTable(values=values, stats=GlobalDegreeStats(-0.0, 1e-300, graph.n))
+    stats = GlobalDegreeStats(-0.0, 1e-300, graph.n)
     out = io.StringIO()
     with mock.patch.object(g, "_CHUNK_NODES", chunk):
-        write_features_tsv(graph, table, out)
+        write_features_tsv(graph, values, stats, out)
     text = out.getvalue()
     assert text.splitlines(keepends=True)[:3] == [
         "# node\tk\tavg_nbr_deg\tlocal_var\tlocal_corr\n",
@@ -255,7 +254,7 @@ def test_compute_all_features_transient_memory_is_below_the_neighbor_ids():
 
 def test_neighbor_sums_do_not_depend_on_the_node_range():
     graph = gen_er(300, 0.05, seed=9)
-    whole = compute_all_features(graph).values
+    whole = compute_all_features(graph)
     for chunk in (1, 7, 64):
         with mock.patch.object(g, "_CHUNK_NODES", chunk):
-            assert compute_all_features(graph).values.tobytes() == whole.tobytes()
+            assert compute_all_features(graph).tobytes() == whole.tobytes()

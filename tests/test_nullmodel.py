@@ -20,6 +20,8 @@ def line_points(coords):
 # ---------------------------------------------------------------------------
 
 def test_config_validation():
+    with pytest.raises(ValueError, match="^no set sizes given$"):
+        nm.NullSamplingConfig(set_sizes=())
     with pytest.raises(ValueError):
         nm.NullSamplingConfig(set_sizes=(1, 5))
     with pytest.raises(ValueError):
