@@ -20,11 +20,13 @@ final column so that identical runs match byte for byte elsewhere.
 Exit codes: 0 ok, 2 missing input/artifact, bad config or too-small input
 (among them argparse usage errors such as an unknown or abbreviated flag, a
 flag the stage does not take, a negative ``--seed``, a non-finite
-``--fix-alpha``, a ``--min-group-size`` below 2 or both ``--links`` and
-``--edges``; an input file that is not UTF-8, an ``--eig-tol`` outside
-[0, 1), a ``null`` ``--sizes`` that is empty or, without ``--fix-alpha``,
-shorter than 3, found before any set is drawn, and a ``test`` run that leaves
-no group to score), 3 parse error in strict mode, 4 numerical degeneracy
+``--fix-alpha``, a ``--min-group-size`` below 2, a ``--pair-budget`` below 1,
+text where a number is expected or both ``--links`` and ``--edges``; an
+input file that is not UTF-8, an ``--eig-tol`` outside [0, 1), a null config
+that cannot be fitted, such as a ``--sizes`` that is empty or, without
+``--fix-alpha``, shorter than 3, found by ``null`` before any set is drawn
+and by ``all`` before ``ingest`` writes, and a ``test`` run that leaves no
+group to score), 3 parse error in strict mode, 4 numerical degeneracy
 (among them a fitted null ``a`` or a group's sigma(N) that is not finite and
 above 0).  A failed ``ingest`` or ``synth`` writes no artifact and creates no
 ``--out``.
@@ -38,6 +40,7 @@ import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -334,17 +337,19 @@ def _stage_embed(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list[
     return desc, [model_path, points_path], f"retained={model.retained} eigenvalues=[{eigs}]"
 
 
-def _stage_null(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list[Path], str]:
-    points = _labeled_rows(cfg, _load_rows(cfg, POINTS_NPY, "embed", POINT_WIDTHS, inputs), inputs)
-    config = NullSamplingConfig(
-        set_sizes=cfg.sizes,
-        sets_per_size=cfg.sets,
-        pair_budget=cfg.pair_budget,
-        seed=cfg.seed,
-    )
+def _null_config(cfg: argparse.Namespace) -> NullSamplingConfig:
+    """The null's sampling config; one it cannot fit exits 2 before any work."""
+    config = NullSamplingConfig(set_sizes=cfg.sizes, sets_per_size=cfg.sets,
+                                pair_budget=cfg.pair_budget, seed=cfg.seed)
     if cfg.fix_alpha is None and len(config.set_sizes) < FREE_FIT_MIN_SIZES:
         raise ValueError(f"--sizes gives {len(config.set_sizes)} set sizes; fitting alpha"
                          f" needs at least {FREE_FIT_MIN_SIZES} (or pass --fix-alpha)")
+    return config
+
+
+def _stage_null(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list[Path], str]:
+    config = _null_config(cfg)
+    points = _labeled_rows(cfg, _load_rows(cfg, POINTS_NPY, "embed", POINT_WIDTHS, inputs), inputs)
     samples = sample_null(points, config)
     model = fit_null_scaling(samples, fix_alpha=cfg.fix_alpha)
     samples_path = cfg.out / NULL_SAMPLES_TSV
@@ -464,7 +469,8 @@ def run_stage(stage: str, cfg: argparse.Namespace) -> int:
 
 
 def run_all(cfg: argparse.Namespace) -> int:
-    """ingest -> features -> embed -> null -> test -> report, stop on failure."""
+    """ingest -> ... -> report, stopping on failure; a bad null config stops it before ingest."""
+    _null_config(cfg)
     for stage in ALL_CHAIN:
         run_stage(stage, cfg)
     return 0
@@ -474,32 +480,39 @@ def run_all(cfg: argparse.Namespace) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _number(text: str, kind: type[int] | type[float]) -> int | float:
+    """``kind(text)``; argparse names the type function on a ValueError, so raise its own error."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}") from None
+
+
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok)
+    return tuple(_number(tok, int) for tok in text.split(",") if tok)
 
 
-def _non_negative_int(text: str) -> int:
-    if (value := int(text)) < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
+def _int_at_least(low: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        if (value := _number(text, int)) < low:
+            bound = "a non-negative integer" if low == 0 else f"an integer of at least {low}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return parse
 
 
 def _finite_float(text: str) -> float:
-    if not math.isfinite(value := float(text)):
+    if not math.isfinite(value := _number(text, float)):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {value}")
-    return value
-
-
-def _group_size(text: str) -> int:
-    if (value := int(text)) < 2:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 2, got {value}")
     return value
 
 
 def _int_pair(text: str) -> tuple[int, int]:
     parts = _int_list(text)
     if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected LO,HI")
+        raise argparse.ArgumentTypeError(f"expected LO,HI, got {text!r}")
     return parts[0], parts[1]
 
 
@@ -513,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     base = argparse.ArgumentParser(add_help=False)
     base.add_argument("--out", type=Path, required=True, help="artifact directory")
-    base.add_argument("--seed", type=_non_negative_int, default=0)
+    base.add_argument("--seed", type=_int_at_least(0), default=0)
 
     # flags are spelled in full: a prefix such as --lab is an unknown flag
     chain = {
@@ -537,10 +550,10 @@ def build_parser() -> argparse.ArgumentParser:
     add(("null",), "--sets", type=int, default=DEFAULT_SETS_PER_SIZE, help="random sets per size")
     add(("null",), "--sizes", type=_int_list, default=DEFAULT_SET_SIZES,
         help="comma list of set sizes")
-    add(("null", "test"), "--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
+    add(("null", "test"), "--pair-budget", type=_int_at_least(1), default=DEFAULT_PAIR_BUDGET)
     add(("embed",), "--eig-tol", type=float, default=DEFAULT_EIG_TOL)
     add(("null",), "--fix-alpha", type=_finite_float, default=None)
-    add(("test",), "--min-group-size", type=_group_size, default=2)
+    add(("test",), "--min-group-size", type=_int_at_least(2), default=2)
     add(("test",), "--level", choices=("country", "region", "both"), default="country")
     add(("ingest",), "--strict", action="store_true", help="fail on malformed lines")
     add(("embed", "null"), "--labeled-only", action="store_true",
@@ -555,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--beta", type=float, default=4.0)
     synth.add_argument("--stubs", type=_int_list, default=(1, 2, 3, 4, 5))
     synth.add_argument(
-        "--random-groups", type=_non_negative_int, default=0, help="N random label groups (er/ba)"
+        "--random-groups", type=_int_at_least(0), default=0, help="N random label groups (er/ba)"
     )
     synth.add_argument("--group-sizes", type=_int_pair, default=(50, 500))
     return parser

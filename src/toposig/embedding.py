@@ -8,15 +8,16 @@ realizes the Mahalanobis distance of the training covariance.
 
 Exact pair distances come from ``all_pair_distances``, a numpy kernel that
 takes scipy's ``pdist`` arithmetic step for step, so it gives ``pdist``'s
-bits without loading ``scipy.spatial``.  A caller with a lot of exact work
-may pass ``pdist`` itself as the kernel; the choice never changes a bit.
+bits without loading ``scipy.spatial``.  ``set_mean_distances``, which
+scores every batch of node sets, uses ``pdist`` itself past
+``PDIST_MIN_PAIRS`` exact pairs; the choice never changes a bit.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -26,16 +27,25 @@ __all__ = [
     "MeanDistanceResult",
     "DEFAULT_EIG_TOL",
     "DEFAULT_PAIR_BUDGET",
+    "PDIST_MIN_PAIRS",
     "fit_embedding",
     "transform_all",
     "all_pair_distances",
     "mean_pairwise_distance",
     "pair_sample_distances",
+    "set_mean_distances",
     "save_model",
 ]
 
 DEFAULT_EIG_TOL = 1e-12
 DEFAULT_PAIR_BUDGET = 2_000_000
+# Exact pairs of one batch past which pdist replaces the numpy kernel.  Set
+# from the break-even on a 2-core VM (numpy 2.4.6, scipy 1.17.1, one BLAS
+# thread): loading scipy.spatial costs a process 0.35-0.47 s of wall time, as
+# much CPU, and 33 MB of peak RSS, and pdist takes 3-5 ns a pair at
+# N = 500-2000 against the kernel's 10-17 ns, so the load repays itself past
+# some 30M-65M pairs.
+PDIST_MIN_PAIRS = 50_000_000
 _BLOCK_CELLS = 1 << 14  # pairs per block: 128 KB of float64 per dimension
 
 # exact kernel: (N, d) points to the C(N,2) condensed distances, pdist's order
@@ -226,6 +236,34 @@ def mean_pairwise_distance(
         distances *= distances
         se = float(np.sqrt(distances.sum() / count)) / count**0.5
     return MeanDistanceResult(mean=float(mean), pair_count_used=count, exact=exact, se=se)
+
+
+def set_mean_distances(
+    points: np.ndarray,
+    sets: Sequence[np.ndarray],
+    rngs: Sequence[np.random.Generator],
+    pair_budget: int = DEFAULT_PAIR_BUDGET,
+) -> list[MeanDistanceResult]:
+    """``mean_pairwise_distance`` of each set of row indices, on its own stream, in input order.
+
+    Sets past the pair budget are sampled first, before ``scipy.spatial`` may
+    load; the rest share one kernel, ``pdist`` once their C(N,2) sum passes
+    ``PDIST_MIN_PAIRS``.  Neither the order nor the kernel changes a bit.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    pairs = [len(s) * (len(s) - 1) // 2 for s in sets]
+
+    def score(k: int, kernel: PairKernel = all_pair_distances) -> MeanDistanceResult:
+        return mean_pairwise_distance(points[np.asarray(sets[k])], pair_budget, rngs[k], kernel)
+
+    results = {k: score(k) for k, c in enumerate(pairs) if c > pair_budget}
+    exact = [k for k, c in enumerate(pairs) if c <= pair_budget]
+    if sum(pairs[k] for k in exact) <= PDIST_MIN_PAIRS:
+        kernel = all_pair_distances
+    else:  # imported here: scipy.spatial is slow to load
+        from scipy.spatial.distance import pdist as kernel
+    results.update((k, score(k, kernel)) for k in exact)
+    return [results[k] for k in range(len(sets))]
 
 
 # ---------------------------------------------------------------------------

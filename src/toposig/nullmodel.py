@@ -7,7 +7,9 @@ mu_data then gets z = (mu_data - mu_r) / sigma(N_data); |z| > 2 (strict)
 flags p < 0.05.
 
 Every random draw derives its stream from (master seed, task identity), so
-results are reproducible and independent of evaluation order.
+results are reproducible and independent of evaluation order.  A call's
+random sets, or its label groups of every level, are scored as one batch by
+``embedding.set_mean_distances``, which picks the exact pair kernel.
 """
 
 from __future__ import annotations
@@ -19,19 +21,12 @@ from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .embedding import (
-    DEFAULT_PAIR_BUDGET,
-    MeanDistanceResult,
-    PairKernel,
-    all_pair_distances,
-    mean_pairwise_distance,
-)
+from .embedding import DEFAULT_PAIR_BUDGET, MeanDistanceResult, set_mean_distances
 
 __all__ = [
     "DEFAULT_SET_SIZES",
     "DEFAULT_SETS_PER_SIZE",
     "FREE_FIT_MIN_SIZES",
-    "PDIST_MIN_PAIRS",
     "NullFitError",
     "NullSamplingConfig",
     "NullSampleRow",
@@ -42,7 +37,6 @@ __all__ = [
     "sample_null",
     "fit_null_scaling",
     "group_mean_distance",
-    "exact_kernel",
     "z_score",
     "score_groups",
     "summarize",
@@ -62,16 +56,6 @@ FREE_FIT_MIN_SIZES = 3
 
 _HIST_CLAMP = 20
 SIGNIFICANCE_Z = 2.0
-
-# A call whose exact pairs, C(N,2) summed over the sets or groups within the
-# pair budget, pass this many loads scipy's pdist and scores them with it;
-# below it, the numpy kernel does.  Both give the same bits.  Set from the
-# break-even measured on a 2-core VM (numpy 2.4.6, scipy 1.17.1, one BLAS
-# thread as toposig runs): loading scipy.spatial costs a process 0.35-0.47 s
-# of wall time, as much CPU, and 33 MB of peak RSS, and pdist takes 3-5 ns a
-# pair at N = 500-2000 against the kernel's 10-17 ns, so the load repays
-# itself past some 30M-65M pairs.
-PDIST_MIN_PAIRS = 50_000_000
 
 
 class NullFitError(ValueError):
@@ -159,43 +143,29 @@ def _key_rng(seed: int, key: str) -> np.random.Generator:
     return _task_rng(seed, 2, *words)
 
 
-def exact_kernel(sizes: Iterable[int], pair_budget: int) -> PairKernel:
-    """The kernel for scoring sets of these sizes: pdist past ``PDIST_MIN_PAIRS`` exact pairs."""
-    pairs = (n * (n - 1) // 2 for n in sizes)
-    if sum(c for c in pairs if c <= pair_budget) <= PDIST_MIN_PAIRS:
-        return all_pair_distances
-    from scipy.spatial.distance import pdist  # imported here: scipy.spatial is slow to load
-
-    return pdist
-
-
 def sample_null(points: np.ndarray, config: NullSamplingConfig) -> NullSamples:
     """Draw R random node sets per size and record mean/std of their set means.
 
     Each (size, repetition) task owns a stream seeded from (seed, size index,
-    repetition index), so the output is bit-reproducible for a given config.
-    Exact sets are scored by the kernel ``exact_kernel`` picks for the call.
+    repetition index): it draws the set, then the set's pairs when they are
+    sampled.  So the output is bit-reproducible for a given config.
     """
-    points = np.asarray(points, dtype=np.float64)
     n_points = len(points)
     if n_points < max(config.set_sizes):
         raise ValueError(
             f"largest set size {max(config.set_sizes)} exceeds point count {n_points}"
         )
-    kernel = exact_kernel(config.set_sizes * config.sets_per_size, config.pair_budget)
-    rows = []
+    reps = config.sets_per_size
+    sets, rngs = [], []
     for size_index, set_size in enumerate(config.set_sizes):
-        set_means = np.empty(config.sets_per_size)
-        for rep in range(config.sets_per_size):
-            rng = _task_rng(config.seed, 1, size_index, rep)
-            chosen = rng.choice(n_points, size=set_size, replace=False)
-            set_means[rep] = mean_pairwise_distance(
-                points[chosen], config.pair_budget, rng, kernel
-            ).mean
-        mean = float(set_means.mean())
-        std = float(set_means.std(ddof=1))
-        rows.append(NullSampleRow(set_size, mean, std, config.sets_per_size))
-    return NullSamples(rows=tuple(rows))
+        for rep in range(reps):
+            rngs.append(rng := _task_rng(config.seed, 1, size_index, rep))
+            sets.append(rng.choice(n_points, size=set_size, replace=False))
+    means = np.array([r.mean for r in set_mean_distances(points, sets, rngs, config.pair_budget)])
+    return NullSamples(rows=tuple(
+        NullSampleRow(set_size, float(m.mean()), float(m.std(ddof=1)), reps)
+        for set_size, m in zip(config.set_sizes, means.reshape(-1, reps))
+    ))
 
 
 def fit_null_scaling(samples: NullSamples, fix_alpha: float | None = None) -> NullModel:
@@ -258,37 +228,37 @@ def _usable_sigma(model: NullModel, n: int) -> float:
     return sigma
 
 
+def _level_means(
+    points: np.ndarray,
+    memberships: Mapping[str, Mapping[str, np.ndarray]],
+    pair_budget: int,
+    seed: int,
+    min_group_size: int,
+) -> tuple[dict[tuple[str, str], MeanDistanceResult], list[tuple[str, str]]]:
+    """Means of the groups of ``min_group_size`` (at least 2) or more nodes, keyed
+    (level, key) by level then key, in one batch; and the (level, key) of the rest.
+    Each group samples pairs on a stream from (seed, key), so order changes nothing.
+    """
+    groups = {(level, key): ids for level, membership in memberships.items()
+              for key, ids in sorted(membership.items())}
+    scored = {group: ids for group, ids in groups.items() if len(ids) >= max(min_group_size, 2)}
+    rngs = [_key_rng(seed, key) for _, key in scored]
+    means = set_mean_distances(points, list(scored.values()), rngs, pair_budget)
+    return dict(zip(scored, means)), [group for group in groups if group not in scored]
+
+
 def group_mean_distance(
     points: np.ndarray,
     membership: Mapping[str, np.ndarray],
     pair_budget: int = DEFAULT_PAIR_BUDGET,
     seed: int = 0,
     min_group_size: int = 2,
-    kernel: PairKernel | None = None,
 ) -> tuple[dict[str, MeanDistanceResult], list[str]]:
-    """Mean inter-node distance per group; undersized groups are skipped.
-
-    Each group's pair-sampling stream is derived from (seed, group key), so
-    results do not depend on evaluation order.  Exact groups are scored by
-    ``kernel``, by default the one ``exact_kernel`` picks for this call; a
-    caller scoring several calls passes the one picked for all of them.
-    """
+    """Mean inter-node distance per group, by key; undersized groups are skipped."""
     if not membership:
         raise ValueError("empty membership")
-    points = np.asarray(points, dtype=np.float64)
-    keys = sorted(membership)
-    smallest = max(min_group_size, 2)
-    scored = [key for key in keys if len(membership[key]) >= smallest]
-    skipped = [key for key in keys if len(membership[key]) < smallest]
-    if kernel is None:
-        kernel = exact_kernel((len(membership[key]) for key in scored), pair_budget)
-    results = {
-        key: mean_pairwise_distance(
-            points[np.asarray(membership[key])], pair_budget, _key_rng(seed, key), kernel
-        )
-        for key in scored
-    }
-    return results, skipped
+    means, skipped = _level_means(points, {"": membership}, pair_budget, seed, min_group_size)
+    return {key: mean for (_, key), mean in means.items()}, [key for _, key in skipped]
 
 
 def z_score(
@@ -325,31 +295,22 @@ def score_groups(
     """z per group of each level in ``memberships``, {level: {key: node ids}}.
 
     Returns the results by level, then key; the skipped groups as ``level:key``;
-    and se / sigma(N) of each group that took the sampled pair path.  One
-    kernel, picked from every level's exact pairs, scores them all.
+    and se / sigma(N) of each group that took the sampled pair path.  Every
+    level's groups are scored in one batch, so one exact kernel scores them all.
     """
-    smallest = max(min_group_size, 2)
-    sizes = (len(g) for m in memberships.values() for g in m.values() if len(g) >= smallest)
-    kernel = exact_kernel(sizes, pair_budget)
-    results, skipped, se_fracs = [], [], []
-    for level, membership in memberships.items():
-        if not membership:
-            continue
-        means, level_skipped = group_mean_distance(
-            points, membership, pair_budget=pair_budget, seed=seed,
-            min_group_size=min_group_size, kernel=kernel,
-        )
-        skipped += (f"{level}:{key}" for key in level_skipped)
-        for key, result in means.items():
-            n_data = len(membership[key])
-            results.append(z_score(null, key, level, n_data, result.mean))
-            if not result.exact:
-                se_fracs.append(result.se / null.sigma(n_data))
+    means, skipped = _level_means(points, memberships, pair_budget, seed, min_group_size)
+    results, se_fracs = [], []
+    for (level, key), result in means.items():
+        n_data = len(memberships[level][key])
+        results.append(z_score(null, key, level, n_data, result.mean))
+        if not result.exact:
+            se_fracs.append(result.se / null.sigma(n_data))
     if not results:
+        smallest = max(min_group_size, 2)
         raise ValueError(
             f"no group has {smallest} or more nodes (--min-group-size {min_group_size})"
         )
-    return results, skipped, se_fracs
+    return results, [f"{level}:{key}" for level, key in skipped], se_fracs
 
 
 def summarize(results: Sequence[GroupTestResult]) -> SignificanceSummary:

@@ -333,8 +333,47 @@ def test_a_missing_graph_handoff_names_both_producers(tmp_path, capsys):
 
 
 def test_pair_budget_below_one_exits_2(tmp_path, capsys):
-    assert run(fixture_args(tmp_path) + ["--pair-budget", "0"]) == 2
-    assert "pair budget" in capsys.readouterr().err
+    assert usage_error_code(fixture_args(tmp_path / "run") + ["--pair-budget", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "argument --pair-budget: must be an integer of at least 1, got 0" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("stage, flag, value, message", [
+    ("all", "--seed", "x", "expected an integer, got 'x'"),
+    ("all", "--sizes", "10,x", "expected an integer, got 'x'"),
+    ("all", "--pair-budget", "abc", "expected an integer, got 'abc'"),
+    ("test", "--pair-budget", "-3", "must be an integer of at least 1, got -3"),
+    ("all", "--fix-alpha", "abc", "expected a number, got 'abc'"),
+    ("all", "--min-group-size", "two", "expected an integer, got 'two'"),
+    ("synth", "--stubs", "1,a", "expected an integer, got 'a'"),
+    ("synth", "--random-groups", "many", "expected an integer, got 'many'"),
+    ("synth", "--group-sizes", "5", "expected LO,HI, got '5'"),
+    ("synth", "--group-sizes", "a,b", "expected an integer, got 'a'"),
+], ids=["seed", "sizes", "pair-budget", "pair-budget-negative", "fix-alpha", "min-group-size",
+        "stubs", "random-groups", "group-sizes-one", "group-sizes-text"])
+def test_a_flag_value_it_cannot_parse_is_a_plain_usage_error(tmp_path, capsys, stage, flag,
+                                                             value, message):
+    """argparse names no function of the CLI: each type says what it expected."""
+    args = [stage, "--out", tmp_path / "run", flag, value]
+    if stage == "all":
+        args += FIXTURE_FLAGS["ingest"]
+    assert usage_error_code(args) == 2
+    err = capsys.readouterr().err
+    assert f"toposig {stage}: error: argument {flag}: {message}\n" in err, err
+    assert "invalid" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--sizes", "10,20"], ["--sizes", "20,10"], ["--sets", "1"],
+], ids=["two-sizes", "descending-sizes", "one-set"])
+def test_all_rejects_a_null_config_before_ingest_writes(tmp_path, capsys, flags):
+    out = tmp_path / "run"
+    with mock.patch.object(cli, "run_stage", side_effect=AssertionError("a stage ran")):
+        assert run(["all", "--out", out, *FIXTURE_FLAGS["ingest"], *flags]) == 2
+    assert capsys.readouterr().err.startswith("toposig: ")
+    assert not out.exists()
 
 
 def run_stages(out, *stages):
@@ -1164,7 +1203,7 @@ def test_group_means_past_the_pdist_threshold_load_pdist_and_keep_their_bits():
     code = (
         "import sys\n"
         "import numpy as np\n"
-        "from toposig import nullmodel as nm\n"
+        "from toposig import embedding as em, nullmodel as nm\n"
         "pts = np.random.default_rng(4).normal(size=(3000, 4))\n"
         "groups = {'a': np.arange(0, 3000, 2), 'b': np.arange(1, 900), 'c': np.arange(5)}\n"
         "def means():\n"
@@ -1172,7 +1211,7 @@ def test_group_means_past_the_pdist_threshold_load_pdist_and_keep_their_bits():
         "    return results\n"
         "numpy_means = means()\n"
         "before = 'scipy.spatial' in sys.modules\n"
-        "nm.PDIST_MIN_PAIRS = 0\n"
+        "em.PDIST_MIN_PAIRS = 0\n"
         "pdist_means = means()\n"
         "print(before, 'scipy.spatial' in sys.modules, pdist_means == numpy_means)\n"
     )
@@ -1184,26 +1223,57 @@ def test_test_stage_picks_one_kernel_for_both_levels(tmp_path, monkeypatch):
     from scipy.spatial.distance import pdist
 
     calls = []
-    score = nm.group_mean_distance
+    mean = em.mean_pairwise_distance
 
-    def recording(points, membership, **kwargs):
-        means, skipped = score(points, membership, **kwargs)
-        calls.append((membership, kwargs, means))
-        return means, skipped
+    def recording(points, pair_budget, rng, kernel):
+        result = mean(points, pair_budget, rng, kernel)
+        calls.append((kernel, result))
+        return result
 
-    assert run(fixture_args(tmp_path) + ["--level", "both"]) == 0
-    monkeypatch.setattr(nm, "group_mean_distance", recording)
-    test_args = stage_args("test", tmp_path) + ["--level", "both"]
+    assert run(fixture_args(tmp_path)) == 0
+    results = (tmp_path / cli.RESULTS_TSV).read_bytes()
+    graph, _ = library_features()
+    with open(FIXTURE_GEO, encoding="utf-8") as f:
+        labels = parse_geo(f)
+    totals = [sum(len(g) * (len(g) - 1) // 2 for g in build(graph, labels).values() if len(g) >= 2)
+              for build in (gstore.country_groups, gstore.region_groups)]
+    assert max(totals) < sum(totals) <= em.PDIST_MIN_PAIRS
+    monkeypatch.setattr(em, "mean_pairwise_distance", recording)
+    test_args = stage_args("test", tmp_path)
     assert run(test_args) == 0
     numpy_calls, calls[:] = calls[:], []
-    totals = [
-        sum(len(g) * (len(g) - 1) // 2 for g in membership.values()
-            if len(g) >= kwargs["min_group_size"])
-        for membership, kwargs, _ in numpy_calls
-    ]
-    assert [kwargs["kernel"] for _, kwargs, _ in numpy_calls] == [em.all_pair_distances] * 2
-    assert max(totals) < sum(totals)
-    monkeypatch.setattr(nm, "PDIST_MIN_PAIRS", max(totals))  # each level alone stays below it
+    assert {kernel for kernel, _ in numpy_calls} == {em.all_pair_distances}
+    assert all(result.exact for _, result in numpy_calls)
+    monkeypatch.setattr(em, "PDIST_MIN_PAIRS", max(totals))  # each level alone stays below it
     assert run(test_args) == 0
-    assert [kwargs["kernel"] for _, kwargs, _ in calls] == [pdist] * 2
-    assert [means for *_, means in calls] == [means for *_, means in numpy_calls]
+    assert [kernel for kernel, _ in calls] == [pdist] * len(numpy_calls)
+    assert [result for _, result in calls] == [result for _, result in numpy_calls]
+    assert (tmp_path / cli.RESULTS_TSV).read_bytes() == results
+
+
+@pytest.mark.parametrize("stage", ["null", "test"])
+def test_sampled_sets_run_before_pdist_loads(tmp_path, stage):
+    """A batch past the pdist threshold samples its sets before it imports scipy.spatial."""
+    budget = ["--pair-budget", "400"]  # sets and groups of 29 or more nodes are sampled
+    run_stages(tmp_path, "ingest", "features", "embed")
+    if stage == "test":
+        assert run(stage_args("null", tmp_path) + budget) == 0
+    args = [str(a) for a in stage_args(stage, tmp_path) + budget]
+    code = (
+        "import sys\n"
+        "from toposig import cli, embedding as em\n"
+        "em.PDIST_MIN_PAIRS = 0\n"
+        "sampled = em.pair_sample_distances\n"
+        "loaded = []  # per call: exact, and whether scipy.spatial was loaded\n"
+        "def recording(*args, **kwargs):\n"
+        "    before = 'scipy.spatial' in sys.modules\n"
+        "    distances, exact = sampled(*args, **kwargs)\n"
+        "    loaded.append((exact, before))\n"
+        "    return distances, exact\n"
+        "em.pair_sample_distances = recording\n"
+        f"assert cli.main({args!r}) == 0\n"
+        "calls = {(exact, before) for exact, before in loaded}\n"
+        "print(sorted(calls), 'scipy.spatial' in sys.modules)\n"
+    )
+    # sampled calls all ran without scipy.spatial, exact ones all with it
+    assert run_in_fresh_process(code) == "[(False, False), (True, True)] True"
