@@ -12,7 +12,6 @@ import argparse
 
 import numpy as np
 
-from toposig import embedding as em
 from toposig import nullmodel as nm
 from toposig.features import compute_all_features
 from toposig.graph import country_groups
@@ -33,18 +32,14 @@ def main() -> None:
     graph = gen_er(args.n, args.mean_degree / (args.n - 1), seed=args.seed)
     print(f"graph: n={graph.n} m={graph.m} mean degree {2 * graph.m / graph.n:.2f}")
 
-    features = compute_all_features(graph)
-    model = em.fit_embedding(features)
-    points = em.transform_all(model, features)
+    labels = random_group_labels(graph, args.groups, tuple(args.group_sizes), seed=args.seed)
+    config = nm.NullSamplingConfig(tuple(args.sizes), args.sets, seed=args.seed)
+    groups = {"country": country_groups(graph, labels)}
+    run = nm.analyze(compute_all_features(graph), groups, config)
+    model, null = run.model, run.null
     print(f"embedding: retained {model.retained}, eigenvalues {np.round(model.eigenvalues, 3)}")
-
-    config = nm.NullSamplingConfig(
-        set_sizes=tuple(args.sizes), sets_per_size=args.sets, seed=args.seed
-    )
-    samples = nm.sample_null(points, config)
-    null = nm.fit_null_scaling(samples)
     print("\n   N      mean        std     fitted std")
-    for row in samples.rows:
+    for row in run.samples.rows:
         print(
             f"{row.set_size:6d}  {row.mean:9.5f}  {row.std:9.5f}  {null.sigma(row.set_size):9.5f}"
         )
@@ -53,10 +48,7 @@ def main() -> None:
         f"  (log residual {null.fit_residual:.4f})"
     )
 
-    labels = random_group_labels(graph, args.groups, tuple(args.group_sizes), seed=args.seed)
-    groups = {"country": country_groups(graph, labels)}
-    results, _, _ = nm.score_groups(points, null, groups, seed=args.seed)
-    zs = np.array([r.z for r in results])
+    zs = np.array([r.z for r in run.results])
     frac = np.mean(np.abs(zs) > 2)
     print(f"\n{len(zs)} random groups: mean z {zs.mean():+.3f}, std {zs.std(ddof=1):.3f},"
           f" fraction |z|>2 = {frac:.3f}")

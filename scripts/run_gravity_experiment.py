@@ -12,7 +12,6 @@ import argparse
 
 import numpy as np
 
-from toposig import embedding as em
 from toposig import nullmodel as nm
 from toposig.features import compute_all_features
 from toposig.graph import country_groups
@@ -22,13 +21,9 @@ from toposig.synth import gen_spatial_gravity, make_gravity_params
 def run_one(n, groups, beta, stubs, seed, sizes, sets):
     params = make_gravity_params(n=n, groups=groups, beta=beta, stubs=stubs, seed=seed)
     graph, labels = gen_spatial_gravity(params)
-    features = compute_all_features(graph)
-    model = em.fit_embedding(features)
-    points = em.transform_all(model, features)
     config = nm.NullSamplingConfig(set_sizes=sizes, sets_per_size=sets, seed=seed)
-    null = nm.fit_null_scaling(nm.sample_null(points, config))
     groups = {"country": country_groups(graph, labels)}
-    return nm.score_groups(points, null, groups, seed=seed)[0]
+    return nm.analyze(compute_all_features(graph), groups, config).results
 
 
 def main() -> None:

@@ -10,6 +10,7 @@ Every random draw derives its stream from (master seed, task identity), so
 results are reproducible and independent of evaluation order.  A call's
 random sets, or its label groups of every level, are scored as one batch by
 ``embedding.set_mean_distances``, which picks the exact pair kernel.
+``analyze`` runs the whole chain, embedding -> null -> z, as ``toposig all`` does.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .embedding import DEFAULT_PAIR_BUDGET, MeanDistanceResult, set_mean_distances
+from .embedding import DEFAULT_PAIR_BUDGET, EmbeddingModel, MeanDistanceResult
+from .embedding import fit_embedding, set_mean_distances, transform_all
 
 __all__ = [
     "DEFAULT_SET_SIZES",
@@ -34,6 +36,8 @@ __all__ = [
     "NullModel",
     "GroupTestResult",
     "SignificanceSummary",
+    "Analysis",
+    "analyze",
     "sample_null",
     "fit_null_scaling",
     "group_mean_distance",
@@ -311,6 +315,26 @@ def score_groups(
             f"no group has {smallest} or more nodes (--min-group-size {min_group_size})"
         )
     return results, [f"{level}:{key}" for level, key in skipped], se_fracs
+
+
+@dataclass(frozen=True)
+class Analysis:
+    model: EmbeddingModel
+    samples: NullSamples
+    null: NullModel
+    results: list[GroupTestResult]
+
+
+def analyze(features: np.ndarray, memberships: Mapping[str, Mapping[str, np.ndarray]],
+            config: NullSamplingConfig) -> Analysis:
+    """Embed ``features``, fit the null under ``config`` and z-score ``memberships``
+    as ``toposig all`` does: every setting ``config`` lacks is the CLI default."""
+    model = fit_embedding(features)
+    points = transform_all(model, features)
+    samples = sample_null(points, config)
+    null = fit_null_scaling(samples)
+    results, _, _ = score_groups(points, null, memberships, config.pair_budget, config.seed)
+    return Analysis(model, samples, null, results)
 
 
 def summarize(results: Sequence[GroupTestResult]) -> SignificanceSummary:

@@ -39,13 +39,9 @@ def report(number, name, ok, detail=""):
 
 def group_zscores(graph, labels, seed, level="country"):
     """features -> embedding -> null fit -> per-group z, all on one graph."""
-    features = compute_all_features(graph)
-    model = em.fit_embedding(features)
-    points = em.transform_all(model, features)
     config = nm.NullSamplingConfig(set_sizes=SET_SIZES, sets_per_size=100, seed=seed)
-    null = nm.fit_null_scaling(nm.sample_null(points, config))
     groups = country_groups(graph, labels) if level == "country" else region_groups(graph, labels)
-    results, _, _ = nm.score_groups(points, null, {level: groups}, seed=seed)
+    results = nm.analyze(compute_all_features(graph), {level: groups}, config).results
     return np.array([r.z for r in results])
 
 
@@ -377,18 +373,13 @@ def test_criterion_9_topology_snapshot_integration():
 
     with open(geo, encoding="utf-8") as f:
         labels = gstore.parse_geo(f)
-    features = compute_all_features(graph)
-    model = em.fit_embedding(features)
-    points = em.transform_all(model, features)
-    config = nm.NullSamplingConfig(
-        set_sizes=(10, 20, 50, 100, 200, 500, 1000), sets_per_size=100, seed=0
-    )
-    null = nm.fit_null_scaling(nm.sample_null(points, config))
-    mu_ok = abs(null.mu_r - 0.877654) / 0.877654 <= 0.02
-    alpha_ok = abs(null.alpha - 1.0) <= 0.2
-
     countries = {k: v for k, v in country_groups(graph, labels).items() if len(v) >= 2}
     regions = {k: v for k, v in region_groups(graph, labels).items() if len(v) >= 2}
+    config = nm.NullSamplingConfig(set_sizes=SET_SIZES + (1000,), sets_per_size=100, seed=0)
+    memberships = {"country": countries, "region": regions}
+    null = nm.analyze(compute_all_features(graph), memberships, config).null
+    mu_ok = abs(null.mu_r - 0.877654) / 0.877654 <= 0.02
+    alpha_ok = abs(null.alpha - 1.0) <= 0.2
     groups_ok = len(countries) == 180 and len(regions) == 354
     report(
         9,

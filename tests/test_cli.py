@@ -613,7 +613,9 @@ def library_features():
 
 
 def library_results_tsv(seed, sizes, sets, pair_budget=em.DEFAULT_PAIR_BUDGET, min_group_size=2):
-    """The acceptance module's group_zscores path, both levels, as results.tsv text.
+    """Both levels' results.tsv text, built from the low-level pieces: each group's
+    mean from ``embedding.set_mean_distances`` on its own (seed, key) stream, then
+    ``nullmodel.z_score``; so a CLI check against it cannot pass by sharing code.
 
     Also returns se / sigma(N) of every group that took the sampled pair path.
     """
@@ -628,12 +630,13 @@ def library_results_tsv(seed, sizes, sets, pair_budget=em.DEFAULT_PAIR_BUDGET, m
     results = []
     se_fracs = []
     for level, build in (("country", gstore.country_groups), ("region", gstore.region_groups)):
-        groups = build(graph, labels)
-        means, _ = nm.group_mean_distance(
-            points, groups, pair_budget=pair_budget, seed=seed, min_group_size=min_group_size
-        )
-        results += [nm.z_score(null, k, level, len(groups[k]), means[k].mean) for k in means]
-        se_fracs += [r.se / null.sigma(len(groups[k])) for k, r in means.items() if not r.exact]
+        for key, ids in build(graph, labels).items():
+            if len(ids) < min_group_size:
+                continue
+            [mean] = em.set_mean_distances(points, [ids], [nm._key_rng(seed, key)], pair_budget)
+            results.append(nm.z_score(null, key, level, len(ids), mean.mean))
+            if not mean.exact:
+                se_fracs.append(mean.se / null.sigma(len(ids)))
     out = io.StringIO()
     nm.write_results_tsv(results, out)
     return out.getvalue(), se_fracs
@@ -663,6 +666,33 @@ def test_cli_results_byte_identical_to_library_on_sampled_pairs(tmp_path):
     # groups and the 50-node null sets take the sampled pair path
     se_fracs = check_cli_equals_library(tmp_path, 500)
     assert se_fracs and all(0.0 < frac < 1.0 for frac in se_fracs)
+
+
+@pytest.mark.parametrize("seed,pair_budget", [(0, em.DEFAULT_PAIR_BUDGET),
+                                              (3, em.DEFAULT_PAIR_BUDGET), (3, 500)])
+def test_analyze_writes_what_all_writes(tmp_path, seed, pair_budget):
+    """nullmodel.analyze is the chain `all` runs: its model, null and z match byte for byte."""
+    assert run(fixture_args(tmp_path, seed) + ["--pair-budget", pair_budget]) == 0
+    graph, values = library_features()
+    with open(FIXTURE_GEO, encoding="utf-8") as f:
+        labels = parse_geo(f)
+    memberships = {"country": gstore.country_groups(graph, labels),
+                   "region": gstore.region_groups(graph, labels)}
+    config = nm.NullSamplingConfig(
+        set_sizes=(10, 20, 50), sets_per_size=40, pair_budget=pair_budget, seed=seed
+    )
+    analysis = nm.analyze(values, memberships, config)
+    written = {
+        cli.MODEL_FILE: (em.save_model, analysis.model),
+        cli.NULL_SAMPLES_TSV: (nm.write_null_samples_tsv, analysis.samples),
+        cli.NULL_MODEL_TSV: (nm.write_null_model_tsv, analysis.null),
+        cli.RESULTS_TSV: (nm.write_results_tsv, analysis.results),
+    }
+    for name, (write, value) in written.items():
+        write(value, out := io.StringIO())
+        assert (tmp_path / name).read_text(encoding="utf-8") == out.getvalue(), name
+    _, _, info = manifest_fields(tmp_path, "test")
+    assert ("sampled=0" in info) == (pair_budget == em.DEFAULT_PAIR_BUDGET)
 
 
 # ---------------------------------------------------------------------------
@@ -1207,8 +1237,8 @@ def test_group_means_past_the_pdist_threshold_load_pdist_and_keep_their_bits():
         "pts = np.random.default_rng(4).normal(size=(3000, 4))\n"
         "groups = {'a': np.arange(0, 3000, 2), 'b': np.arange(1, 900), 'c': np.arange(5)}\n"
         "def means():\n"
-        "    results, _ = nm.group_mean_distance(pts, groups, pair_budget=500_000, seed=2)\n"
-        "    return results\n"
+        "    rngs = [nm._key_rng(2, key) for key in groups]\n"
+        "    return em.set_mean_distances(pts, list(groups.values()), rngs, 500_000)\n"
         "numpy_means = means()\n"
         "before = 'scipy.spatial' in sys.modules\n"
         "em.PDIST_MIN_PAIRS = 0\n"
