@@ -20,13 +20,12 @@ final column so that identical runs match byte for byte elsewhere.
 Exit codes: 0 ok, 2 missing input/artifact, bad config or too-small input
 (among them argparse usage errors such as an unknown or abbreviated flag, a
 flag the stage does not take, a negative ``--seed``, a non-finite
-``--fix-alpha``, a ``--min-group-size`` below 2, a ``--pair-budget`` below 1,
-text where a number is expected or both ``--links`` and ``--edges``; an
-input file that is not UTF-8, an ``--eig-tol`` outside [0, 1), a null config
-that cannot be fitted, such as a ``--sizes`` that is empty or, without
-``--fix-alpha``, shorter than 3, found by ``null`` before any set is drawn
-and by ``all`` before ``ingest`` writes, and a ``test`` run that leaves no
-group to score), 3 parse error in strict mode, 4 numerical degeneracy
+``--fix-alpha``, a ``--pair-budget`` below 1, text where a number is expected
+or both ``--links`` and ``--edges``; an input file that is not UTF-8, a null
+config that cannot be fitted, such as a ``--sizes`` that is empty or, without
+``--fix-alpha``, shorter than 3, found by ``null`` before any set is drawn and
+by ``all`` before ``ingest`` writes, and a ``test`` run in which no label group
+has 2 or more nodes), 3 parse error in strict mode, 4 numerical degeneracy
 (among them a fitted null ``a`` or a group's sigma(N) that is not finite and
 above 0).  A failed ``ingest`` or ``synth`` writes no artifact and creates no
 ``--out``.
@@ -48,7 +47,6 @@ from . import __version__
 from . import graph as gstore
 from . import synth as synthmod
 from .embedding import (
-    DEFAULT_EIG_TOL,
     DEFAULT_PAIR_BUDGET,
     DegenerateFeaturesError,
     fit_embedding,
@@ -325,7 +323,7 @@ def _stage_features(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, li
 
 def _stage_embed(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list[Path], str]:
     values = _load_rows(cfg, FEATURES_NPY, "features", FEATURE_WIDTHS, inputs)
-    model = fit_embedding(_labeled_rows(cfg, values, inputs), eig_tol=cfg.eig_tol)
+    model = fit_embedding(_labeled_rows(cfg, values, inputs))
     model_path = cfg.out / MODEL_FILE
     points_path = cfg.out / POINTS_NPY
     with open(model_path, "w", encoding="utf-8") as f:
@@ -333,7 +331,7 @@ def _stage_embed(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list[
     with open(points_path, "wb") as f:
         np.save(f, transform_all(model, values))  # every row, also those left out of the fit
     eigs = " ".join(f"{v:.6g}" for v in model.eigenvalues)
-    desc = f"eig_tol={cfg.eig_tol:.9g} labeled_only={int(cfg.labeled_only)}"
+    desc = f"labeled_only={int(cfg.labeled_only)}"
     return desc, [model_path, points_path], f"retained={model.retained} eigenvalues=[{eigs}]"
 
 
@@ -382,13 +380,12 @@ def _stage_test(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list[P
     if len(empty) == len(levels):
         raise ValueError(f"no {'- or '.join(empty)}-level groups found in labels")
 
-    results, skipped, se_fracs = score_groups(
-        points, null_model, memberships, cfg.pair_budget, cfg.seed, cfg.min_group_size
-    )
+    results, skipped, se_fracs = score_groups(points, null_model, memberships,
+                                              cfg.pair_budget, cfg.seed)
     out_path = cfg.out / RESULTS_TSV
     with open(out_path, "w", encoding="utf-8") as f:
         write_results_tsv(results, f)
-    desc = f"level={cfg.level} min_group_size={cfg.min_group_size} pair_budget={cfg.pair_budget}"
+    desc = f"level={cfg.level} pair_budget={cfg.pair_budget}"
     info = (
         f"groups={len(results)} skipped={len(skipped)} unmatched_names={unmatched}"
         f" sampled={len(se_fracs)} pair_se_frac={max(se_fracs, default=0.0):.3g}"
@@ -551,9 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     add(("null",), "--sizes", type=_int_list, default=DEFAULT_SET_SIZES,
         help="comma list of set sizes")
     add(("null", "test"), "--pair-budget", type=_int_at_least(1), default=DEFAULT_PAIR_BUDGET)
-    add(("embed",), "--eig-tol", type=float, default=DEFAULT_EIG_TOL)
     add(("null",), "--fix-alpha", type=_finite_float, default=None)
-    add(("test",), "--min-group-size", type=_int_at_least(2), default=2)
     add(("test",), "--level", choices=("country", "region", "both"), default="country")
     add(("ingest",), "--strict", action="store_true", help="fail on malformed lines")
     add(("embed", "null"), "--labeled-only", action="store_true",

@@ -2,7 +2,7 @@
 
 Fitting centers the data, eigendecomposes the sample covariance with the
 library symmetric solver and keeps components whose eigenvalue exceeds
-``eig_tol`` times the largest.  Scores are divided by
+``DEFAULT_EIG_TOL`` (1e-12) times the largest.  Scores are divided by
 sqrt(eigenvalue), so the plain Euclidean norm between transformed points
 realizes the Mahalanobis distance of the training covariance.
 
@@ -65,7 +65,6 @@ class EmbeddingModel:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     retained: int
-    eig_tol: float
     whitening: np.ndarray
 
     @property
@@ -73,10 +72,8 @@ class EmbeddingModel:
         return len(self.mean)
 
 
-def fit_embedding(features: np.ndarray, eig_tol: float = DEFAULT_EIG_TOL) -> EmbeddingModel:
+def fit_embedding(features: np.ndarray) -> EmbeddingModel:
     """Fit the whitened component space on the rows of a feature array."""
-    if not 0.0 <= eig_tol < 1.0:
-        raise ValueError(f"eigenvalue tolerance must lie in [0, 1), got {eig_tol}")
     data = np.asarray(features, dtype=np.float64)
     if data.ndim != 2:
         raise ValueError("feature data must be 2-d")
@@ -94,7 +91,7 @@ def fit_embedding(features: np.ndarray, eig_tol: float = DEFAULT_EIG_TOL) -> Emb
     # canonical signs: the largest-magnitude component of each eigenvector is positive
     pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(d)]
     eigenvectors = vectors * np.where(pivots < 0, -1.0, 1.0)
-    retained = int(np.sum(eigenvalues > eig_tol * eigenvalues[0]))
+    retained = int(np.sum(eigenvalues > DEFAULT_EIG_TOL * eigenvalues[0]))
     scaled = eigenvectors[:, :retained] / np.sqrt(eigenvalues[:retained])
     # a fixed C layout, so the products in ``transform_all`` do not depend on
     # the memory layout ``eigh`` returned its vectors in
@@ -105,7 +102,6 @@ def fit_embedding(features: np.ndarray, eig_tol: float = DEFAULT_EIG_TOL) -> Emb
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
         retained=retained,
-        eig_tol=eig_tol,
         whitening=whitening,
     )
 
@@ -247,8 +243,8 @@ def set_mean_distances(
     """``mean_pairwise_distance`` of each set of row indices, on its own stream, in input order.
 
     Sets past the pair budget are sampled first, before ``scipy.spatial`` may
-    load; the rest share one kernel, ``pdist`` once their C(N,2) sum passes
-    ``PDIST_MIN_PAIRS``.  Neither the order nor the kernel changes a bit.
+    load; the distinct rest share one kernel, ``pdist`` once their C(N,2) sum
+    passes ``PDIST_MIN_PAIRS``.  Neither the order nor the kernel changes a bit.
     """
     points = np.asarray(points, dtype=np.float64)
     pairs = [len(s) * (len(s) - 1) // 2 for s in sets]
@@ -257,12 +253,20 @@ def set_mean_distances(
         return mean_pairwise_distance(points[np.asarray(sets[k])], pair_budget, rngs[k], kernel)
 
     results = {k: score(k) for k, c in enumerate(pairs) if c > pair_budget}
-    exact = [k for k, c in enumerate(pairs) if c <= pair_budget]
-    if sum(pairs[k] for k in exact) <= PDIST_MIN_PAIRS:
+    # an exact mean draws nothing from its stream, so equal exact sets share the first one's
+    first, alike = {}, {}
+    for k in (k for k, c in enumerate(pairs) if c <= pair_budget):
+        s = sets[k]
+        same = alike.setdefault((len(s), *s[:1], *s[-1:]), [])
+        same.append(k)
+        first[k] = next(j for j in same if np.array_equal(sets[j], s))
+    distinct = [k for k, j in first.items() if j == k]
+    if sum(pairs[k] for k in distinct) <= PDIST_MIN_PAIRS:
         kernel = all_pair_distances
     else:  # imported here: scipy.spatial is slow to load
         from scipy.spatial.distance import pdist as kernel
-    results.update((k, score(k, kernel)) for k in exact)
+    results.update((k, score(k, kernel)) for k in distinct)
+    results.update((k, results[j]) for k, j in first.items())
     return [results[k] for k in range(len(sets))]
 
 
@@ -282,7 +286,7 @@ def save_model(model: EmbeddingModel, out: TextIO) -> None:
     out.write(f"{_MODEL_HEADER}\n")
     out.write(f"dim\t{d}\n")
     out.write(f"retained\t{model.retained}\n")
-    out.write(f"eig_tol\t{model.eig_tol:.17g}\n")
+    out.write(f"eig_tol\t{DEFAULT_EIG_TOL:.17g}\n")
     out.write(f"mean\t{_fmt_row(model.mean)}\n")
     for row in model.covariance:
         out.write(f"cov\t{_fmt_row(row)}\n")

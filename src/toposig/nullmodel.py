@@ -237,18 +237,23 @@ def _level_means(
     memberships: Mapping[str, Mapping[str, np.ndarray]],
     pair_budget: int,
     seed: int,
-    min_group_size: int,
 ) -> tuple[dict[tuple[str, str], MeanDistanceResult], list[tuple[str, str]]]:
-    """Means of the groups of ``min_group_size`` (at least 2) or more nodes, keyed
-    (level, key) by level then key, in one batch; and the (level, key) of the rest.
+    """Means of the groups of 2 or more nodes, keyed (level, key) by level then
+    key, in one batch; and the (level, key) of the groups of one node or none.
     Each group samples pairs on a stream from (seed, key), so order changes nothing.
     """
     groups = {(level, key): ids for level, membership in memberships.items()
               for key, ids in sorted(membership.items())}
-    scored = {group: ids for group, ids in groups.items() if len(ids) >= max(min_group_size, 2)}
+    scored = {group: ids for group, ids in groups.items() if len(ids) >= 2}
     rngs = [_key_rng(seed, key) for _, key in scored]
     means = set_mean_distances(points, list(scored.values()), rngs, pair_budget)
     return dict(zip(scored, means)), [group for group in groups if group not in scored]
+
+
+def _check_some_group_scores(memberships: Mapping[str, Mapping[str, np.ndarray]]) -> None:
+    """Raises ValueError unless some group in ``memberships`` has 2 or more nodes."""
+    if all(len(ids) < 2 for groups in memberships.values() for ids in groups.values()):
+        raise ValueError("no label group has 2 or more nodes to score")
 
 
 def group_mean_distance(
@@ -256,12 +261,11 @@ def group_mean_distance(
     membership: Mapping[str, np.ndarray],
     pair_budget: int = DEFAULT_PAIR_BUDGET,
     seed: int = 0,
-    min_group_size: int = 2,
 ) -> tuple[dict[str, MeanDistanceResult], list[str]]:
-    """Mean inter-node distance per group, by key; undersized groups are skipped."""
+    """Mean inter-node distance per group of 2 or more nodes, by key; the rest are skipped."""
     if not membership:
         raise ValueError("empty membership")
-    means, skipped = _level_means(points, {"": membership}, pair_budget, seed, min_group_size)
+    means, skipped = _level_means(points, {"": membership}, pair_budget, seed)
     return {key: mean for (_, key), mean in means.items()}, [key for _, key in skipped]
 
 
@@ -294,26 +298,21 @@ def score_groups(
     memberships: Mapping[str, Mapping[str, np.ndarray]],
     pair_budget: int = DEFAULT_PAIR_BUDGET,
     seed: int = 0,
-    min_group_size: int = 2,
 ) -> tuple[list[GroupTestResult], list[str], list[float]]:
-    """z per group of each level in ``memberships``, {level: {key: node ids}}.
+    """z per group of 2 or more nodes of each level in ``memberships``, {level: {key: node ids}}.
 
     Returns the results by level, then key; the skipped groups as ``level:key``;
     and se / sigma(N) of each group that took the sampled pair path.  Every
     level's groups are scored in one batch, so one exact kernel scores them all.
     """
-    means, skipped = _level_means(points, memberships, pair_budget, seed, min_group_size)
+    _check_some_group_scores(memberships)
+    means, skipped = _level_means(points, memberships, pair_budget, seed)
     results, se_fracs = [], []
     for (level, key), result in means.items():
         n_data = len(memberships[level][key])
         results.append(z_score(null, key, level, n_data, result.mean))
         if not result.exact:
             se_fracs.append(result.se / null.sigma(n_data))
-    if not results:
-        smallest = max(min_group_size, 2)
-        raise ValueError(
-            f"no group has {smallest} or more nodes (--min-group-size {min_group_size})"
-        )
     return results, [f"{level}:{key}" for level, key in skipped], se_fracs
 
 
@@ -329,6 +328,7 @@ def analyze(features: np.ndarray, memberships: Mapping[str, Mapping[str, np.ndar
             config: NullSamplingConfig) -> Analysis:
     """Embed ``features``, fit the null under ``config`` and z-score ``memberships``
     as ``toposig all`` does: every setting ``config`` lacks is the CLI default."""
+    _check_some_group_scores(memberships)
     model = fit_embedding(features)
     points = transform_all(model, features)
     samples = sample_null(points, config)

@@ -132,6 +132,11 @@ def finished_run(tmp_path_factory):
     ["report", "--level", "region"],
     ["ingest", "--eig-tol", 0.1],
     ["test", "--sizes", "10,20"],
+    # the eigenvalue tolerance and the smallest group scored are constants
+    ["embed", "--eig-tol", "1e-4"],
+    ["all", "--eig-tol", "1e-4"],
+    ["test", "--min-group-size", 5],
+    ["all", "--min-group-size", 5],
     # flags are spelled in full: a prefix of a flag the stage takes is unknown
     ["null", "--size", "10,20"],
     ["embed", "--lab"],
@@ -140,6 +145,7 @@ def finished_run(tmp_path_factory):
     ["synth", "--mod", "er"],
 ], ids=["null-pooled-std", "synth-geo", "synth-level", "test-labeled-only", "embed-pair-budget",
         "null-level", "features-sizes", "report-level", "ingest-eig-tol", "test-sizes",
+        "embed-eig-tol", "all-eig-tol", "test-min-group-size", "all-min-group-size",
         "null-size-prefix", "embed-lab-prefix", "all-lab-prefix", "test-lev-prefix",
         "synth-mod-prefix"])
 def test_flags_a_stage_does_not_take_exit_2(tmp_path, capsys, finished_run, args):
@@ -155,17 +161,6 @@ def test_flags_a_stage_does_not_take_exit_2(tmp_path, capsys, finished_run, args
     manifest = (out / cli.MANIFEST).read_bytes()
     assert usage_error_code(args + ["--out", out]) == 2
     assert (out / cli.MANIFEST).read_bytes() == manifest
-
-
-@pytest.mark.parametrize("args, size", [
-    (["all", *FIXTURE_FLAGS["ingest"]], "-5"), (["all", *FIXTURE_FLAGS["ingest"]], "1"),
-    (["test"], "0"),
-], ids=["all-negative", "all-one", "test-zero"])
-def test_min_group_size_below_two_exits_2_and_writes_nothing(tmp_path, capsys, args, size):
-    assert usage_error_code(args + ["--out", tmp_path / "run", "--min-group-size", size]) == 2
-    err = capsys.readouterr().err
-    assert f"--min-group-size: must be an integer of at least 2, got {size}" in err
-    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("flag, name", [
@@ -345,13 +340,12 @@ def test_pair_budget_below_one_exits_2(tmp_path, capsys):
     ("all", "--pair-budget", "abc", "expected an integer, got 'abc'"),
     ("test", "--pair-budget", "-3", "must be an integer of at least 1, got -3"),
     ("all", "--fix-alpha", "abc", "expected a number, got 'abc'"),
-    ("all", "--min-group-size", "two", "expected an integer, got 'two'"),
     ("synth", "--stubs", "1,a", "expected an integer, got 'a'"),
     ("synth", "--random-groups", "many", "expected an integer, got 'many'"),
     ("synth", "--group-sizes", "5", "expected LO,HI, got '5'"),
     ("synth", "--group-sizes", "a,b", "expected an integer, got 'a'"),
-], ids=["seed", "sizes", "pair-budget", "pair-budget-negative", "fix-alpha", "min-group-size",
-        "stubs", "random-groups", "group-sizes-one", "group-sizes-text"])
+], ids=["seed", "sizes", "pair-budget", "pair-budget-negative", "fix-alpha", "stubs",
+        "random-groups", "group-sizes-one", "group-sizes-text"])
 def test_a_flag_value_it_cannot_parse_is_a_plain_usage_error(tmp_path, capsys, stage, flag,
                                                              value, message):
     """argparse names no function of the CLI: each type says what it expected."""
@@ -440,19 +434,36 @@ def test_sigma_overflowing_at_a_group_size_exits_4(tmp_path, capsys):
     assert not (tmp_path / cli.RESULTS_TSV).exists()
 
 
-@pytest.mark.parametrize("eig_tol", ["nan", "-1", "1", "2"])
-def test_eig_tol_outside_unit_interval_exits_2(tmp_path, capsys, eig_tol):
-    run_stages(tmp_path, "ingest", "features")
-    assert run(["embed", "--out", tmp_path, f"--eig-tol={eig_tol}"]) == 2
-    assert "tolerance must lie in [0, 1)" in capsys.readouterr().err
-    assert not (tmp_path / cli.MODEL_FILE).exists()
+def one_node_per_group(out):
+    """Rewrite the label codes in ``out`` so that each group keeps only its first node."""
+    codes = np.load(out / cli.LABEL_CODES_NPY)
+    for column in codes.T:
+        repeated = np.ones(len(column), dtype=bool)
+        repeated[np.unique(column, return_index=True)[1]] = False
+        column[repeated] = -1
+    np.save(out / cli.LABEL_CODES_NPY, codes)
 
 
 def test_min_group_size_above_every_group_exits_2(tmp_path, capsys):
     run_stages(tmp_path, "ingest", "features", "embed", "null")
-    assert run(stage_args("test", tmp_path) + ["--min-group-size", 1000]) == 2
-    assert "--min-group-size 1000" in capsys.readouterr().err
+    one_node_per_group(tmp_path)
+    assert run(stage_args("test", tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err == "toposig: no label group has 2 or more nodes to score\n"
     assert not (tmp_path / cli.RESULTS_TSV).exists()
+
+
+def test_a_group_of_one_node_is_skipped(tmp_path):
+    run_stages(tmp_path, "ingest", "features", "embed", "null")
+    codes = np.load(tmp_path / cli.LABEL_CODES_NPY)
+    codes[np.flatnonzero(codes[:, 0] == 0)[1:], 0] = -1  # country C0 keeps one node
+    np.save(tmp_path / cli.LABEL_CODES_NPY, codes)
+    run_stages(tmp_path, "test")
+    _, _, info = manifest_fields(tmp_path, "test")
+    assert "groups=11" in info and "skipped=1" in info
+    rows = [line.split("\t")[:2] for line in (tmp_path / cli.RESULTS_TSV).read_text().splitlines()
+            if not line.startswith("#")]
+    assert len(rows) == 11 and ["country", "C0"] not in rows
 
 
 def test_missing_labels_for_test_stage_exits_2(tmp_path):
@@ -612,7 +623,7 @@ def library_features():
     return graph, compute_all_features(graph)
 
 
-def library_results_tsv(seed, sizes, sets, pair_budget=em.DEFAULT_PAIR_BUDGET, min_group_size=2):
+def library_results_tsv(seed, sizes, sets, pair_budget=em.DEFAULT_PAIR_BUDGET):
     """Both levels' results.tsv text, built from the low-level pieces: each group's
     mean from ``embedding.set_mean_distances`` on its own (seed, key) stream, then
     ``nullmodel.z_score``; so a CLI check against it cannot pass by sharing code.
@@ -631,7 +642,7 @@ def library_results_tsv(seed, sizes, sets, pair_budget=em.DEFAULT_PAIR_BUDGET, m
     se_fracs = []
     for level, build in (("country", gstore.country_groups), ("region", gstore.region_groups)):
         for key, ids in build(graph, labels).items():
-            if len(ids) < min_group_size:
+            if len(ids) < 2:
                 continue
             [mean] = em.set_mean_distances(points, [ids], [nm._key_rng(seed, key)], pair_budget)
             results.append(nm.z_score(null, key, level, len(ids), mean.mean))
@@ -762,20 +773,8 @@ def test_labeled_only_fits_and_samples_the_labeled_rows(tmp_path):
         assert f"{cli.LABEL_GROUPS_TSV}:" in inputs and f"{cli.LABELS_TSV}:" not in inputs
 
 
-def test_eig_tol_drops_small_components(tmp_path):
-    # the fixture's smallest eigenvalue is 4.2e-5 of the largest
-    assert run(fixture_args(tmp_path) + ["--eig-tol", "1e-4"]) == 0
-    desc, _, info = manifest_fields(tmp_path, "embed")
-    assert "eig_tol=0.0001" in desc and "retained=3" in info
-    _, values = library_features()
-    expected = model_text(em.fit_embedding(values, eig_tol=1e-4))
-    assert (tmp_path / cli.MODEL_FILE).read_text(encoding="utf-8") == expected
-
-
-@pytest.mark.parametrize("flags, width", [
-    ([], 4), (["--eig-tol", "1e-4"], 3), (["--labeled-only"], 4),
-], ids=["default", "eig-tol", "labeled-only"])
-def test_points_are_every_row_in_the_fitted_space(tmp_path, flags, width):
+@pytest.mark.parametrize("flags", [[], ["--labeled-only"]], ids=["default", "labeled-only"])
+def test_points_are_every_row_in_the_fitted_space(tmp_path, flags):
     args, keep = half_labeled_args(tmp_path)
     half_geo = args[args.index("--geo") + 1]
     for stage_flags in (["ingest", "--links", FIXTURE_LINKS, "--geo", half_geo], ["features"],
@@ -783,20 +782,10 @@ def test_points_are_every_row_in_the_fitted_space(tmp_path, flags, width):
         assert run(stage_flags + ["--out", tmp_path / "run", "--seed", 7]) == 0, stage_flags[0]
     _, values = library_features()
     rows = values[keep] if "--labeled-only" in flags else values
-    eig_tol = float(flags[1]) if "--eig-tol" in flags else em.DEFAULT_EIG_TOL
-    expected = em.transform_all(em.fit_embedding(rows, eig_tol=eig_tol), values)
+    expected = em.transform_all(em.fit_embedding(rows), values)
     points = np.load(tmp_path / "run" / cli.POINTS_NPY)
-    assert points.dtype == np.float64 and points.shape == (200, width)
+    assert points.dtype == np.float64 and points.shape == (200, 4)
     assert points.tobytes() == expected.tobytes()
-
-
-def test_min_group_size_skips_small_groups(tmp_path):
-    # region groups hold 26-28 nodes and country groups 33-34, so 27 skips three regions
-    assert run(fixture_args(tmp_path) + ["--min-group-size", 27]) == 0
-    desc, _, info = manifest_fields(tmp_path, "test")
-    assert "min_group_size=27" in desc and "skipped=3" in info and "groups=9" in info
-    expected, _ = library_results_tsv(seed=7, sizes=(10, 20, 50), sets=40, min_group_size=27)
-    assert (tmp_path / cli.RESULTS_TSV).read_text(encoding="utf-8") == expected
 
 
 def test_readme_shared_flags_are_the_parser_options():
@@ -1010,7 +999,8 @@ def test_a_stage_appends_one_manifest_line_and_a_failed_stage_none(tmp_path, cap
         *earlier, last = manifest.read_text().splitlines()
         assert earlier == lines and last.startswith(f"{stage}\t"), stage
         lines.append(last)
-    assert run(stage_args("test", tmp_path) + ["--min-group-size", "10000"]) == 2
+    one_node_per_group(tmp_path)
+    assert run(stage_args("test", tmp_path)) == 2
     neighbors = tmp_path / cli.NEIGHBORS_NPY
     neighbors.write_bytes(neighbors.read_bytes()[:-8])
     assert run(["features", "--out", tmp_path]) == 2

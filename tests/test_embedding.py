@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -79,21 +80,6 @@ def test_collinear_data_retains_one_component():
     x = np.outer(t, [1.0, -2.0, 0.5, 3.0])
     model = em.fit_embedding(x)
     assert model.retained == 1
-
-
-@pytest.mark.parametrize("eig_tol", [float("nan"), -1.0, -1e-300, 1.0, 2.0, float("inf")])
-def test_eig_tol_outside_unit_interval_rejected(eig_tol):
-    # at eig_tol = -1 the collinear data used to keep its zero eigenvalues,
-    # giving an infinite whitening matrix
-    x = np.outer(np.linspace(0, 1, 50), [1.0, -2.0, 0.5, 3.0])
-    with pytest.raises(ValueError, match=r"tolerance must lie in \[0, 1\)"):
-        em.fit_embedding(x, eig_tol=eig_tol)
-
-
-def test_eig_tol_zero_keeps_every_positive_component():
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(100, 4))
-    assert em.fit_embedding(x, eig_tol=0.0).retained == 4
 
 
 def test_whitened_training_covariance_is_identity():
@@ -290,6 +276,22 @@ def test_sampled_mean_standard_error_matches_its_spread():
     spread = np.std([r.mean for r in results], ddof=1)
     # se of 200 runs has ~5% relative error; its mean must match the runs' spread
     assert np.mean([r.se for r in results]) == pytest.approx(spread, rel=0.2)
+
+
+def test_equal_exact_sets_run_the_kernel_once_and_sampled_sets_take_their_own_streams():
+    pts = np.random.default_rng(14).normal(size=(60, 4))
+    small, big = np.arange(3, 15), np.arange(10, 50)  # 66 pairs exact, 780 sampled
+    sets = [small, small.copy(), small[::-1], big, big.copy()]
+    rngs = [np.random.default_rng(k) for k in range(len(sets))]
+    with mock.patch.object(em, "all_pair_distances", wraps=em.all_pair_distances) as kernel:
+        results = em.set_mean_distances(pts, sets, rngs, pair_budget=100)
+    assert kernel.call_count == 2  # ``small`` once, and once in the other order
+    assert results[0] == results[1] == em.mean_pairwise_distance(pts[small], 100)
+    assert results[2] == em.mean_pairwise_distance(pts[small[::-1]], 100)
+    for k in (3, 4):
+        assert not results[k].exact
+        assert results[k] == em.mean_pairwise_distance(pts[big], 100, np.random.default_rng(k))
+    assert results[3] != results[4]
 
 
 def test_sampling_requires_rng():

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -226,7 +227,7 @@ def test_group_mean_matches_allpairs_loop():
 def test_small_groups_skipped_and_reported():
     pts = np.random.default_rng(10).normal(size=(20, 2))
     membership = {"big": np.arange(10), "tiny": np.array([3])}
-    results, skipped = nm.group_mean_distance(pts, membership, min_group_size=2)
+    results, skipped = nm.group_mean_distance(pts, membership)
     assert list(results) == ["big"]
     assert skipped == ["tiny"]
 
@@ -266,6 +267,22 @@ def test_z_monotone_in_group_size():
     model = nm.NullModel(mu_r=0.5, a=2.0, alpha=0.7, fit_residual=0.0)
     zs = [nm.z_score(model, "g", "country", n, 0.9).z for n in (10, 50, 200, 1000)]
     assert all(b > a for a, b in zip(zs, zs[1:]))
+
+
+@pytest.mark.parametrize("memberships", [{}, {"country": {"a": np.array([3])}}],
+                         ids=["no-group", "one-node-group"])
+def test_memberships_with_no_group_to_score_are_rejected_before_any_work(memberships):
+    x = np.random.default_rng(16).normal(size=(40, 4))
+    config = nm.NullSamplingConfig(set_sizes=(5, 10, 20), sets_per_size=5)
+    failing = {"side_effect": AssertionError("the chain ran")}
+    message = r"^no label group has 2 or more nodes to score$"
+    with mock.patch.object(nm, "fit_embedding", **failing), \
+            mock.patch.object(nm, "sample_null", **failing):
+        with pytest.raises(ValueError, match=message):
+            nm.analyze(x, memberships, config)
+    with mock.patch.object(nm, "set_mean_distances", **failing):
+        with pytest.raises(ValueError, match=message):
+            nm.score_groups(x, PAPER_NULL, memberships)
 
 
 def test_z_needs_two_nodes():
