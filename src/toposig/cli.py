@@ -19,27 +19,26 @@ final column so that identical runs match byte for byte elsewhere.
 
 Exit codes: 0 ok, 2 missing input/artifact, bad config or too-small input
 (among them argparse usage errors such as an unknown or abbreviated flag, a
-flag the stage does not take, a negative ``--seed``, a non-finite
-``--fix-alpha``, a ``--pair-budget`` below 1, text where a number is expected
-or both ``--links`` and ``--edges``; an input file that is not UTF-8, a null
-config that cannot be fitted, such as a ``--sizes`` that is empty or, without
-``--fix-alpha``, shorter than 3, found by ``null`` before any set is drawn and
-by ``all`` before ``ingest`` writes, and a ``test`` run in which no label group
-has 2 or more nodes), 3 parse error in strict mode, 4 numerical degeneracy
-(among them a fitted null ``a`` or a group's sigma(N) that is not finite and
-above 0).  A failed ``ingest`` or ``synth`` writes no artifact and creates no
-``--out``.
+flag the stage does not take, a negative ``--seed``, a ``--pair-budget`` below
+1, text where a number is expected or both ``--links`` and ``--edges``; an
+input file that is not UTF-8, a ``null_model.tsv`` or ``results.tsv`` row that
+does not parse, named with its line, a null config that cannot be fitted, such
+as a ``--sizes`` that is empty or shorter than 3, found by ``null`` before any
+set is drawn and by ``all`` before ``ingest`` writes, and a ``test`` run in
+which no label group has 2 or more nodes), 3 parse error in strict mode, 4
+numerical degeneracy (among them a fitted null ``a`` or a group's sigma(N) that
+is not finite and above 0).  A failed ``ingest`` or ``synth`` writes no
+artifact and creates no ``--out``.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TextIO, TypeVar
 
 import numpy as np
 
@@ -58,7 +57,7 @@ from .graph import GEO_LEVELS, ParseError
 from .nullmodel import (
     DEFAULT_SET_SIZES,
     DEFAULT_SETS_PER_SIZE,
-    FREE_FIT_MIN_SIZES,
+    FIT_MIN_SIZES,
     NullFitError,
     NullSamplingConfig,
     fit_null_scaling,
@@ -93,6 +92,7 @@ NULL_MODEL_TSV = "null_model.tsv"
 RESULTS_TSV = "results.tsv"
 SUMMARY_TSV = "summary.tsv"
 MANIFEST = "run_manifest.tsv"
+T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +212,15 @@ def _load_rows(
             f" of shape ({n}, {cols}) for the {n} nodes in {DEGREES_NPY}"
         )
     return values
+
+
+def _read_tsv(path: Path, producer: str, inputs: list[str], read: Callable[[TextIO], T]) -> T:
+    """``read`` of the handoff TSV ``path``; a malformed file exits 2 naming it."""
+    with open(_require(path, (producer,), inputs), encoding="utf-8") as f:
+        try:
+            return read(f)
+        except ValueError as exc:  # the readers name the line, not the file
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _labeled_rows(cfg: argparse.Namespace, rows: np.ndarray, inputs: list[str]) -> np.ndarray:
@@ -339,9 +348,9 @@ def _null_config(cfg: argparse.Namespace) -> NullSamplingConfig:
     """The null's sampling config; one it cannot fit exits 2 before any work."""
     config = NullSamplingConfig(set_sizes=cfg.sizes, sets_per_size=cfg.sets,
                                 pair_budget=cfg.pair_budget, seed=cfg.seed)
-    if cfg.fix_alpha is None and len(config.set_sizes) < FREE_FIT_MIN_SIZES:
+    if len(config.set_sizes) < FIT_MIN_SIZES:
         raise ValueError(f"--sizes gives {len(config.set_sizes)} set sizes; fitting alpha"
-                         f" needs at least {FREE_FIT_MIN_SIZES} (or pass --fix-alpha)")
+                         f" needs at least {FIT_MIN_SIZES}")
     return config
 
 
@@ -349,7 +358,7 @@ def _stage_null(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list[P
     config = _null_config(cfg)
     points = _labeled_rows(cfg, _load_rows(cfg, POINTS_NPY, "embed", POINT_WIDTHS, inputs), inputs)
     samples = sample_null(points, config)
-    model = fit_null_scaling(samples, fix_alpha=cfg.fix_alpha)
+    model = fit_null_scaling(samples)
     samples_path = cfg.out / NULL_SAMPLES_TSV
     model_path = cfg.out / NULL_MODEL_TSV
     with open(samples_path, "w", encoding="utf-8") as f:
@@ -358,9 +367,7 @@ def _stage_null(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list[P
         write_null_model_tsv(model, f)
     desc = (
         f"sizes={','.join(map(str, cfg.sizes))} sets={cfg.sets}"
-        f" pair_budget={cfg.pair_budget}"
-        f" fix_alpha={'-' if cfg.fix_alpha is None else f'{cfg.fix_alpha:.9g}'}"
-        f" labeled_only={int(cfg.labeled_only)}"
+        f" pair_budget={cfg.pair_budget} labeled_only={int(cfg.labeled_only)}"
     )
     info = f"mu_r={model.mu_r:.9g} a={model.a:.9g} alpha={model.alpha:.9g}"
     return desc, [samples_path, model_path], info
@@ -368,8 +375,7 @@ def _stage_null(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list[P
 
 def _stage_test(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list[Path], str]:
     points = _load_rows(cfg, POINTS_NPY, "embed", POINT_WIDTHS, inputs)
-    with open(_require(cfg.out / NULL_MODEL_TSV, ("null",), inputs), encoding="utf-8") as f:
-        null_model = read_null_model_tsv(f)
+    null_model = _read_tsv(cfg.out / NULL_MODEL_TSV, "null", inputs, read_null_model_tsv)
     codes, tables, unmatched = _load_label_codes(cfg, len(points), inputs)
     levels = GEO_LEVELS if cfg.level == "both" else (cfg.level,)
     memberships = {
@@ -396,8 +402,7 @@ def _stage_test(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list[P
 
 
 def _stage_report(cfg: argparse.Namespace, inputs: list[str]) -> tuple[str, list[Path], str]:
-    with open(_require(cfg.out / RESULTS_TSV, ("test",), inputs), encoding="utf-8") as f:
-        results = read_results_tsv(f)
+    results = _read_tsv(cfg.out / RESULTS_TSV, "test", inputs, read_results_tsv)
     summary = summarize(results)
     out_path = cfg.out / SUMMARY_TSV
     with open(out_path, "w", encoding="utf-8") as f:
@@ -477,33 +482,26 @@ def run_all(cfg: argparse.Namespace) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _number(text: str, kind: type[int] | type[float]) -> int | float:
-    """``kind(text)``; argparse names the type function on a ValueError, so raise its own error."""
+def _integer(text: str) -> int:
+    """``int(text)``; argparse names the type function on a ValueError, so raise its own error."""
     try:
-        return kind(text)
+        return int(text)
     except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(_number(tok, int) for tok in text.split(",") if tok)
+    return tuple(_integer(tok) for tok in text.split(",") if tok)
 
 
 def _int_at_least(low: int) -> Callable[[str], int]:
     def parse(text: str) -> int:
-        if (value := _number(text, int)) < low:
+        if (value := _integer(text)) < low:
             bound = "a non-negative integer" if low == 0 else f"an integer of at least {low}"
             raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
 
     return parse
-
-
-def _finite_float(text: str) -> float:
-    if not math.isfinite(value := _number(text, float)):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {value}")
-    return value
 
 
 def _int_pair(text: str) -> tuple[int, int]:
@@ -548,7 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     add(("null",), "--sizes", type=_int_list, default=DEFAULT_SET_SIZES,
         help="comma list of set sizes")
     add(("null", "test"), "--pair-budget", type=_int_at_least(1), default=DEFAULT_PAIR_BUDGET)
-    add(("null",), "--fix-alpha", type=_finite_float, default=None)
     add(("test",), "--level", choices=("country", "region", "both"), default="country")
     add(("ingest",), "--strict", action="store_true", help="fail on malformed lines")
     add(("embed", "null"), "--labeled-only", action="store_true",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .embedding import fit_embedding, set_mean_distances, transform_all
 __all__ = [
     "DEFAULT_SET_SIZES",
     "DEFAULT_SETS_PER_SIZE",
-    "FREE_FIT_MIN_SIZES",
+    "FIT_MIN_SIZES",
     "NullFitError",
     "NullSamplingConfig",
     "NullSampleRow",
@@ -55,8 +55,8 @@ __all__ = [
 DEFAULT_SET_SIZES = (10, 20, 50, 100, 200, 500)
 DEFAULT_SETS_PER_SIZE = 100
 
-# a free-alpha fit needs this many sizes with nonzero spread; a fixed-alpha fit needs 1
-FREE_FIT_MIN_SIZES = 3
+# fitting a and alpha needs this many sizes with nonzero spread
+FIT_MIN_SIZES = 3
 
 _HIST_CLAMP = 20
 SIGNIFICANCE_Z = 2.0
@@ -172,39 +172,27 @@ def sample_null(points: np.ndarray, config: NullSamplingConfig) -> NullSamples:
     ))
 
 
-def fit_null_scaling(samples: NullSamples, fix_alpha: float | None = None) -> NullModel:
+def fit_null_scaling(samples: NullSamples) -> NullModel:
     """Fit mu_r and the power law sigma(N) = a * N**(-alpha).
 
     mu_r is the rep-weighted mean of the per-size means.  Sizes with zero
-    spread are excluded from the power-law fit; a free-alpha fit needs at
-    least 3 usable sizes, a fixed-alpha fit at least 1.  Raises
-    :class:`NullFitError` when the fitted a, or sigma at the smallest or
-    largest fitted size, is not finite and above 0.
+    spread are excluded from the log-log least-squares fit, which needs at
+    least ``FIT_MIN_SIZES`` usable sizes.  Raises :class:`NullFitError` when
+    the fitted a, or sigma at the smallest or largest fitted size, is not
+    finite and above 0.
     """
-    if fix_alpha is not None and not math.isfinite(fix_alpha):
-        raise ValueError(f"fixed alpha must be finite, got {fix_alpha}")
-    rows = samples.rows
-    if not rows:
-        raise NullFitError("no sample rows to fit")
-    weights = np.array([r.reps for r in rows], dtype=np.float64)
-    means = np.array([r.mean for r in rows])
-    mu_r = float((weights * means).sum() / weights.sum())
-
-    usable = [r for r in rows if r.std > 0.0]
-    needed = 1 if fix_alpha is not None else FREE_FIT_MIN_SIZES
-    if len(usable) < needed:
+    usable = [r for r in samples.rows if r.std > 0.0]
+    if len(usable) < FIT_MIN_SIZES:
         raise NullFitError(
-            f"need at least {needed} sizes with nonzero spread, got {len(usable)}"
+            f"need at least {FIT_MIN_SIZES} sizes with nonzero spread, got {len(usable)}"
         )
+    weights = np.array([r.reps for r in samples.rows], dtype=np.float64)
+    means = np.array([r.mean for r in samples.rows])
+    mu_r = float((weights * means).sum() / weights.sum())
     log_n = np.log(np.array([r.set_size for r in usable], dtype=np.float64))
     log_s = np.log(np.array([r.std for r in usable]))
-    if fix_alpha is not None:
-        alpha = float(fix_alpha)
-        log_a = float((log_s + alpha * log_n).mean())
-    else:
-        slope, log_a = np.polyfit(log_n, log_s, 1)
-        alpha = float(-slope)
-        log_a = float(log_a)
+    slope, log_a = map(float, np.polyfit(log_n, log_s, 1))
+    alpha = -slope
     try:
         a = math.exp(log_a)
     except OverflowError:
@@ -327,7 +315,11 @@ class Analysis:
 def analyze(features: np.ndarray, memberships: Mapping[str, Mapping[str, np.ndarray]],
             config: NullSamplingConfig) -> Analysis:
     """Embed ``features``, fit the null under ``config`` and z-score ``memberships``
-    as ``toposig all`` does: every setting ``config`` lacks is the CLI default."""
+    as ``toposig all`` does: every setting ``config`` lacks is the CLI default.
+    A config with too few set sizes to fit is rejected before any work."""
+    if len(config.set_sizes) < FIT_MIN_SIZES:
+        raise ValueError(f"{len(config.set_sizes)} set sizes given; fitting alpha"
+                         f" needs at least {FIT_MIN_SIZES}")
     _check_some_group_scores(memberships)
     model = fit_embedding(features)
     points = transform_all(model, features)
@@ -369,35 +361,51 @@ def write_null_samples_tsv(samples: NullSamples, out: TextIO) -> None:
         out.write(f"{row.set_size}\t{row.mean:.9g}\t{row.std:.9g}\t{row.reps}\n")
 
 
+# each handoff TSV's columns, and the type its fields are read as
+_NULL_MODEL_COLUMNS = {"mu_r": float, "a": float, "alpha": float, "residual": float}
+_RESULTS_COLUMNS = {"level": str, "group": str, "n_nodes": int, "mean_dist": float, "z": float,
+                    "p": float, "significant": str}
+
+
+def _data_rows(lines: Iterable[str], columns: Mapping[str, type]) -> Iterator[list]:
+    """The fields of each line that is not blank or a ``#`` comment, read as their
+    columns' types; a line whose fields do not fit raises a ValueError naming it."""
+    for line_no, raw in enumerate(lines, start=1):
+        if not (line := raw.strip()) or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        try:
+            if len(fields) != len(columns):
+                raise ValueError(f"{len(fields)} fields, expected {len(columns)}:"
+                                 f" {', '.join(columns)}")
+            row = [kind(text) for kind, text in zip(columns.values(), fields)]
+        except ValueError as exc:
+            raise ValueError(f"line {line_no}: {exc}") from None
+        yield row
+
+
 def write_null_model_tsv(model: NullModel, out: TextIO) -> None:
     """17 significant digits, so the reloaded model scores groups losslessly."""
-    out.write("# mu_r\ta\talpha\tresidual\n")
+    out.write("# " + "\t".join(_NULL_MODEL_COLUMNS) + "\n")
     out.write(
         f"{model.mu_r:.17g}\t{model.a:.17g}\t{model.alpha:.17g}\t{model.fit_residual:.17g}\n"
     )
 
 
 def read_null_model_tsv(lines: Iterable[str]) -> NullModel:
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise ValueError(
-                f"null model row has {len(fields)} fields, expected 4: mu_r, a, alpha, residual"
-            )
-        model = NullModel(*map(float, fields))
+    """The first model row; one that does not parse raises ValueError naming its line."""
+    for row in _data_rows(lines, _NULL_MODEL_COLUMNS):
+        model = NullModel(*row)
         for name, value in vars(model).items():
             if not math.isfinite(value) or (name == "a" and value <= 0.0):
                 raise ValueError(f"null model field {name} is {value}: each must be finite, a > 0")
         return model
-    raise ValueError("empty null model file")
+    raise ValueError("no null model row")
 
 
 def write_results_tsv(results: Sequence[GroupTestResult], out: TextIO) -> None:
     """Rows sorted by z ascending; z has 17 significant digits, so it reloads losslessly."""
-    out.write("# level\tgroup\tn_nodes\tmean_dist\tz\tp\tsignificant\n")
+    out.write("# " + "\t".join(_RESULTS_COLUMNS) + "\n")
     for r in sorted(results, key=lambda r: (r.z, r.level, r.group)):
         out.write(
             f"{r.level}\t{r.group}\t{r.n_data}\t{r.mu_data:.9g}\t{r.z:.17g}"
@@ -406,16 +414,9 @@ def write_results_tsv(results: Sequence[GroupTestResult], out: TextIO) -> None:
 
 
 def read_results_tsv(lines: Iterable[str]) -> list[GroupTestResult]:
-    results = []
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        level, group, n, mu, z, p, sig = line.split("\t")
-        results.append(
-            GroupTestResult(level, group, int(n), float(mu), float(z), float(p), sig == "1")
-        )
-    return results
+    """Every result row; one that does not parse raises ValueError naming its line."""
+    rows = _data_rows(lines, _RESULTS_COLUMNS)
+    return [GroupTestResult(*row[:-1], row[-1] == "1") for row in rows]
 
 
 def write_summary_tsv(summary: SignificanceSummary, out: TextIO) -> None:

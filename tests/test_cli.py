@@ -137,6 +137,9 @@ def finished_run(tmp_path_factory):
     ["all", "--eig-tol", "1e-4"],
     ["test", "--min-group-size", 5],
     ["all", "--min-group-size", 5],
+    # alpha is always fitted
+    ["null", "--fix-alpha", 1],
+    ["all", "--fix-alpha", 1],
     # flags are spelled in full: a prefix of a flag the stage takes is unknown
     ["null", "--size", "10,20"],
     ["embed", "--lab"],
@@ -146,6 +149,7 @@ def finished_run(tmp_path_factory):
 ], ids=["null-pooled-std", "synth-geo", "synth-level", "test-labeled-only", "embed-pair-budget",
         "null-level", "features-sizes", "report-level", "ingest-eig-tol", "test-sizes",
         "embed-eig-tol", "all-eig-tol", "test-min-group-size", "all-min-group-size",
+        "null-fix-alpha", "all-fix-alpha",
         "null-size-prefix", "embed-lab-prefix", "all-lab-prefix", "test-lev-prefix",
         "synth-mod-prefix"])
 def test_flags_a_stage_does_not_take_exit_2(tmp_path, capsys, finished_run, args):
@@ -303,6 +307,26 @@ def test_non_finite_null_model_exits_2(tmp_path, capsys):
     assert not (tmp_path / cli.RESULTS_TSV).exists()
 
 
+@pytest.mark.parametrize("name, rows, stage, message", [
+    (cli.RESULTS_TSV, "country\tC0\t3\n", "report",
+     "line 2: 3 fields, expected 7: level, group, n_nodes, mean_dist, z, p, significant"),
+    (cli.NULL_MODEL_TSV, "abc\t1\t1\t0\n", "test",
+     "line 2: could not convert string to float: 'abc'"),
+    (cli.NULL_MODEL_TSV, "", "test", "no null model row"),
+], ids=["results-short-row", "null-model-text", "null-model-no-row"])
+def test_a_malformed_handoff_tsv_names_the_file_and_line(tmp_path, capsys, finished_run, name,
+                                                         rows, stage, message):
+    out = shutil.copytree(finished_run, tmp_path / "run")
+    path = out / name
+    header = path.read_text(encoding="utf-8").splitlines()[0]
+    path.write_text(f"{header}\n{rows}", encoding="utf-8")
+    kept = {kept_name: (out / kept_name).read_bytes()
+            for kept_name in (cli.RESULTS_TSV, cli.SUMMARY_TSV, cli.MANIFEST)}
+    assert run(stage_args(stage, out)) == 2
+    assert capsys.readouterr().err == f"toposig: {path}: {message}\n"
+    assert {kept_name: (out / kept_name).read_bytes() for kept_name in kept} == kept
+
+
 @pytest.mark.parametrize("name, stage", [
     (cli.FEATURES_NPY, "embed"), (cli.POINTS_NPY, "null"), (cli.LABEL_CODES_NPY, "test"),
 ])
@@ -339,12 +363,11 @@ def test_pair_budget_below_one_exits_2(tmp_path, capsys):
     ("all", "--sizes", "10,x", "expected an integer, got 'x'"),
     ("all", "--pair-budget", "abc", "expected an integer, got 'abc'"),
     ("test", "--pair-budget", "-3", "must be an integer of at least 1, got -3"),
-    ("all", "--fix-alpha", "abc", "expected a number, got 'abc'"),
     ("synth", "--stubs", "1,a", "expected an integer, got 'a'"),
     ("synth", "--random-groups", "many", "expected an integer, got 'many'"),
     ("synth", "--group-sizes", "5", "expected LO,HI, got '5'"),
     ("synth", "--group-sizes", "a,b", "expected an integer, got 'a'"),
-], ids=["seed", "sizes", "pair-budget", "pair-budget-negative", "fix-alpha", "stubs",
+], ids=["seed", "sizes", "pair-budget", "pair-budget-negative", "stubs",
         "random-groups", "group-sizes-one", "group-sizes-text"])
 def test_a_flag_value_it_cannot_parse_is_a_plain_usage_error(tmp_path, capsys, stage, flag,
                                                              value, message):
@@ -381,27 +404,14 @@ def no_set_drawn():
     return mock.patch.object(cli, "sample_null", side_effect=AssertionError("a set was drawn"))
 
 
-@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
-def test_non_finite_fix_alpha_exits_2(tmp_path, capsys, alpha):
-    run_stages(tmp_path, "ingest", "features", "embed")
-    with no_set_drawn():  # a usage error: the stage does not start
-        assert usage_error_code(stage_args("null", tmp_path) + [f"--fix-alpha={alpha}"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage: toposig null [-h] --out OUT [--seed SEED]"), err
-    assert f"argument --fix-alpha: must be a finite number, got {alpha}" in err
-    assert not (tmp_path / cli.NULL_MODEL_TSV).exists()
-
-
-def test_two_sizes_without_fix_alpha_exit_2_before_a_set_is_drawn(tmp_path, capsys, finished_run):
+def test_two_sizes_exit_2_before_a_set_is_drawn(tmp_path, capsys, finished_run):
     out = shutil.copytree(finished_run, tmp_path / "run")
     manifest = (out / cli.MANIFEST).read_bytes()
     with no_set_drawn():
         assert run(["null", "--out", out, "--sizes", "10,20"]) == 2
-    assert ("--sizes gives 2 set sizes; fitting alpha needs at least 3 (or pass --fix-alpha)"
-            in capsys.readouterr().err)
+    assert capsys.readouterr().err == (
+        "toposig: --sizes gives 2 set sizes; fitting alpha needs at least 3\n")
     assert (out / cli.MANIFEST).read_bytes() == manifest
-    # a fixed alpha fits on fewer sizes
-    assert run(["null", "--out", out, "--sizes", "10,20", "--fix-alpha", "1"]) == 0
 
 
 def test_empty_sizes_exit_2_with_their_own_message(tmp_path, capsys, finished_run):
@@ -411,27 +421,26 @@ def test_empty_sizes_exit_2_with_their_own_message(tmp_path, capsys, finished_ru
     assert "toposig: no set sizes given" in capsys.readouterr().err
 
 
-# on the fixture, alpha 250 fits a = exp(767), which overflows, and -1000 fits
-# a = exp(-3071), which is 0
-@pytest.mark.parametrize("alpha", ["250", "-1000"])
-def test_fix_alpha_fitting_no_usable_amplitude_exits_4(tmp_path, capsys, alpha):
-    run_stages(tmp_path, "ingest", "features", "embed")
-    assert run(stage_args("null", tmp_path) + [f"--fix-alpha={alpha}"]) == 4
-    assert f"alpha {alpha} fits a = exp(" in capsys.readouterr().err
-    assert not (tmp_path / cli.NULL_MODEL_TSV).exists()
+def test_null_on_points_with_no_spread_exits_4(tmp_path, capsys, finished_run):
+    out = shutil.copytree(finished_run, tmp_path / "run")
+    points = np.load(out / cli.POINTS_NPY)
+    np.save(out / cli.POINTS_NPY, np.repeat(points[:1], len(points), axis=0))
+    kept = {name: (out / name).read_bytes()
+            for name in (cli.NULL_SAMPLES_TSV, cli.NULL_MODEL_TSV, cli.MANIFEST)}
+    assert run(stage_args("null", out)) == 4
+    assert capsys.readouterr().err == (
+        "toposig: degenerate input: need at least 3 sizes with nonzero spread, got 0\n")
+    assert {name: (out / name).read_bytes() for name in kept} == kept
 
 
-def test_sigma_overflowing_at_a_group_size_exits_4(tmp_path, capsys):
-    # alpha -230 fits a = 9.3e-308, and sigma(N) = a * N**230 overflows at N >= 22
-    run_stages(tmp_path, "ingest", "features", "embed")
-    assert run(stage_args("null", tmp_path) + ["--fix-alpha=-230"]) == 4
-    assert "sigma(N) = inf at N = 50 is not finite" in capsys.readouterr().err
-    assert not (tmp_path / cli.NULL_MODEL_TSV).exists()
-    # a model file that overflows only past the sizes it was fitted on stops `test`
-    (tmp_path / cli.NULL_MODEL_TSV).write_text("0.9\t9.3e-308\t-230\t0\n")
-    assert run(stage_args("test", tmp_path)) == 4
+def test_sigma_overflowing_at_a_group_size_exits_4(tmp_path, capsys, finished_run):
+    # a = 9.3e-308 and alpha = -230: sigma(N) = a * N**230 overflows at N >= 22
+    out = shutil.copytree(finished_run, tmp_path / "run")
+    (out / cli.NULL_MODEL_TSV).write_text("0.9\t9.3e-308\t-230\t0\n")
+    kept = {name: (out / name).read_bytes() for name in (cli.RESULTS_TSV, cli.MANIFEST)}
+    assert run(stage_args("test", out)) == 4
     assert re.search(r"sigma\(N\) = inf at N = \d+ is not finite", capsys.readouterr().err)
-    assert not (tmp_path / cli.RESULTS_TSV).exists()
+    assert {name: (out / name).read_bytes() for name in kept} == kept
 
 
 def one_node_per_group(out):
@@ -567,19 +576,6 @@ def test_different_seed_changes_null_samples(tmp_path):
     assert run(fixture_args(out_a, seed=7)) == 0
     assert run(fixture_args(out_b, seed=8)) == 0
     assert (out_a / cli.NULL_SAMPLES_TSV).read_bytes() != (out_b / cli.NULL_SAMPLES_TSV).read_bytes()
-
-
-def test_fix_alpha_pins_the_exponent(tmp_path):
-    assert run(fixture_args(tmp_path)) == 0
-    assert run(
-        ["null", "--out", tmp_path, "--seed", 7, "--sizes", "10,20,50", "--sets", "40",
-         "--fix-alpha", "1.0"]
-    ) == 0
-    with open(tmp_path / cli.NULL_MODEL_TSV) as f:
-        from toposig.nullmodel import read_null_model_tsv
-
-        model = read_null_model_tsv(f)
-    assert model.alpha == 1.0
 
 
 def test_results_levels_respect_flag(tmp_path):

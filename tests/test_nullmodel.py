@@ -148,26 +148,27 @@ def test_noisy_power_law_recovered_within_tolerance():
         assert model.a == pytest.approx(math.exp(intercept), rel=1e-10)
 
 
-def test_fix_alpha_fits_only_amplitude():
-    model = nm.fit_null_scaling(exact_samples(3.0, 1.0, (50,)), fix_alpha=1.0)
-    assert model.alpha == 1.0
-    assert model.a == pytest.approx(3.0, rel=1e-12)
+def log_linear_samples(log_a, alpha, sizes):
+    """Rows whose spread is exactly exp(log_a) * N**(-alpha), computed in logs."""
+    return nm.NullSamples(tuple(
+        nm.NullSampleRow(n, 0.9, math.exp(log_a - alpha * math.log(n)), 100) for n in sizes
+    ))
 
 
-@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
-def test_non_finite_fix_alpha_rejected_as_bad_config(alpha):
-    # a plain ValueError (bad config), not the NullFitError of a degenerate null
-    with pytest.raises(ValueError, match="fixed alpha must be finite") as info:
-        nm.fit_null_scaling(exact_samples(3.0, 1.0, (10, 20, 50)), fix_alpha=alpha)
-    assert not isinstance(info.value, nm.NullFitError)
+@pytest.mark.parametrize("alpha", [300.0, -300.0], ids=["a-overflows", "a-underflows"])
+def test_fitted_amplitude_not_finite_and_above_zero_is_rejected(alpha):
+    # every spread near N = 100 is a float, but a = 100**alpha is past the float range
+    samples = log_linear_samples(alpha * math.log(100), alpha, (100, 101, 102))
+    with pytest.raises(nm.NullFitError, match=r"fits a = exp\(-?1381\.\d+\), not finite"):
+        nm.fit_null_scaling(samples)
 
 
 def test_sigma_overflowing_at_the_largest_fitted_size_is_rejected():
-    # a spread of 0.1 at every size fits a = 1.6e-308 to alpha -230: a > 0, but
-    # sigma(N) = a * N**230 overflows at N = 50
-    samples = exact_samples(0.1, 0.0, (10, 20, 50))
+    # a = 1e-100 to alpha -230 fits spreads up to 6e290, but sigma(N) = a * N**230
+    # takes N**230, which overflows at N = 50
+    samples = log_linear_samples(math.log(1e-100), -230.0, (10, 20, 50))
     with pytest.raises(nm.NullFitError, match=r"sigma\(N\) = inf at N = 50 is not finite"):
-        nm.fit_null_scaling(samples, fix_alpha=-230.0)
+        nm.fit_null_scaling(samples)
 
 
 def test_zero_std_rows_excluded():
@@ -283,6 +284,19 @@ def test_memberships_with_no_group_to_score_are_rejected_before_any_work(members
     with mock.patch.object(nm, "set_mean_distances", **failing):
         with pytest.raises(ValueError, match=message):
             nm.score_groups(x, PAPER_NULL, memberships)
+
+
+def test_too_few_set_sizes_are_rejected_before_any_work():
+    # a plain ValueError (bad config), not the NullFitError of a degenerate null
+    x = np.random.default_rng(16).normal(size=(40, 4))
+    config = nm.NullSamplingConfig(set_sizes=(10, 20), sets_per_size=5)
+    failing = {"side_effect": AssertionError("the chain ran")}
+    message = r"^2 set sizes given; fitting alpha needs at least 3$"
+    with mock.patch.object(nm, "fit_embedding", **failing), \
+            mock.patch.object(nm, "sample_null", **failing):
+        with pytest.raises(ValueError, match=message) as info:
+            nm.analyze(x, {"country": {"a": np.arange(10)}}, config)
+    assert not isinstance(info.value, nm.NullFitError)
 
 
 def test_z_needs_two_nodes():
